@@ -38,7 +38,6 @@ from .rational import format_rational, parse_rational
 from .verifier import (
     TrialConfig,
     detect_linear_recurrence,
-    expand_checks,
     run_campaign,
 )
 
@@ -155,7 +154,6 @@ def cmd_verify(args) -> int:
             max_resamples=args.max_resamples,
             inject_fault=args.inject_fault,
         )
-        expand_checks(cfg.checks, cfg.symbolic)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     report = run_campaign(cfg)

@@ -50,9 +50,7 @@ class RecurrenceSpec:
             raise ValueError("k must be >= 1")
         if len(self.init) != 2 * self.k + 1:
             raise ValueError(f"need 2k+1 = {2 * self.k + 1} initial values, got {len(self.init)}")
-        if isinstance(self.a, Fraction) and self.a == 0:
-            raise ValueError("the coefficient a must be nonzero")
-        if isinstance(self.a, LaurentPolynomial) and self.a.is_zero():
+        if not self.a:
             raise ValueError("the coefficient a must be nonzero")
 
     @classmethod
@@ -123,16 +121,15 @@ class SequenceWindow:
                 raise ValueError(
                     f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}; "
                     "pass symbolic_cap to override")
-        vals = {n: v for n, v in zip(self.indices(), self.values)}
-        a = spec.a
+        order = spec.order
+        fwd = list(self.values)
         for m in range(self.hi + 1, new_hi + 1):
-            n = m - 2 * k - 1
-            num = vals[n + 2 * k] * vals[n + 1] + a * (vals[n + k] + vals[n + k + 1])
-            vals[m] = _div(num, vals[n], n, spec.symbolic_mode, m)
+            fwd.append(_step(fwd[-order:], spec.a, m - order, m))
+        # backward is the forward step on the reversed block
+        bwd = fwd[order - 1::-1]
         for m in range(self.lo - 1, new_lo - 1, -1):
-            num = vals[m + 2 * k] * vals[m + 1] + a * (vals[m + k] + vals[m + k + 1])
-            vals[m] = _div(num, vals[m + 2 * k + 1], m + 2 * k + 1, spec.symbolic_mode, m)
-        return SequenceWindow(spec, new_lo, tuple(vals[n] for n in range(new_lo, new_hi + 1)))
+            bwd.append(_step(bwd[-order:], spec.a, m + order, m))
+        return SequenceWindow(spec, new_lo, tuple(bwd[:order - 1:-1]) + tuple(fwd))
 
     def with_value(self, n: int, value) -> "SequenceWindow":
         """A raw copy with one entry overwritten (for fault injection tests)."""
@@ -143,15 +140,23 @@ class SequenceWindow:
         return SequenceWindow(self.spec, self.lo, tuple(vals), raw=True)
 
 
-def _div(num, den, pivot_index: int, symbolic: bool, target: int):
-    if symbolic:
-        try:
-            return num.exact_div(den)
-        except NotExactError as exc:
-            raise LaurentViolationError(target) from exc
-    if den == 0:
-        raise ZeroPivotError(pivot_index)
-    return num / den
+def _step(block: Sequence, a, pivot: int, target: int):
+    """The one solve of the recurrence for a new iterate.
+
+    ``block`` holds the 2k+1 previous values in stepping order, the divisor
+    first: (x_n, ..., x_{n+2k}) for a forward step to x_{n+2k+1}, or the
+    reversed (x_{n+2k+1}, ..., x_{n+1}) for a backward step to x_n.
+    ``pivot`` and ``target`` are the indices of the divisor and of the new
+    value, named in the errors.
+    """
+    k = len(block) // 2
+    if not block[0]:
+        raise ZeroPivotError(pivot)
+    num = block[2 * k] * block[1] + a * (block[k] + block[k + 1])
+    try:
+        return num / block[0]
+    except NotExactError as exc:
+        raise LaurentViolationError(target) from exc
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:
@@ -190,28 +195,14 @@ def phi(point: Sequence, a, k: int) -> tuple:
     """One application of the forward map on a phase-space point."""
     if len(point) != 2 * k + 1:
         raise ValueError("point must have 2k+1 coordinates")
-    num = point[1] * point[2 * k] + a * (point[k + 1] + point[k])
-    if isinstance(num, LaurentPolynomial):
-        last = num.exact_div(point[0])
-    else:
-        if point[0] == 0:
-            raise ZeroPivotError(0)
-        last = num / point[0]
-    return tuple(point[1:]) + (last,)
+    return tuple(point[1:]) + (_step(point, a, 0, 2 * k + 1),)
 
 
 def phi_inverse(point: Sequence, a, k: int) -> tuple:
     """One application of the inverse map on a phase-space point."""
     if len(point) != 2 * k + 1:
         raise ValueError("point must have 2k+1 coordinates")
-    num = point[2 * k - 1] * point[0] + a * (point[k - 1] + point[k])
-    if isinstance(num, LaurentPolynomial):
-        first = num.exact_div(point[2 * k])
-    else:
-        if point[2 * k] == 0:
-            raise ZeroPivotError(2 * k)
-        first = num / point[2 * k]
-    return (first,) + tuple(point[:2 * k])
+    return (_step(point[::-1], a, 2 * k, -1),) + tuple(point[:2 * k])
 
 
 def sigma_point(point: Sequence) -> tuple:
@@ -260,7 +251,7 @@ def render_bfile(rows: Sequence[tuple[int, object]]) -> str:
         f = Fraction(v) if not isinstance(v, LaurentPolynomial) else None
         if f is None or f.denominator != 1:
             raise NonIntegerValueError(f"value at n={n} is not an integer: {format_value(v)}")
-        lines.append(f"{n} {f.numerator}")
+        lines.append(f"{n} {format_rational(f)}")
     return "\n".join(lines) + "\n"
 
 

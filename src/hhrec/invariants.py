@@ -38,23 +38,6 @@ from .laurent import LaurentPolynomial, RationalFunction, ring_one
 from .matrix import Matrix, matrix_det, solve_exact
 
 
-def _is_zero(v) -> bool:
-    if isinstance(v, LaurentPolynomial):
-        return v.is_zero()
-    if isinstance(v, RationalFunction):
-        return v.is_zero()
-    return v == 0
-
-
-def _div(num, den, error: Exception):
-    """Scalar-generic exact division; raises ``error`` on a zero denominator."""
-    if _is_zero(den):
-        raise error
-    if isinstance(num, LaurentPolynomial):
-        return num.exact_div(den)
-    return num / den
-
-
 # -- the explicit formula ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -83,7 +66,7 @@ def k_breakdown(values: Sequence, a) -> KBreakdown:
     k = (len(values) - 1) // 2
     x = list(values)
     for j, v in enumerate(x):
-        if _is_zero(v):
+        if not v:
             raise ZeroPivotError(j, what="initial value")
     one = ring_one(x[0])
     p0 = one + x[0] / x[2 * k] + x[2 * k] / x[0]
@@ -122,8 +105,10 @@ def k_ratio(w: SequenceWindow, base: int = 0):
         raise IndexError(f"ratio at base {base} needs [{lo}, {hi}] inside [{w.lo}, {w.hi}]")
     den = w[base + 2 * k] - w[base]
     num = w[base + 4 * k] - w[base - 2 * k]
-    return _div(num, den, DegenerateDenominatorError(
-        f"x_{base + 2 * k} = x_{base}; use a shifted base or the explicit formula"))
+    if not den:
+        raise DegenerateDenominatorError(
+            f"x_{base + 2 * k} = x_{base}; use a shifted base or the explicit formula")
+    return num / den
 
 
 # -- discrete Wronskians -------------------------------------------------------
@@ -163,13 +148,11 @@ def k_cramer(w: SequenceWindow, n: int = 0):
     if not w.covers(n, n + 6 * k + 2):
         raise IndexError(f"Cramer route at n={n} needs [{n}, {n + 6 * k + 2}]")
     d = delta(w, n)
-    if _is_zero(d):
+    if not d:
         raise SingularDeltaError(n)
     m1 = Matrix.from_rows([[w[n + i], w[n + i + 2 * k], w[n + i + 6 * k]] for i in range(3)])
     m2 = Matrix.from_rows([[w[n + i], w[n + i + 4 * k], w[n + i + 6 * k]] for i in range(3)])
-    k1 = _div(matrix_det(m1), d, SingularDeltaError(n))
-    k2 = _div(matrix_det(m2), d, SingularDeltaError(n))
-    return k1, k2
+    return matrix_det(m1) / d, matrix_det(m2) / d
 
 
 # -- 3-term relation coefficients -------------------------------------------------
@@ -199,7 +182,7 @@ def abg_coeffs(w: SequenceWindow, n: int, allow_symbolic: bool = False):
         return matrix_det(Matrix.from_rows(rows))
 
     d = wdet(n, (0, 1, 2))
-    if _is_zero(d):
+    if not d:
         raise SingularDeltaError(n)
     alpha = wdet(n + 1, (0, 1, 2)) / d
     beta = wdet(n, (0, 2, 3)) / d
@@ -270,7 +253,7 @@ def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
 
     def companion_inv(n):
         al = coeffs.alpha_at(n)
-        if _is_zero(al):
+        if not al:
             raise ZeroAlphaError(f"alpha_{n} = 0: companion matrix is singular")
         return [[coeffs.beta_at(n) / al, -(coeffs.gamma_at(n) / al), one / al],
                 [one, zero, zero],
@@ -353,7 +336,7 @@ def explicit_iterates(spec: RecurrenceSpec) -> ExplicitIterates:
     x = list(spec.init)
     a = spec.a
     for j, v in enumerate(x):
-        if _is_zero(v):
+        if not v:
             raise ZeroPivotError(j, what="initial value")
     f1, f2 = _coefficient_families(x, a)
     xr = list(reversed(x))

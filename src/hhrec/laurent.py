@@ -113,9 +113,6 @@ class LaurentPolynomial:
     def ring_one(self) -> "LaurentPolynomial":
         return LaurentPolynomial.one(self.nvars)
 
-    def ring_zero(self) -> "LaurentPolynomial":
-        return LaurentPolynomial.zero(self.nvars)
-
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPolynomial | None":
@@ -261,22 +258,9 @@ class LaurentPolynomial:
         nv = self.nvars
         # factor out per-variable minimal x-exponents so both operands become
         # ordinary polynomials; `a` (last slot) is already nonnegative
-        def mins(p: "LaurentPolynomial") -> list[int]:
-            m = [0] * nv
-            first = True
-            for e in p._terms:
-                if first:
-                    m = list(e)
-                    first = False
-                else:
-                    for i in range(nv):
-                        if e[i] < m[i]:
-                            m[i] = e[i]
-            m[-1] = 0
-            return m
-
-        nmin = mins(self)
-        dmin = mins(divisor)
+        nmin = _min_exponents(self)
+        dmin = _min_exponents(divisor)
+        nmin[-1] = dmin[-1] = 0
         nshift = {tuple(ei - mi for ei, mi in zip(e, nmin)): c for e, c in self._terms.items()}
         dshift = {tuple(ei - mi for ei, mi in zip(e, dmin)): c for e, c in divisor._terms.items()}
         q = _divide_ordinary(nshift, dshift)
@@ -327,6 +311,17 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.nvars}, {format_laurent(self)!r})"
+
+
+def _min_exponents(p: LaurentPolynomial) -> list[int]:
+    """Per-variable minimum exponent over the terms of a nonzero polynomial."""
+    it = iter(p._terms)
+    m = list(next(it))
+    for e in it:
+        for i, ei in enumerate(e):
+            if ei < m[i]:
+                m[i] = ei
+    return m
 
 
 def _divide_ordinary(num: dict, den: dict) -> dict | None:
@@ -533,8 +528,8 @@ class RationalFunction:
     def ring_one(self) -> "RationalFunction":
         return RationalFunction(LaurentPolynomial.one(self.num.nvars))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def as_laurent(self) -> LaurentPolynomial:
         """The value as a Laurent polynomial; raises NotExactError otherwise."""
@@ -621,20 +616,9 @@ def _reduce_pair(num: LaurentPolynomial, den: LaurentPolynomial):
     from math import gcd
 
     nv = num.nvars
-    # strip common monomial factor (per-variable min exponent of both operands;
-    # the parameter slot only cancels a nonnegative common power)
-    def mins(p):
-        it = iter(p._terms)
-        m = list(next(it))
-        for e in it:
-            for i in range(nv):
-                if e[i] < m[i]:
-                    m[i] = e[i]
-        return m
-
-    nmin, dmin = mins(num), mins(den)
-    common = [min(a, b) for a, b in zip(nmin, dmin)]
-    common[-1] = max(0, common[-1])
+    # strip the common monomial factor: per-variable min exponent of both
+    # operands (the parameter's exponents are never negative)
+    common = [min(a, b) for a, b in zip(_min_exponents(num), _min_exponents(den))]
     if any(common):
         shift = LaurentPolynomial.monomial(nv, common)
         num = num.exact_div(shift)

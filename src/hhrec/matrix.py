@@ -1,7 +1,8 @@
 """Small exact matrices and determinant kernels.
 
-Entries are any exact scalar supporting ring arithmetic (Fraction or
-LaurentPolynomial); plain ints are promoted to Fraction on construction.
+Entries are any exact scalar with ring arithmetic, exact ``/`` and a
+``bool()`` zero test (Fraction, LaurentPolynomial or RationalFunction); plain
+ints are promoted to Fraction on construction.
 Three independent determinant routines are provided:
 
 * cofactor expansion -- the brute-force oracle, any size;
@@ -20,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-from .laurent import LaurentPolynomial
 
 
 class ZeroMinorError(Exception):
@@ -94,12 +93,6 @@ def det_cofactor(m: Matrix):
     return rec(rows)
 
 
-def _exact_div(a, b):
-    if isinstance(a, LaurentPolynomial):
-        return a.exact_div(b)
-    return a / b
-
-
 def det_bareiss(m: Matrix):
     """Fraction-free Gaussian elimination; divisions are exact in the ring."""
     n = _require_square(m)
@@ -122,7 +115,7 @@ def det_bareiss(m: Matrix):
             for j in range(k + 1, n):
                 elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
                 if prev is not None:
-                    elt = _exact_div(elt, prev)
+                    elt /= prev
                 a[i][j] = elt
         prev = a[k][k]
     det = a[n - 1][n - 1]
@@ -154,7 +147,7 @@ def _condense(a, divisors):
                 d = divisors[i][j]
                 if not d:
                     raise ZeroMinorError(f"zero interior minor at ({i}, {j})")
-                v = _exact_div(v, d)
+                v /= d
             row.append(v)
         out.append(row)
     return out

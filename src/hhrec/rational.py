@@ -9,6 +9,7 @@ the CLI and all JSON output: ``p/q``, or just ``p`` when q = 1.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -25,8 +26,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render ``p/q``, or ``p`` when the denominator is 1."""
-    return str(Fraction(value))
+    """Render ``p/q``, or ``p`` when the denominator is 1, at any size."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        # past Python's int-to-str digit limit, which stays in force to guard
+        # the parsing of outside input; Decimal converts ints exactly
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def is_integer(value: Fraction) -> bool:

@@ -103,9 +103,20 @@ class TrialConfig:
             raise ValueError("bounds must be >= 1")
         if not self.checks:
             raise ValueError("checks must be nonempty")
+        checks = self.resolved_checks()  # raises on an unknown check id
+        target = self.fault_target
+        if target is not None and target not in checks:
+            raise ValueError(f"inject_fault target {self.inject_fault!r} is not among the requested checks")
+        if target in (_SYMBOLIC_FAULT_BLIND if self.symbolic else _NUMERIC_FAULT_BLIND):
+            raise ValueError(f"inject_fault target {self.inject_fault!r} never reads the corrupted "
+                             "iterate x_{2k+1}, so it cannot serve as a negative control")
 
     def resolved_checks(self) -> list[str]:
         return expand_checks(self.checks, self.symbolic)
+
+    @property
+    def fault_target(self) -> str | None:
+        return None if self.inject_fault is None else normalize_check_id(self.inject_fault)
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,12 +243,16 @@ class CheckResult:
 
 @dataclass
 class TrialContext:
-    """Shared per-(trial, attempt) state: the spec and a growing window."""
+    """Shared per-(trial, attempt) state: the spec and a growing window.
+
+    While ``corrupt`` is set (the running check is the fault-injection
+    target), ``window`` hands out a raw copy with x_{2k+1} raised by one.
+    """
 
     cfg: TrialConfig
     spec: RecurrenceSpec
     trial: int
-    fault_check: str | None = None
+    corrupt: bool = False
     _window: SequenceWindow | None = None
 
     def window(self, lo: int, hi: int) -> SequenceWindow:
@@ -246,19 +261,14 @@ class TrialContext:
         if not self._window.covers(lo, hi):
             self._window = self._window.extend(min(lo, self._window.lo),
                                                max(hi, self._window.hi))
-        return self._window
+        if not self.corrupt:
+            return self._window
+        n = 2 * self.spec.k + 1  # inside every window the checks ask for
+        return self._window.with_value(n, self._window[n] + 1)
 
     def default_window(self) -> SequenceWindow:
         k = self.spec.k
         return self.window(-2 * k - 2, 12 * k + 3)
-
-    def faulty(self, w: SequenceWindow, check: str) -> SequenceWindow:
-        """The window to hand to a check: corrupted iff fault injection targets it."""
-        if self.fault_check != check:
-            return w
-        k = self.spec.k
-        n = 2 * k + 1  # sits inside every identity's index span
-        return w.with_value(n, w[n] + 1)
 
     def breakdown(self) -> inv.KBreakdown:
         return inv.k_formula(self.spec)
@@ -273,7 +283,7 @@ def _wit(n: int, what: str, value) -> dict:
 
 def _check_xi_zero(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
-    w = ctx.faulty(ctx.default_window(), "xi_zero")
+    w = ctx.default_window()
     for n in range(w.lo, w.hi - 2 * k):
         r = xi_residual(w, n)
         if r != 0:
@@ -284,7 +294,7 @@ def _check_xi_zero(ctx: TrialContext) -> CheckResult:
 def _check_linear_relation(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
     K = ctx.breakdown().K
-    w = ctx.faulty(ctx.default_window(), "linear_relation")
+    w = ctx.default_window()
     for n in range(w.lo, w.hi - 6 * k + 1):
         r = inv.linear_relation_residual(w, n, K)
         if r != 0:
@@ -328,7 +338,7 @@ def _check_k_monodromy(ctx: TrialContext) -> CheckResult:
 
 def _check_delta_invariance(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
-    w = ctx.faulty(ctx.default_window(), "delta_invariance")
+    w = ctx.default_window()
     for n in range(w.lo, w.hi - 5 * k - 2 + 1):
         d0, d1 = inv.delta(w, n), inv.delta(w, n + k)
         if d0 != d1:
@@ -338,7 +348,7 @@ def _check_delta_invariance(ctx: TrialContext) -> CheckResult:
 
 def _check_wronskian4(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
-    w = ctx.faulty(ctx.default_window(), "wronskian4")
+    w = ctx.default_window()
     for n in range(w.lo, w.hi - 6 * k - 3 + 1):
         d = inv.wronskian4_det(w, n)
         if d != 0:
@@ -479,14 +489,10 @@ def _check_operator_identity(ctx: TrialContext) -> CheckResult:
 
 # -- symbolic checks ---------------------------------------------------------------
 
-def _sym_window(ctx: TrialContext, lo: int, hi: int) -> SequenceWindow:
-    return ctx.window(lo, hi)
-
-
 def _check_sym_laurent(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
     try:
-        w = _sym_window(ctx, -2 * k - 2, 6 * k + 4)
+        w = ctx.window(-2 * k - 2, 6 * k + 4)
     except LaurentViolationError as exc:
         # would disprove the Laurent property: a failure witness, not a crash
         return CheckResult(False, _wit(exc.n, "iterate stays a Laurent polynomial", 0))
@@ -503,7 +509,7 @@ def _check_sym_laurent(ctx: TrialContext) -> CheckResult:
 
 def _check_sym_explicit(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
-    w = _sym_window(ctx, -2 * k, 4 * k)
+    w = ctx.window(-2 * k, 4 * k)
     ex = inv.explicit_iterates(ctx.spec)
     for m in list(range(-2 * k, 0)) + list(range(2 * k + 1, 4 * k + 1)):
         if ex.value(m) != w[m]:
@@ -529,7 +535,7 @@ def _check_sym_first_integral(ctx: TrialContext) -> CheckResult:
 def _check_sym_k_ratio(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
     K = ctx.breakdown().K
-    w = _sym_window(ctx, -2 * k, 4 * k)
+    w = ctx.window(-2 * k, 4 * k)
     if inv.k_ratio(w, 0) != K:
         return CheckResult(False, {"identity": "ratio route == K symbolically"})
     return CheckResult(True)
@@ -588,6 +594,13 @@ SYMBOLIC_CHECKS: dict[str, Callable[[TrialContext], CheckResult]] = {
     "reversal_covariance": _check_sym_reversal_covariance,
     "p_from_iterates": _check_sym_p_from_iterates,
 }
+
+
+# checks that never read x_{2k+1} of a trial window, where fault injection
+# writes: a fault aimed at them would control nothing, so it is refused
+_NUMERIC_FAULT_BLIND = frozenset({"k_ratio", "reversibility", "operator_identity"})
+_SYMBOLIC_FAULT_BLIND = frozenset({"k_ratio", "first_integral", "proof_identities",
+                                   "reversal_covariance", "p_from_iterates"})
 
 
 def normalize_check_id(name: str) -> str:
@@ -676,12 +689,6 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
     """
     check_ids = cfg.resolved_checks()
     table = SYMBOLIC_CHECKS if cfg.symbolic else NUMERIC_CHECKS
-    if cfg.inject_fault is not None:
-        fault = normalize_check_id(cfg.inject_fault)
-        if fault not in check_ids:
-            raise ValueError(f"inject_fault target {cfg.inject_fault!r} is not among the requested checks")
-    else:
-        fault = None
     report = VerificationReport(cfg)
     for trial in range(cfg.trials):
         pending = list(check_ids)
@@ -690,9 +697,10 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
         for attempt in range(cfg.max_resamples + 1):
             spec = (RecurrenceSpec.symbolic(cfg.k) if cfg.symbolic
                     else random_spec(cfg, trial, attempt))
-            ctx = TrialContext(cfg, spec, trial, fault_check=fault)
+            ctx = TrialContext(cfg, spec, trial)
             still: list[str] = []
             for cid in pending:
+                ctx.corrupt = cid == cfg.fault_target
                 t0 = time.perf_counter()
                 try:
                     result = table[cid](ctx)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hhrec.cli import main
+from hhrec.verifier import NUMERIC_CHECKS, SYMBOLIC_CHECKS
 
 
 @pytest.fixture
@@ -113,6 +114,39 @@ def test_verify_fault_injection_fails_with_witness(run):
     code, out, _ = run("verify", "--k", "1", "--trials", "1", "--seed", "7",
                        "--checks", "linear_relation", "--inject-fault", "linear_relation")
     assert code == 1 and '"n"' in out
+
+
+# fault injection raises x_{2k+1}; these checks never read it and are refused
+FAULT_BLIND = {
+    False: {"k_ratio", "reversibility", "operator_identity"},
+    True: {"k_ratio", "first_integral", "proof_identities", "reversal_covariance",
+           "p_from_iterates"},
+}
+
+
+@pytest.mark.parametrize("symbolic,target", [(False, cid) for cid in NUMERIC_CHECKS]
+                         + [(True, cid) for cid in SYMBOLIC_CHECKS])
+def test_every_injected_fault_fails_its_target_only_or_is_refused(run, tmp_path, symbolic, target):
+    path = tmp_path / "report.json"
+    code, _, err = run("verify", "--k", "1", "--trials", "1", "--checks", "all",
+                       "--inject-fault", target, "--json", str(path),
+                       *(["--symbolic"] if symbolic else []))
+    if target in FAULT_BLIND[symbolic]:
+        assert code == 2 and "negative control" in err and not path.exists()
+        return
+    results = json.loads(path.read_text())["results"]
+    assert code == 1
+    assert {r["check"] for r in results if r["status"] == "fail"} == {target}
+    assert all(r["status"] == "pass" for r in results if r["check"] != target)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--checks", "k_ratio", "--inject-fault", "wronskian4"),   # target not requested
+    ("--checks", "all", "--inject-fault", "no_such_check"),
+], ids=["unrequested-target", "unknown-target"])
+def test_verify_misuse_exits_2(run, argv):
+    code, out, err = run("verify", "--k", "1", "--trials", "1", *argv)
+    assert code == 2 and err.startswith("error: ") and out == ""
 
 
 def test_verify_json_report(run, tmp_path):

@@ -152,6 +152,65 @@ def test_phi_inverse_is_inverse():
     assert phi_inverse(phi(p, spec.a, 2), spec.a, 2) == p
 
 
+def _phi_orbit(spec, steps, inverse=False):
+    """The points reached by iterating phi (or phi_inverse) from the seed."""
+    step = phi_inverse if inverse else phi
+    points = [spec.init]
+    for _ in range(steps):
+        points.append(step(points[-1], spec.a, spec.k))
+    return points
+
+
+@pytest.mark.parametrize("spec", [
+    RecurrenceSpec.numeric(1, Fraction(-2, 3), [2, Fraction(1, 5), -3]),
+    RecurrenceSpec.numeric(2, 3, [1, -2, Fraction(3, 4), 5, 7]),
+    RecurrenceSpec.numeric(3, Fraction(1, 2), [1, 2, 3, 4, 5, 6, 7]),
+    RecurrenceSpec.symbolic(1),
+    RecurrenceSpec.symbolic(2),
+])
+def test_iterated_maps_equal_extend(spec):
+    k = spec.k
+    w = spec.window().extend(-2 * k - 1, 4 * k + 1)
+    for j, point in enumerate(_phi_orbit(spec, 2 * k)):
+        assert point == tuple(w[n] for n in range(j, j + 2 * k + 1))
+    for j, point in enumerate(_phi_orbit(spec, 2 * k + 1, inverse=True)):
+        assert point == tuple(w[n] for n in range(-j, -j + 2 * k + 1))
+
+
+@pytest.mark.parametrize("init,hi,lo,pivot", [
+    ([1, 2, -1], 9, None, 6),   # x_6 = 0 divides the step to x_9
+    ([0, 1, 1], 3, None, 0),
+    ([1, 1, 0], None, -1, 2),
+])
+def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
+    spec = RecurrenceSpec.numeric(1, 1, init)
+    with pytest.raises(ZeroPivotError) as by_extend:
+        spec.window().extend(new_lo=lo, new_hi=hi)
+    assert by_extend.value.n == pivot
+    inverse = lo is not None
+    steps = 0 if inverse else pivot  # phi's indices are relative to its point
+    point = _phi_orbit(spec, steps)[-1]
+    with pytest.raises(ZeroPivotError) as by_map:
+        (phi_inverse if inverse else phi)(point, spec.a, 1)
+    assert steps + by_map.value.n == pivot
+
+
+@pytest.mark.parametrize("seed,lo,hi,target", [
+    (lambda x0, x1, x2: (x0, x1, x0 + x1), -1, None, -1),  # backward step divides by x0 + x1
+    (lambda x0, x1, x2: (x0 + x1, x1, x2), None, 3, 3),    # forward step divides by x0 + x1
+], ids=["backward", "forward"])
+def test_non_generic_symbolic_seed_raises_laurent_violation(seed, lo, hi, target):
+    x0, x1, x2, a = variables(4)
+    init = seed(x0, x1, x2)
+    spec = RecurrenceSpec(1, a, init)
+    with pytest.raises(LaurentViolationError) as by_extend:
+        spec.window().extend(new_lo=lo, new_hi=hi)
+    assert by_extend.value.n == target
+    with pytest.raises(LaurentViolationError) as by_map:
+        (phi_inverse if lo is not None else phi)(init, a, 1)
+    assert by_map.value.n == target
+
+
 def test_raw_window_cannot_extend():
     w = raw_window(ones(1), 0, [1, 2, 3, 4])
     with pytest.raises(ValueError):
@@ -213,6 +272,14 @@ def test_bfile_requires_integers():
     w = RecurrenceSpec.numeric(1, 1, [1, 2, 3]).window().extend(new_hi=4)
     with pytest.raises(NonIntegerValueError):
         render_bfile(window_rows(w))
+
+
+def test_exports_render_values_past_the_digit_limit():
+    big = 10 ** 5000 + 7  # 5001 digits, past Python's default int-to-str limit
+    rows = window_rows(raw_window(ones(1), 0, [1, big, -big]))
+    text = "1" + "0" * 4999 + "7"
+    assert render_bfile(rows).splitlines() == ["0 1", f"1 {text}", f"2 -{text}"]
+    assert render_csv(rows).splitlines()[2] == f"1,{text}"
 
 
 def test_parse_sequence_rejects_gaps():

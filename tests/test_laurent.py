@@ -202,6 +202,16 @@ def test_rational_function_zero_denominator(gens):
         RationalFunction(x0, LaurentPolynomial.zero(NV))
 
 
+def test_rational_function_bool_is_false_exactly_for_zero(gens):
+    x0, x1, x2, a = gens
+    assert not RationalFunction(LaurentPolynomial.zero(NV), x0 + a)
+    r = RationalFunction(x0 + a, x1 + x2)
+    assert not r - r
+    assert not RationalFunction(x1 + x2, x0) - RationalFunction(x1, x0) - RationalFunction(x2, x0)
+    assert r and RationalFunction(x0) and RationalFunction(LaurentPolynomial.constant(NV, -1))
+    assert r / RationalFunction(x0 + a)
+
+
 def test_sigma_pullback_reverses_variables(gens):
     x0, x1, x2, a = gens
     p = x0 ** 2 * x2 ** -1 + a * x1

@@ -49,3 +49,12 @@ def test_is_integer():
 def test_equality_agrees_with_cross_multiplication():
     a, b = Fraction(6, 8), Fraction(3, 4)
     assert a == b and a.numerator * b.denominator == b.numerator * a.denominator
+
+
+def test_format_past_the_int_to_str_digit_limit():
+    # 5001 digits: past Python's default int-to-str limit of 4300
+    big = 10 ** 5000 + 1
+    digits = "1" + "0" * 4999 + "1"
+    assert format_rational(Fraction(big)) == digits
+    assert format_rational(Fraction(-big, 3)) == f"-{digits}/3"
+    assert format_rational(Fraction(7, big)) == f"7/{digits}"
