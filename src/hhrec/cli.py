@@ -201,7 +201,7 @@ def cmd_detect(args) -> int:
         raise UsageError("detect needs --input FILE or --gen")
     try:
         charpoly = detect_linear_recurrence(values, args.max_order)
-    except InsufficientDataError as exc:
+    except (InsufficientDataError, ValueError) as exc:  # too few terms, --max-order < 1
         raise UsageError(str(exc)) from exc
     if charpoly is None:
         print(json.dumps({"order": None, "charpoly": None}))

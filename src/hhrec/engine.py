@@ -29,7 +29,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, variables
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_rational, promote
 
 
 def default_symbolic_cap(k: int) -> int:
@@ -46,6 +46,8 @@ class RecurrenceSpec:
     init: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "a", promote(self.a))
+        object.__setattr__(self, "init", tuple(promote(v) for v in self.init))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if len(self.init) != 2 * self.k + 1:
@@ -161,8 +163,7 @@ def _step(block: Sequence, a, pivot: int, target: int):
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:
     """A window over arbitrary values, exempt from the solution invariant."""
-    vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
-    return SequenceWindow(spec, lo, vals, raw=True)
+    return SequenceWindow(spec, lo, tuple(promote(v) for v in values), raw=True)
 
 
 def xi_residual(w: SequenceWindow, n: int):
@@ -195,14 +196,16 @@ def phi(point: Sequence, a, k: int) -> tuple:
     """One application of the forward map on a phase-space point."""
     if len(point) != 2 * k + 1:
         raise ValueError("point must have 2k+1 coordinates")
-    return tuple(point[1:]) + (_step(point, a, 0, 2 * k + 1),)
+    point = tuple(promote(v) for v in point)
+    return point[1:] + (_step(point, promote(a), 0, 2 * k + 1),)
 
 
 def phi_inverse(point: Sequence, a, k: int) -> tuple:
     """One application of the inverse map on a phase-space point."""
     if len(point) != 2 * k + 1:
         raise ValueError("point must have 2k+1 coordinates")
-    return (_step(point[::-1], a, 2 * k, -1),) + tuple(point[:2 * k])
+    point = tuple(promote(v) for v in point)
+    return (_step(point[::-1], promote(a), 2 * k, -1),) + point[:2 * k]
 
 
 def sigma_point(point: Sequence) -> tuple:

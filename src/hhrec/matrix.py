@@ -22,13 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .rational import promote
+
 
 class ZeroMinorError(Exception):
     """Dodgson condensation hit a zero interior minor; use another algorithm."""
-
-
-def _promote(value):
-    return Fraction(value) if isinstance(value, int) else value
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(_promote(v) for r in rows for v in r))
+        return cls(nrows, ncols, tuple(promote(v) for r in rows for v in r))
 
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]

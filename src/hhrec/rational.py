@@ -22,7 +22,17 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        # past Python's int-from-str digit limit: the mirror of format_rational
+        num, _, den = text.partition("/")
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
+def promote(value):
+    """A plain int as a Fraction, anything else unchanged: int / int is a float."""
+    return Fraction(value) if isinstance(value, int) else value
 
 
 def format_rational(value: Fraction) -> str:

@@ -166,36 +166,44 @@ def random_spec(cfg: TrialConfig, trial: int, attempt: int = 0,
 def detect_linear_recurrence(values: Sequence[Fraction], max_order: int) -> list[Fraction] | None:
     """Monic characteristic polynomial of the minimal linear recurrence.
 
-    Tries orders L = 0, 1, ..., max_order; for each, solves the Hankel-style
-    system x[n+L] = c1 x[n+L-1] + ... + cL x[n] over ALL available rows and
-    accepts only a solution consistent with every supplied term.  Returns the
-    coefficients [1, -c1, ..., -cL] (descending powers), or None.
+    Berlekamp-Massey over Q (Massey, IEEE Trans. Inf. Theory 15, 1969) finds
+    the shortest recurrence x[n+L] = c1 x[n+L-1] + ... + cL x[n] that holds
+    over ALL supplied terms; with at least 2*max_order + 2 terms it is unique
+    whenever L <= max_order.  The result is checked against every term before
+    it is returned.  Returns the coefficients [1, -c1, ..., -cL] (descending
+    powers), [1] for an all-zero input, or None when L > max_order.
     """
-    from .matrix import solve_exact
-
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     values = [Fraction(v) for v in values]
     if len(values) < 2 * max_order + 2:
         raise InsufficientDataError(
             f"need at least 2*max_order+2 = {2 * max_order + 2} terms, got {len(values)}")
-    if all(v == 0 for v in values):
-        return [Fraction(1)]
-    for order in range(1, max_order + 1):
-        rows = [[values[n + order - j] for j in range(1, order + 1)]
-                for n in range(len(values) - order)]
-        rhs = [values[n + order] for n in range(len(values) - order)]
-        sol = solve_exact(rows, rhs)
-        if sol is None:
-            continue
-        # re-verify against every term (solve_exact already guarantees this,
-        # but the detector is an oracle and must not trust its solver)
-        ok = all(values[n + order] == sum(c * values[n + order - j]
-                                          for j, c in enumerate(sol, start=1))
-                 for n in range(len(values) - order))
-        if ok:
-            return [Fraction(1)] + [-c for c in sol]
-    return None
+    # conn = [1, -c1, ..., -cL] annihilates every term so far; prev is conn
+    # before the last change of order, with discrepancy prev_disc, shift steps ago
+    def residual(conn, n):
+        return sum(c * values[n - i] for i, c in enumerate(conn))
+
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, shift, prev_disc = 0, 1, Fraction(1)
+    for n in range(len(values)):
+        disc = residual(conn, n)
+        if disc:
+            new_order = max(order, n + 1 - order)
+            updated = conn + [Fraction(0)] * (new_order - order)
+            scale = disc / prev_disc
+            for i, c in enumerate(prev):
+                updated[i + shift] -= scale * c
+            if new_order > order:
+                if new_order > max_order:  # the order never decreases
+                    return None
+                prev, prev_disc, shift = conn, disc, 0
+            order, conn = new_order, updated
+        shift += 1
+    # the detector is an oracle and must not trust its algorithm
+    if any(residual(conn, n) for n in range(order, len(values))):
+        return None
+    return conn
 
 
 def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:

@@ -232,6 +232,25 @@ def test_detect_too_short_exits_2(run, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("max_order", ["0", "-3"])
+def test_detect_max_order_below_1_exits_2(run, max_order):
+    code, out, err = run("detect", "--gen", "--k", "1", "--init", "1,1,1", "--to", "19",
+                         "--max-order", max_order)
+    assert code == 2 and out == "" and err == "error: max_order must be >= 1\n"
+
+
+def test_detect_reads_gen_output_past_the_digit_limit(run, tmp_path):
+    # a = 10^400 makes x_19 about 6,800 digits long, past the 4,300-digit limit
+    spec = ("--k", "1", "--a", "1" + "0" * 400, "--init", "1,1,1", "--to", "19")
+    code, out, _ = run("gen", *spec, "--format", "csv")
+    assert code == 0 and max(len(line) for line in out.splitlines()) > 4400
+    path = tmp_path / "big.csv"
+    path.write_text(out)
+    code, from_file, _ = run("detect", "--input", str(path), "--max-order", "6")
+    assert code == 0 and json.loads(from_file)["order"] == 6
+    assert (code, from_file) == run("detect", "--gen", *spec, "--max-order", "6")[:2]
+
+
 def test_detect_requires_a_source(run):
     code, _, err = run("detect", "--max-order", "4")
     assert code == 2

@@ -152,6 +152,16 @@ def test_phi_inverse_is_inverse():
     assert phi_inverse(phi(p, spec.a, 2), spec.a, 2) == p
 
 
+def test_int_scalars_never_make_floats():
+    # int / int is a float; a spec and a phase point promote ints to Fraction
+    w = RecurrenceSpec(1, 1, (1, 1, 1)).window().extend(-3, 5)
+    assert w.values == (31, 7, 3, 1, 1, 1, 3, 7, 31)
+    assert all(type(v) is Fraction for v in w.values)
+    for point in (phi((1, 1, 1), 1, 1), phi_inverse((1, 1, 1), 1, 1)):
+        assert sorted(point) == [1, 1, 3] and all(type(v) is Fraction for v in point)
+    assert type(RecurrenceSpec(1, 2, (1, 1, 1)).a) is Fraction
+
+
 def _phi_orbit(spec, steps, inverse=False):
     """The points reached by iterating phi (or phi_inverse) from the seed."""
     step = phi_inverse if inverse else phi

@@ -58,3 +58,11 @@ def test_format_past_the_int_to_str_digit_limit():
     assert format_rational(Fraction(big)) == digits
     assert format_rational(Fraction(-big, 3)) == f"-{digits}/3"
     assert format_rational(Fraction(7, big)) == f"7/{digits}"
+
+
+def test_parse_mirrors_format_past_the_digit_limit():
+    # the fallback reads what format_rational writes, while Fraction(text) refuses it
+    big = 10 ** 4400 + 3
+    for value in (Fraction(big), Fraction(-big, 7), Fraction(7, big), Fraction(-1, 3)):
+        assert parse_rational(format_rational(value)) == value
+    assert parse_rational(f"+{format_rational(big)}/{format_rational(2 * big)}") == Fraction(1, 2)

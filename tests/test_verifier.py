@@ -1,10 +1,13 @@
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from hhrec.engine import RecurrenceSpec
-from hhrec.errors import InsufficientDataError, ResampleBudgetExhaustedError
+from hhrec.errors import InsufficientDataError, ResampleBudgetExhaustedError, ZeroPivotError
+from hhrec.matrix import solve_exact
 from hhrec.verifier import (
     NUMERIC_CHECKS,
     SYMBOLIC_CHECKS,
@@ -110,6 +113,92 @@ def test_detect_minimality():
     # geometric sequence satisfies order 1; the detector must not return 2
     vals = [Fraction(3) ** n for n in range(12)]
     assert detect_linear_recurrence(vals, 4) == [1, -3]
+
+
+# -- the detector against its slow reference route ----------------------------------
+
+def _reference_detect(values, max_order):
+    """The first order L whose Hankel system x[n+L] = c1 x[n+L-1] + ... + cL x[n]
+    is consistent over all rows, solved afresh by Gauss-Jordan for each L."""
+    values = [Fraction(v) for v in values]
+    if not any(values):
+        return [Fraction(1)]
+    for order in range(1, max_order + 1):
+        rows = [values[n:n + order][::-1] for n in range(len(values) - order)]
+        sol = solve_exact(rows, values[order:])
+        if sol is not None:
+            return [Fraction(1)] + [-c for c in sol]
+    return None
+
+
+def _recurrent(coeffs, init, count):
+    """count terms of x[n+L] = c1 x[n+L-1] + ... + cL x[n] from init."""
+    vals = list(init)
+    while len(vals) < count:
+        vals.append(sum(c * vals[-j] for j, c in enumerate(coeffs, start=1)))
+    return vals[:count]
+
+
+def _random_case(seed):
+    """A random rational recurrence of order <= max_order: some with leading
+    zeros, some with last coefficient 0, some with exactly 2*max_order+2 terms,
+    and a few unstructured sequences."""
+    rng = random.Random(seed)
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    max_order = rng.randint(2, 6)
+    order = rng.randint(1, max_order)
+    coeffs = [frac() for _ in range(order)]
+    init = [frac() for _ in range(order)]
+    if rng.random() < 0.3:
+        coeffs[-1] = Fraction(0)
+    if order > 1 and rng.random() < 0.3:
+        zeros = rng.randint(1, order - 1)
+        init = [Fraction(0)] * zeros + init[zeros:]
+    count = 2 * max_order + 2 + rng.choice([0, 0, 1, 3])
+    if rng.random() < 0.15:  # unstructured: almost surely no recurrence <= max_order
+        return [frac() for _ in range(count)], max_order
+    return _recurrent(coeffs, init, count), max_order
+
+
+DETECT_CASES = {
+    **{f"random-{seed}": _random_case(seed) for seed in range(60)},
+    "impulse-at-0": ([1] + [0] * 11, 3),
+    "impulse-at-5": ([0] * 5 + [1] + [0] * 8, 6),
+    "impulse-at-5-beyond-max-order": ([0] * 5 + [1] + [0] * 8, 5),
+    "leading-zeros-fibonacci": ([0, 0, 0] + _recurrent([1, 1], [1, 1], 12), 5),
+    "factorials": ([math.factorial(n) for n in range(12)], 5),
+    "factorials-exact-length": ([math.factorial(n) for n in range(8)], 3),
+    "exact-length-order-6": (_recurrent([2, 0, Fraction(-1, 3), 0, 1, 5], [1, 2, 3, 4, 5, 6], 14), 6),
+    "all-zero": ([0] * 6, 2),
+}
+
+
+@pytest.mark.parametrize("values,max_order", DETECT_CASES.values(), ids=DETECT_CASES.keys())
+def test_detect_agrees_with_per_order_solve(values, max_order):
+    assert detect_linear_recurrence(values, max_order) == _reference_detect(values, max_order)
+
+
+@pytest.mark.parametrize("case,expected", [
+    ("impulse-at-0", [1, 0]),
+    ("impulse-at-5", [1, 0, 0, 0, 0, 0, 0]),
+    ("impulse-at-5-beyond-max-order", None),
+    ("leading-zeros-fibonacci", [1, -1, -1, 0, 0]),  # 0, 1, 1 is Fibonacci
+    ("factorials", None),
+    ("exact-length-order-6", [1, -2, 0, Fraction(1, 3), 0, -1, -5]),
+])
+def test_detect_edge_cases(case, expected):
+    assert detect_linear_recurrence(*DETECT_CASES[case]) == expected
+
+
+def test_detect_agrees_with_per_order_solve_on_verifier_windows():
+    for k in (1, 2):
+        for trial in range(3):
+            try:
+                w = random_spec(TrialConfig(k=k, seed=7), trial).window().extend(0, 14 * k)
+            except ZeroPivotError:
+                continue
+            values = [w[n] for n in range(0, 14 * k + 1)]
+            assert detect_linear_recurrence(values, 6 * k) == _reference_detect(values, 6 * k)
 
 
 def test_target_charpoly_factorization():
