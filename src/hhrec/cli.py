@@ -76,14 +76,18 @@ def _numeric_spec(args) -> RecurrenceSpec:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_gen(args) -> int:
+def _generated_rows(args) -> list:
+    """(n, x_n) for n in [--from, --to] of the numeric spec in the arguments."""
     spec = _numeric_spec(args)
-    k = args.k
     lo, hi = args.from_, args.to
     if lo > hi:
         raise UsageError(f"--from {lo} exceeds --to {hi}")
-    w = spec.window().extend(min(lo, 0), max(hi, 2 * k))
-    rows = window_rows(w, lo, hi)
+    w = spec.window().extend(min(lo, 0), max(hi, 2 * args.k))
+    return window_rows(w, lo, hi)
+
+
+def cmd_gen(args) -> int:
+    rows = _generated_rows(args)
     if args.format == "csv":
         sys.stdout.write(render_csv(rows))
     elif args.format == "json":
@@ -95,6 +99,8 @@ def cmd_gen(args) -> int:
 
 def cmd_invariant(args) -> int:
     if args.symbolic:
+        if args.k < 1:
+            raise UsageError(f"--k must be >= 1, got {args.k}")
         if args.init is not None:
             raise UsageError("--symbolic computes the generic breakdown; drop --init")
         if args.all_routes:
@@ -115,10 +121,7 @@ def cmd_invariant(args) -> int:
         k = args.k
         w = spec.window().extend(-2 * k, 6 * k + 2)
         routes: dict = {"formula": format_rational(kb.K)}
-        try:
-            ratio, form = inv.k_ratio(w, 0), "two-sided"
-        except DegenerateInputError:
-            ratio, form = inv.k_ratio(w, 2 * k), "shifted"  # may raise -> exit 3
+        ratio, form = inv.k_ratio_route(w)  # may raise -> exit 3
         routes["ratio"] = {"value": format_rational(ratio), "form": form}
         c1, c2 = inv.k_cramer(w, 0)
         routes["cramer"] = [format_rational(c1), format_rational(c2)]
@@ -191,12 +194,7 @@ def cmd_detect(args) -> int:
     elif args.gen:
         if args.k is None or args.to is None:
             raise UsageError("--gen needs --k, --init and --to")
-        spec = _numeric_spec(args)
-        lo, hi = args.from_, args.to
-        if lo > hi:
-            raise UsageError(f"--from {lo} exceeds --to {hi}")
-        w = spec.window().extend(min(lo, 0), max(hi, 2 * args.k))
-        values = [w[n] for n in range(lo, hi + 1)]
+        values = [v for _, v in _generated_rows(args)]
     else:
         raise UsageError("detect needs --input FILE or --gen")
     try:

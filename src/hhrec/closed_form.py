@@ -10,10 +10,13 @@ U_1 = 2t, U_{-1} = 0.  The 2k coefficient triples come from a fixed 3x3
 matrix applied to (x_{2k+j}, x_j, x_{-2k+j}) with prefactor 1/(2t(1-t)),
 which is finite iff t is outside {0, 1} (i.e. K outside {1, 3}).
 
-Everything is exact rational arithmetic.  No case split is needed between
-|t| <= 1 (bounded, oscillatory-type solutions) and |t| > 1 (solutions with
-hyperbolic growth): the Chebyshev recurrences evaluate exactly in both
-regimes, so the same code covers them.
+T_m and U_m come from the m-th power of the 2x2 matrix of the three-term
+recurrence p_{i+1} = 2t p_i - p_{i-1}, taken by repeated squaring in
+O(log |m|) steps for positive and negative m alike (Fiduccia, SIAM J.
+Comput. 14, 1985).  Everything is exact rational arithmetic.  No case split
+is needed between |t| <= 1 (bounded, oscillatory-type solutions) and |t| > 1
+(solutions with hyperbolic growth): the powers are exact in both regimes, so
+the same code covers them.
 """
 
 from __future__ import annotations
@@ -29,37 +32,32 @@ from .rational import format_rational
 def chebyshev_tu(t: Fraction, m: int) -> tuple[Fraction, Fraction]:
     """(T_m(t), U_m(t)) for any integer m, negative included.
 
-    Nonnegative m runs the three-term recurrence p_{i+1} = 2t p_i - p_{i-1}
-    forward; negative m uses the reflections T_{-m} = T_m and
-    U_{-m} = -U_{m-2}, which avoid any division.
+    M = [[2t, -1], [1, 0]] has M^m = [[U_m, -U_{m-1}], [U_{m-1}, -U_{m-2}]]
+    for every integer m, and det M = 1 gives M^{-1} = [[0, 1], [-1, 2t]].
+    With t = p/q, B = q M (or q M^{-1} for m < 0) is an integer matrix and
+    M^m = B^{|m|} / q^{|m|}; B^{|m|} is taken by repeated squaring in
+    integers, so only the two results are reduced.  T_m = U_m - t U_{m-1}.
     """
     t = Fraction(t)
-    if m < 0:
-        tm = _chebyshev_first(t, -m)
-        if m == -1:
-            return tm, Fraction(0)
-        return tm, -_chebyshev_pair(t, -m - 2)[1]
-    return _chebyshev_pair(t, m)
+    p, q, e = t.numerator, t.denominator, abs(m)
+    base = ((2 * p, -q), (q, 0)) if m >= 0 else ((0, q), (-q, 2 * p))
+    power = ((1, 0), (0, 1))
+    while e:
+        if e & 1:
+            power = _mat2_mul(power, base)
+        e >>= 1
+        if e:
+            base = _mat2_mul(base, base)
+    (u, _), (u_prev, _) = power  # q^|m| U_m and q^|m| U_{m-1}
+    scale = q ** abs(m)
+    return Fraction(q * u - p * u_prev, q * scale), Fraction(u, scale)
 
 
-def _chebyshev_pair(t: Fraction, m: int) -> tuple[Fraction, Fraction]:
-    tp, tc = Fraction(1), t        # T_0, T_1
-    up, uc = Fraction(1), 2 * t    # U_0, U_1
-    if m == 0:
-        return tp, up
-    for _ in range(m - 1):
-        tp, tc = tc, 2 * t * tc - tp
-        up, uc = uc, 2 * t * uc - up
-    return tc, uc
-
-
-def _chebyshev_first(t: Fraction, m: int) -> Fraction:
-    tp, tc = Fraction(1), t
-    if m == 0:
-        return tp
-    for _ in range(m - 1):
-        tp, tc = tc, 2 * t * tc - tp
-    return tc
+def _mat2_mul(a, b):
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
 @dataclass(frozen=True)

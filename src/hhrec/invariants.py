@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .engine import RecurrenceSpec, SequenceWindow, format_value, xi_residual
+from .engine import RecurrenceSpec, SequenceWindow, format_value, phi, raw_window, xi_residual
 from .errors import (
     DegenerateDenominatorError,
     SingularDeltaError,
@@ -34,7 +34,7 @@ from .errors import (
     ZeroAlphaError,
     ZeroPivotError,
 )
-from .laurent import LaurentPolynomial, RationalFunction, ring_one
+from .laurent import LaurentPolynomial, RationalFunction
 from .matrix import Matrix, matrix_det, solve_exact
 
 
@@ -68,16 +68,14 @@ def k_breakdown(values: Sequence, a) -> KBreakdown:
     for j, v in enumerate(x):
         if not v:
             raise ZeroPivotError(j, what="initial value")
-    one = ring_one(x[0])
-    p0 = one + x[0] / x[2 * k] + x[2 * k] / x[0]
-    s_fwd = sum(((x[j - 1] + x[j]) / (x[j + k - 1] * x[j + k]) for j in range(1, k + 1)),
-                start=one - one)
-    s_bwd = sum(((x[j + k - 1] + x[j + k]) / (x[j - 1] * x[j]) for j in range(1, k + 1)),
-                start=one - one)
-    p1 = (one + x[2 * k] / x[0]) * s_fwd + (one + x[0] / x[2 * k]) * s_bwd
-    p2 = one / (x[k] * x[2 * k])
+    # the ints 1 and 0 coerce into every scalar type
+    p0 = 1 + x[0] / x[2 * k] + x[2 * k] / x[0]
+    s_fwd = sum((x[j - 1] + x[j]) / (x[j + k - 1] * x[j + k]) for j in range(1, k + 1))
+    s_bwd = sum((x[j + k - 1] + x[j + k]) / (x[j - 1] * x[j]) for j in range(1, k + 1))
+    p1 = (1 + x[2 * k] / x[0]) * s_fwd + (1 + x[0] / x[2 * k]) * s_bwd
+    p2 = 1 / (x[k] * x[2 * k])
     for j in range(0, k):
-        p2 = p2 + (one / x[j]) * (one / x[j + k] + one / x[j + k + 1])
+        p2 = p2 + (1 / x[j]) * (1 / x[j + k] + 1 / x[j + k + 1])
     for l in range(1, k):
         for m in range(1, l + 1):
             p2 = p2 + ((x[l] + x[l + 1]) * (x[k + m - 1] + x[k + m])
@@ -90,6 +88,12 @@ def k_formula(spec: RecurrenceSpec) -> KBreakdown:
     return k_breakdown(spec.init, spec.a)
 
 
+def _need(w: SequenceWindow, lo: int, hi: int, what: str) -> None:
+    """Raise IndexError unless the window covers [lo, hi]."""
+    if not w.covers(lo, hi):
+        raise IndexError(f"{what} needs [{lo}, {hi}] inside [{w.lo}, {w.hi}]")
+
+
 # -- the ratio route -----------------------------------------------------------
 
 def k_ratio(w: SequenceWindow, base: int = 0):
@@ -100,9 +104,7 @@ def k_ratio(w: SequenceWindow, base: int = 0):
     vanishes (e.g. the all-ones seed at base 0).
     """
     k = w.spec.k
-    lo, hi = base - 2 * k, base + 4 * k
-    if not w.covers(lo, hi):
-        raise IndexError(f"ratio at base {base} needs [{lo}, {hi}] inside [{w.lo}, {w.hi}]")
+    _need(w, base - 2 * k, base + 4 * k, "ratio")
     den = w[base + 2 * k] - w[base]
     num = w[base + 4 * k] - w[base - 2 * k]
     if not den:
@@ -111,14 +113,29 @@ def k_ratio(w: SequenceWindow, base: int = 0):
     return num / den
 
 
+def k_ratio_route(w: SequenceWindow):
+    """(K, form) by the two-sided ratio, or by the shifted one at base 2k when
+    x_{2k} = x_0; the shifted form may raise DegenerateDenominatorError too."""
+    try:
+        return k_ratio(w, 0), "two-sided"
+    except DegenerateDenominatorError:
+        return k_ratio(w, 2 * w.spec.k), "shifted"
+
+
 # -- discrete Wronskians -------------------------------------------------------
+
+def _wronskian_block(w: SequenceWindow, n: int, offsets: Sequence[int],
+                     shifts: Sequence[int]) -> Matrix:
+    """The matrix with entry (i, j) = x_{n + offsets[i] + 2k shifts[j]}."""
+    k = w.spec.k
+    _need(w, n + min(offsets) + 2 * k * min(shifts), n + max(offsets) + 2 * k * max(shifts),
+          "Wronskian block")
+    return Matrix.from_rows([[w[n + i + 2 * k * j] for j in shifts] for i in offsets])
+
 
 def wronskian3(w: SequenceWindow, n: int) -> Matrix:
     """The 3x3 matrix with columns (x_{n+2kj+i}) for j = 0,1,2 and rows i = 0..2."""
-    k = w.spec.k
-    if not w.covers(n, n + 4 * k + 2):
-        raise IndexError(f"3x3 Wronskian at n={n} needs [{n}, {n + 4 * k + 2}]")
-    return Matrix.from_rows([[w[n + i + 2 * k * j] for j in range(3)] for i in range(3)])
+    return _wronskian_block(w, n, (0, 1, 2), (0, 1, 2))
 
 
 def delta(w: SequenceWindow, n: int):
@@ -128,11 +145,7 @@ def delta(w: SequenceWindow, n: int):
 
 def wronskian4_det(w: SequenceWindow, n: int):
     """det of the 4x4 discrete Wronskian; exactly 0 on solution windows."""
-    k = w.spec.k
-    if not w.covers(n, n + 6 * k + 3):
-        raise IndexError(f"4x4 Wronskian at n={n} needs [{n}, {n + 6 * k + 3}]")
-    m = Matrix.from_rows([[w[n + i + 2 * k * j] for j in range(4)] for i in range(4)])
-    return matrix_det(m)
+    return matrix_det(_wronskian_block(w, n, (0, 1, 2, 3), (0, 1, 2, 3)))
 
 
 # -- Cramer route ----------------------------------------------------------------
@@ -144,14 +157,11 @@ def k_cramer(w: SequenceWindow, n: int = 0):
     second; both are independent of n and swap into each other under the
     reversal symmetry.
     """
-    k = w.spec.k
-    if not w.covers(n, n + 6 * k + 2):
-        raise IndexError(f"Cramer route at n={n} needs [{n}, {n + 6 * k + 2}]")
+    m1 = _wronskian_block(w, n, (0, 1, 2), (0, 1, 3))
+    m2 = _wronskian_block(w, n, (0, 1, 2), (0, 2, 3))
     d = delta(w, n)
     if not d:
         raise SingularDeltaError(n)
-    m1 = Matrix.from_rows([[w[n + i], w[n + i + 2 * k], w[n + i + 6 * k]] for i in range(3)])
-    m2 = Matrix.from_rows([[w[n + i], w[n + i + 4 * k], w[n + i + 6 * k]] for i in range(3)])
     return matrix_det(m1) / d, matrix_det(m2) / d
 
 
@@ -162,32 +172,19 @@ def abg_coeffs(w: SequenceWindow, n: int, allow_symbolic: bool = False):
 
     These are ratios of 3x3 determinants over delta_n and are genuinely
     rational functions, not Laurent polynomials, so symbolic evaluation is
-    gated behind ``allow_symbolic`` (it lifts into RationalFunction scalars).
+    gated behind ``allow_symbolic``: the four determinants are taken in the
+    Laurent ring and lifted into RationalFunction scalars for the ratios.
     """
-    k = w.spec.k
-    if not w.covers(n, n + 4 * k + 3):
-        raise IndexError(f"3-term coefficients at n={n} need [{n}, {n + 4 * k + 3}]")
     if w.spec.symbolic_mode and not allow_symbolic:
         raise ValueError("alpha/beta/gamma are rational functions; pass allow_symbolic=True")
-
-    def val(m):
-        v = w[m]
-        if w.spec.symbolic_mode:
-            return RationalFunction.lift(v, v.nvars)
-        return v
-
-    def wdet(start, cols):
-        # transposed Wronskian block: row j holds offsets ``cols`` of x_{start+2kj}
-        rows = [[val(start + 2 * k * j + c) for c in cols] for j in range(3)]
-        return matrix_det(Matrix.from_rows(rows))
-
-    d = wdet(n, (0, 1, 2))
+    dets = [matrix_det(_wronskian_block(w, n + s, offsets, (0, 1, 2)))
+            for s, offsets in ((0, (0, 1, 2)), (1, (0, 1, 2)), (0, (0, 2, 3)), (0, (0, 1, 3)))]
+    if w.spec.symbolic_mode:
+        dets = [RationalFunction(v) for v in dets]
+    d, d_alpha, d_beta, d_gamma = dets
     if not d:
         raise SingularDeltaError(n)
-    alpha = wdet(n + 1, (0, 1, 2)) / d
-    beta = wdet(n, (0, 2, 3)) / d
-    gamma = wdet(n, (0, 1, 3)) / d
-    return alpha, beta, gamma
+    return d_alpha / d, d_beta / d, d_gamma / d
 
 
 @dataclass(frozen=True)
@@ -231,8 +228,7 @@ def periodic_coeffs(w: SequenceWindow) -> PeriodicCoeffs:
 # -- monodromy route ---------------------------------------------------------------
 
 def _mat3_mul(a, b):
-    return [[sum((a[i][t] * b[t][j] for t in range(3)),
-                 start=a[0][0] - a[0][0]) for j in range(3)] for i in range(3)]
+    return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
 
 
 def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
@@ -243,21 +239,19 @@ def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
     alpha to be nonzero.  The traces do not depend on ``start``.
     """
     k = coeffs.k
-    zero = coeffs.alpha[0] - coeffs.alpha[0]
-    one = ring_one(coeffs.alpha[0])
 
     def companion(n):
-        return [[zero, one, zero],
-                [zero, zero, one],
+        return [[0, 1, 0],
+                [0, 0, 1],
                 [coeffs.alpha_at(n), -coeffs.beta_at(n), coeffs.gamma_at(n)]]
 
     def companion_inv(n):
         al = coeffs.alpha_at(n)
         if not al:
             raise ZeroAlphaError(f"alpha_{n} = 0: companion matrix is singular")
-        return [[coeffs.beta_at(n) / al, -(coeffs.gamma_at(n) / al), one / al],
-                [one, zero, zero],
-                [zero, one, zero]]
+        return [[coeffs.beta_at(n) / al, -(coeffs.gamma_at(n) / al), 1 / al],
+                [1, 0, 0],
+                [0, 1, 0]]
 
     fwd = None
     for m in range(start, start + 2 * k):
@@ -304,8 +298,7 @@ def _coefficient_families(values: Sequence, a):
     """F1[m], F2[m] for m in [2k, 4k], telescoped from the given seed."""
     k = (len(values) - 1) // 2
     x = list(values)
-    one = ring_one(a)
-    zero = one - one
+    zero = a - a
     f1 = {2 * k: zero}
     f2 = {m: zero for m in range(2 * k, 3 * k + 1)}
     for j in range(1, k + 1):
@@ -375,8 +368,7 @@ class InhomCoeffs:
 def nu_invariant(w: SequenceWindow, n: int, K=None):
     """nu_n = x_{n+4k} - (K-1) x_{n+2k} + x_n; shifts by 2k leave it fixed."""
     k = w.spec.k
-    if not w.covers(n, n + 4 * k):
-        raise IndexError(f"nu at n={n} needs [{n}, {n + 4 * k}]")
+    _need(w, n, n + 4 * k, "nu")
     if K is None:
         K = k_formula(w.spec).K
     return w[n + 4 * k] - (K - 1) * w[n + 2 * k] + w[n]
@@ -403,8 +395,7 @@ def inhom_coeffs(w: SequenceWindow, n: int, K=None) -> InhomCoeffs:
     k = w.spec.k
     if w.spec.symbolic_mode:
         raise ValueError("inhomogeneous coefficients are computed in numeric mode only")
-    if not w.covers(n, n + 4 * k + 2):
-        raise IndexError(f"inhomogeneous relation at n={n} needs [{n}, {n + 4 * k + 2}]")
+    _need(w, n, n + 4 * k + 2, "inhomogeneous relation")
     nu = nu_invariant(w, n, K)
     a_rows = [[Fraction(1), -w[m], -w[m + 1]] for m in (n, n + 2 * k, n + 4 * k)]
     rhs = [w[m + 2] for m in (n, n + 2 * k, n + 4 * k)]
@@ -422,8 +413,7 @@ def inhom_coeffs(w: SequenceWindow, n: int, K=None) -> InhomCoeffs:
 def linear_relation_residual(w: SequenceWindow, n: int, K=None):
     """x_{n+6k} - K (x_{n+4k} - x_{n+2k}) - x_n; identically 0 on solutions."""
     k = w.spec.k
-    if not w.covers(n, n + 6 * k):
-        raise IndexError(f"linear relation at n={n} needs [{n}, {n + 6 * k}]")
+    _need(w, n, n + 6 * k, "linear relation")
     if K is None:
         K = k_formula(w.spec).K
     return w[n + 6 * k] - K * (w[n + 4 * k] - w[n + 2 * k]) - w[n]
@@ -437,17 +427,14 @@ def operator_identity_residual(w: SequenceWindow, K, n: int):
     operator M_n, for ANY window (solution or not) and any constant K.
     """
     k = w.spec.k
-    if not w.covers(n, n + 8 * k + 1):
-        raise IndexError(f"operator identity at n={n} needs [{n}, {n + 8 * k + 1}]")
+    _need(w, n, n + 8 * k + 1, "operator identity")
     a = w.spec.a
 
     def y(m):  # (L x)_m
-        return w[m + 6 * k] - K * (w[m + 4 * k] - w[m + 2 * k]) - w[m]
+        return linear_relation_residual(w, m, K)
 
-    def xi(m):
-        return xi_residual(w, m)
-
-    lhs = xi(n + 6 * k) - K * (xi(n + 4 * k) - xi(n + 2 * k)) - xi(n)
+    xi = raw_window(w.spec, n, [xi_residual(w, m) for m in range(n, n + 6 * k + 1)])
+    lhs = linear_relation_residual(xi, n, K)  # (L xi)_n
     rhs = (w[n + 6 * k] * y(n + 2 * k + 1) - w[n + 6 * k + 1] * y(n + 2 * k)
            - w[n + 2 * k] * y(n + 1) + w[n + 2 * k + 1] * y(n)
            - a * (y(n + k + 1) + y(n + k)))
@@ -467,9 +454,8 @@ def k_after_phi(spec: RecurrenceSpec) -> LaurentPolynomial:
     if not spec.symbolic_mode:
         raise ValueError("use numeric windows for the numeric first-integral check")
     k = spec.k
-    w = spec.window().extend(new_hi=2 * k + 1)
     nv = 2 * k + 2
-    shifted = [RationalFunction.lift(w[j], nv) for j in range(1, 2 * k + 2)]
+    shifted = [RationalFunction.lift(v, nv) for v in phi(spec.init, spec.a, k)]
     a = RationalFunction.lift(spec.a, nv)
     shifted_k = k_breakdown(shifted, a).K
     return shifted_k.as_laurent()

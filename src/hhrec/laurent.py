@@ -110,9 +110,6 @@ class LaurentPolynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def ring_one(self) -> "LaurentPolynomial":
-        return LaurentPolynomial.one(self.nvars)
-
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "LaurentPolynomial | None":
@@ -136,33 +133,27 @@ class LaurentPolynomial:
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial(self.nvars, {e: -c for e, c in self._terms.items()})
 
-    def __add__(self, other) -> "LaurentPolynomial":
+    def _merge(self, other, sign: int) -> "LaurentPolynomial":
+        """self + sign * other, term by term."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, 0) + c
+            s = out.get(e, 0) + sign * c
             if s:
                 out[e] = s
             else:
                 del out[e]
         return LaurentPolynomial(self.nvars, out)
+
+    def __add__(self, other) -> "LaurentPolynomial":
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return LaurentPolynomial(self.nvars, out)
+        return self._merge(other, -1)
 
     def __rsub__(self, other) -> "LaurentPolynomial":
         other = self._coerce(other)
@@ -525,9 +516,6 @@ class RationalFunction:
             p = LaurentPolynomial.constant(nvars, p)
         return cls(p)
 
-    def ring_one(self) -> "RationalFunction":
-        return RationalFunction(LaurentPolynomial.one(self.num.nvars))
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -640,9 +628,3 @@ def _reduce_pair(num: LaurentPolynomial, den: LaurentPolynomial):
             pass
     return num, den
 
-
-def ring_one(scalar):
-    """The multiplicative unit of the scalar's ring (Fraction, int, Laurent, RF)."""
-    if isinstance(scalar, (LaurentPolynomial, RationalFunction)):
-        return scalar.ring_one()
-    return Fraction(1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -32,6 +32,7 @@ from .engine import (
     SequenceWindow,
     apply_sigma,
     check_reversibility,
+    format_value,
     raw_window,
     xi_residual,
 )
@@ -251,7 +252,8 @@ class CheckResult:
 
 @dataclass
 class TrialContext:
-    """Shared per-(trial, attempt) state: the spec and a growing window.
+    """Shared per-(trial, attempt) state, or per campaign when symbolic: the
+    spec and a growing window.
 
     While ``corrupt`` is set (the running check is the fault-injection
     target), ``window`` hands out a raw copy with x_{2k+1} raised by one.
@@ -283,20 +285,34 @@ class TrialContext:
 
 
 def _wit(n: int, what: str, value) -> dict:
-    return {"n": n, "identity": what, "residual": format_rational(value)
-            if isinstance(value, Fraction) else str(value)}
+    """A failure witness; a tuple residual becomes a list of canonical strings."""
+    residual = ([format_value(v) for v in value] if isinstance(value, tuple)
+                else format_value(value))
+    return {"n": n, "identity": what, "residual": residual}
+
+
+def _xi_sweep(w: SequenceWindow, what: str) -> CheckResult:
+    """xi_n = 0 at every n the window covers."""
+    for n in range(w.lo, w.hi - 2 * w.spec.k):
+        r = xi_residual(w, n)
+        if r:
+            return CheckResult(False, _wit(n, what, r))
+    return CheckResult(True)
+
+
+def _explicit_sweep(w: SequenceWindow, ex: inv.ExplicitIterates, what: str) -> CheckResult:
+    """The closed formulas equal the iterates on [-2k, -1] and [2k+1, 4k]."""
+    k = ex.spec.k
+    for m in [*range(-2 * k, 0), *range(2 * k + 1, 4 * k + 1)]:
+        if ex.value(m) != w[m]:
+            return CheckResult(False, _wit(m, what, ex.value(m) - w[m]))
+    return CheckResult(True)
 
 
 # each check: fn(ctx) -> CheckResult; DegenerateInputError triggers a resample
 
 def _check_xi_zero(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    w = ctx.default_window()
-    for n in range(w.lo, w.hi - 2 * k):
-        r = xi_residual(w, n)
-        if r != 0:
-            return CheckResult(False, _wit(n, "xi_n = 0", r))
-    return CheckResult(True)
+    return _xi_sweep(ctx.default_window(), "xi_n = 0")
 
 
 def _check_linear_relation(ctx: TrialContext) -> CheckResult:
@@ -312,12 +328,7 @@ def _check_linear_relation(ctx: TrialContext) -> CheckResult:
 
 def _check_k_ratio(ctx: TrialContext) -> CheckResult:
     K = ctx.breakdown().K
-    w = ctx.default_window()
-    k = ctx.spec.k
-    try:
-        value, form = inv.k_ratio(w, 0), "two-sided"
-    except DegenerateInputError:
-        value, form = inv.k_ratio(w, 2 * k), "shifted"  # may re-raise -> resample
+    value, form = inv.k_ratio_route(ctx.default_window())  # may raise -> resample
     if value != K:
         return CheckResult(False, _wit(0, f"ratio ({form}) == K", value - K))
     return CheckResult(True, detail=f"form={form}")
@@ -388,13 +399,8 @@ def _check_abg_relation(ctx: TrialContext) -> CheckResult:
 
 
 def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
     w = ctx.default_window()
-    ex = inv.explicit_iterates(ctx.spec)
-    for m in list(range(-2 * k, 0)) + list(range(2 * k + 1, 4 * k + 1)):
-        if ex.value(m) != w[m]:
-            return CheckResult(False, _wit(m, "closed formula == iterate", ex.value(m) - w[m]))
-    return CheckResult(True)
+    return _explicit_sweep(w, inv.explicit_iterates(ctx.spec), "closed formula == iterate")
 
 
 def _check_inhom(ctx: TrialContext) -> CheckResult:
@@ -467,11 +473,9 @@ def _check_sigma_roundtrip(ctx: TrialContext) -> CheckResult:
     back = apply_sigma(apply_sigma(w))
     if back.lo != w.lo or back.values != w.values:
         return CheckResult(False, {"identity": "sigma is an involution"})
-    sw = apply_sigma(w)
-    for n in range(sw.lo, sw.hi - 2 * k):
-        r = xi_residual(sw, n)
-        if r != 0:
-            return CheckResult(False, _wit(n, "sigma image solves the recurrence", r))
+    sweep = _xi_sweep(apply_sigma(w), "sigma image solves the recurrence")
+    if not sweep.ok:
+        return sweep
     # forward-then-backward round trip from the top of the window
     top = RecurrenceSpec(k, ctx.spec.a, tuple(w[w.hi - 2 * k + j] for j in range(2 * k + 1)))
     redone = top.window().extend(new_lo=-(w.hi - 2 * k - w.lo))
@@ -508,27 +512,25 @@ def _check_sym_laurent(ctx: TrialContext) -> CheckResult:
         p = w[n]
         if not all(isinstance(c, int) for c in p.terms().values()):
             return CheckResult(False, _wit(n, "integer coefficients", 0))
-    for n in range(w.lo, w.hi - 2 * k):
-        r = xi_residual(w, n)
-        if not r.is_zero():
-            return CheckResult(False, _wit(n, "xi_n = 0 symbolically", r))
-    return CheckResult(True)
+    return _xi_sweep(w, "xi_n = 0 symbolically")
 
 
 def _check_sym_explicit(ctx: TrialContext) -> CheckResult:
     k = ctx.spec.k
     w = ctx.window(-2 * k, 4 * k)
     ex = inv.explicit_iterates(ctx.spec)
-    for m in list(range(-2 * k, 0)) + list(range(2 * k + 1, 4 * k + 1)):
-        if ex.value(m) != w[m]:
-            return CheckResult(False, _wit(m, "closed formula == symbolic iterate", 0))
-    if not ex.F1_forward[2 * k].is_zero():
-        return CheckResult(False, _wit(2 * k, "first linear coefficient is zero", 0))
+    sweep = _explicit_sweep(w, ex, "closed formula == symbolic iterate")
+    if not sweep.ok:
+        return sweep
+    if ex.F1_forward[2 * k]:
+        return CheckResult(False, _wit(2 * k, "first linear coefficient is zero",
+                                       ex.F1_forward[2 * k]))
     for j in range(1, 2 * k + 1):
-        if ex.F1_backward[-j] != ex.F1_forward[2 * k + j].sigma_pullback():
-            return CheckResult(False, _wit(-j, "backward linear coeff is the reversal image", 0))
-        if ex.F2_backward[-j] != ex.F2_forward[2 * k + j].sigma_pullback():
-            return CheckResult(False, _wit(-j, "backward quadratic coeff is the reversal image", 0))
+        for name, back, fwd in (("linear", ex.F1_backward, ex.F1_forward),
+                                ("quadratic", ex.F2_backward, ex.F2_forward)):
+            r = back[-j] - fwd[2 * k + j].sigma_pullback()
+            if r:
+                return CheckResult(False, _wit(-j, f"backward {name} coeff is the reversal image", r))
     return CheckResult(True)
 
 
@@ -643,13 +645,6 @@ class CheckRecord:
     resamples: int = 0
     elapsed: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check, "k": self.k, "seed": self.seed, "trial": self.trial,
-            "status": self.status, "witness": self.witness, "detail": self.detail,
-            "resamples": self.resamples, "elapsed": self.elapsed,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -671,7 +666,7 @@ class VerificationReport:
         counts = self.counts
         return json.dumps({
             "config": self.config.to_json_dict(),
-            "results": [r.to_json_dict() for r in self.records],
+            "results": [asdict(r) for r in self.records],
             "summary": {**counts, "total": len(self.records)},
         }, indent=2) + "\n"
 
@@ -698,14 +693,15 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
     check_ids = cfg.resolved_checks()
     table = SYMBOLIC_CHECKS if cfg.symbolic else NUMERIC_CHECKS
     report = VerificationReport(cfg)
+    # symbolic trials draw nothing at random, so one context (spec and
+    # window) serves every trial; no symbolic check reads ctx.trial
+    shared = TrialContext(cfg, RecurrenceSpec.symbolic(cfg.k), 0) if cfg.symbolic else None
     for trial in range(cfg.trials):
         pending = list(check_ids)
         done: dict[str, CheckRecord] = {}
         notes: dict[str, list[str]] = {cid: [] for cid in check_ids}
         for attempt in range(cfg.max_resamples + 1):
-            spec = (RecurrenceSpec.symbolic(cfg.k) if cfg.symbolic
-                    else random_spec(cfg, trial, attempt))
-            ctx = TrialContext(cfg, spec, trial)
+            ctx = shared or TrialContext(cfg, random_spec(cfg, trial, attempt), trial)
             still: list[str] = []
             for cid in pending:
                 ctx.corrupt = cid == cfg.fault_target

@@ -92,6 +92,12 @@ def test_invariant_symbolic(run):
     assert "a^2" in data["K"] and "a" not in data["P2"]
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_invariant_symbolic_k_below_1_exits_2(run, k):
+    code, out, err = run("invariant", f"--k={k}", "--symbolic")
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
 def test_invariant_zero_init_exits_3(run):
     code, _, err = run("invariant", "--k", "1", "--a", "1", "--init", "1,0,1")
     assert code == 3

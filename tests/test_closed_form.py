@@ -55,6 +55,29 @@ def test_reflection_identities():
         assert chebyshev_tu(t, -m)[1] == -chebyshev_tu(t, m - 2)[1]
 
 
+def chebyshev_by_recurrence(t, m):
+    """Reference route: (T_m, U_m) by the three-term recurrence, one index at a time.
+
+    p_{i+1} = 2t p_i - p_{i-1} is unchanged by i -> -i, so negative m steps
+    the same rule away from p_0 = 1 and p_{-1} (T_{-1} = t, U_{-1} = 0).  With
+    t = p/q, N_i = q^i p_{+-i} stays integral: N_{i+1} = 2p N_i - q^2 N_{i-1}.
+    """
+    p, q, steps = t.numerator, t.denominator, abs(m)
+    result = []
+    for p1 in ((t, 2 * t) if m >= 0 else (t, 0)):
+        prev, cur = 1, int(p1 * q)
+        for _ in range(steps):
+            prev, cur = cur, 2 * p * cur - q * q * prev
+        result.append(Fraction(prev, q ** steps))
+    return tuple(result)
+
+
+@pytest.mark.parametrize("t", [Fraction(7, 3), Fraction(2, 5), Fraction(-9, 4)])
+def test_chebyshev_power_matches_three_term_recurrence(t):
+    for m in [*range(-12, 13), 1023, 1024, 1025, -1023, -1024, -1025, 4999, 5000, -5001]:
+        assert chebyshev_tu(t, m) == chebyshev_by_recurrence(t, m), m
+
+
 def test_extraction_golden_triple():
     w = ones_window(1, -2, 4)
     c = extract_coeffs(w, k_formula(w.spec).K)

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from hhrec.engine import RecurrenceSpec
+from hhrec.engine import RecurrenceSpec, SequenceWindow
 from hhrec.errors import InsufficientDataError, ResampleBudgetExhaustedError, ZeroPivotError
 from hhrec.matrix import solve_exact
+from hhrec.rational import parse_rational
 from hhrec.verifier import (
     NUMERIC_CHECKS,
     SYMBOLIC_CHECKS,
@@ -283,6 +284,48 @@ def test_fault_injection_wronskian_witness():
     corrupted = 2 * 2 + 1
     touched = {n + i + 4 * j for i in range(4) for j in range(4)}
     assert corrupted in touched
+
+
+@pytest.mark.parametrize("check", ["k_cramer", "k_monodromy"])
+def test_pair_residual_witness_is_a_list_of_canonical_rationals(check):
+    report = run_campaign(TrialConfig(k=2, trials=1, checks=frozenset({check}),
+                                      inject_fault=check))
+    residual = report.failures[0].witness["residual"]
+    assert isinstance(residual, list) and len(residual) == 2
+    assert all(parse_rational(v) for v in residual)
+    assert "Fraction(" not in report.to_json() + report.render_table()
+
+
+def test_symbolic_explicit_witness_reports_the_difference():
+    report = run_campaign(TrialConfig(k=1, trials=1, symbolic=True,
+                                      checks=frozenset({"explicit"}), inject_fault="explicit"))
+    # the fault raises x_3 by one, so formula minus iterate is -1
+    assert report.failures[0].witness == {"n": 3, "identity": "closed formula == symbolic iterate",
+                                          "residual": "-1"}
+
+
+def test_symbolic_trials_share_one_window(monkeypatch):
+    extend = SequenceWindow.extend
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return extend(self, *args, **kwargs)
+
+    monkeypatch.setattr(SequenceWindow, "extend", counted)
+
+    def run(trials):
+        calls.clear()
+        report = run_campaign(TrialConfig(k=1, trials=trials, symbolic=True))
+        results = json.loads(report.to_json())["results"]
+        for r in results:
+            r.pop("elapsed")
+        return results, len(calls)
+
+    once, extends_once = run(1)
+    thrice, extends_thrice = run(3)
+    assert extends_once > 0 and extends_thrice == extends_once
+    assert thrice == [dict(r, trial=t) for t in range(3) for r in once]
 
 
 def test_fault_target_must_be_requested():
