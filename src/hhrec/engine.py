@@ -62,6 +62,8 @@ class RecurrenceSpec:
     @classmethod
     def symbolic(cls, k: int) -> "RecurrenceSpec":
         """Generic initial data: init = (x0, ..., x2k) and a as variables."""
+        if k < 1:  # checked here, as for k < 0 there are no generators to unpack
+            raise ValueError("k must be >= 1")
         gens = variables(2 * k + 2)
         return cls(k, gens[-1], tuple(gens[:-1]))
 

@@ -2,8 +2,7 @@
 
 The ring is Z[x0^{+-1}, ..., x{2k}^{+-1}, a]: the x-variables are invertible,
 the parameter ``a`` is an ordinary (non-invertible) variable kept in the last
-exponent position.  A polynomial is a map from dense exponent tuples (length
-``nvars``, one slot per variable, ``a`` last) to nonzero integer
+exponent position.  A polynomial is a map from monomials to nonzero integer
 coefficients; the zero polynomial is the empty map.  Two values are equal iff
 their term maps are identical, so equality testing is exact and cheap.
 
@@ -11,22 +10,49 @@ Term order is graded: compare total degree first, then the exponent tuple
 lexicographically from position 0.  The order fixes the canonical text form
 and the leading-term choice inside exact division.
 
-Exact division reduces Laurent division to ordinary multivariate division by
-factoring a monomial out of each operand so all x-exponents become
-nonnegative (``a`` is nonnegative already); ordinary division then either
-terminates with zero remainder or proves that no quotient exists.
+Each monomial is stored packed into one int (Kronecker substitution): the
+exponents are signed 16-bit fields, the parameter lowest, and the total
+degree sits in the field above x0.  Integer order on keys is then the graded
+order, and multiplying monomials is adding keys.  Exponents and total degrees
+must lie in ``[_EXP_MIN, _EXP_MAX]`` = [-16384, 16383], half a field, so a sum
+or difference of two keys never carries into the next field.  A construction,
+product, quotient, power or pullback that leaves the range raises
+``ValueError`` naming the variable and the bound; nothing wraps.  Symbolic
+iterates stay far inside it: they have total degree 1 (the recurrence is
+homogeneous of degree 1 in the x-variables and ``a``), and their largest
+exponent grows at most about linearly in |n|: 12 over the whole default window
+[-12, 12] at k = 1, 8 over [-14, 18] at k = 2, 6 over [-8, 22] at k = 3.  So no
+window under the default symbolic caps (|n| <= 6k + 6) for k <= 6 comes near
+the bound.  The public API speaks exponent tuples: the constructor takes
+tuple-keyed maps, and ``terms()`` and ``sorted_terms()`` decode.
+
+Exact division: the quotient's Newton polytope is the numerator's minus the
+divisor's, so each quotient exponent lies between the difference of the two
+per-variable minima and the difference of the two maxima (and ``a``'s is never
+negative).  The leading-term reduction refuses any quotient term outside that
+box, so every remainder term stays inside the numerator's box, and the loop
+either ends with zero remainder or proves that no quotient exists.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
+import struct
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NotExactError, ZeroAtNegativeExponentError
 
 ExponentVector = tuple[int, ...]
+
+# 15-bit signed exponents in 16-bit fields: a sum or difference of two keys
+# never carries out of a field.  CPython hashes an int modulo 2^61 - 1; with
+# 16-bit fields that spreads keys well, while 15- and 20-bit fields made the
+# multiply about 2x and 3x slower.
+_FIELD_BITS = 16
+_EXP_MIN, _EXP_MAX = -(1 << 14), (1 << 14) - 1
 
 
 def var_name(index: int, nvars: int) -> str:
@@ -34,9 +60,91 @@ def var_name(index: int, nvars: int) -> str:
     return "a" if index == nvars - 1 else f"x{index}"
 
 
-def _order_key(exp: tuple[int, ...]) -> tuple:
-    # graded order: total degree, ties broken lexicographically from position 0
-    return (sum(exp), exp)
+# -- packed monomials -----------------------------------------------------------
+
+class _Layout(NamedTuple):
+    signs: int             # the top bit of every exponent field
+    range_bits: int        # the bit below it in every exponent field
+    bias: int              # the top bit of every field, the degree's included
+    fields: struct.Struct  # the bytes of ``(key + bias) ^ bias``, lowest field first
+
+
+@lru_cache(maxsize=None)
+def _layout(nvars: int) -> _Layout:
+    # Added to a key, ``signs`` makes every exponent field nonnegative without a
+    # carry, and then each field's top bit is set iff the field was >= 0; the
+    # field was in [_EXP_MIN, _EXP_MAX] iff its top bit differs from the next.
+    half = 1 << (_FIELD_BITS - 1)
+    signs = sum(half << (_FIELD_BITS * i) for i in range(nvars))
+    return _Layout(signs, signs >> 1, signs + (half << (_FIELD_BITS * nvars)),
+                   struct.Struct(f"<{nvars + 1}h"))
+
+
+def _pack(exp: Sequence[int], nvars: int) -> int:
+    """The key of an exponent vector, unchecked: linear, so keys add like vectors."""
+    key = 0
+    for e in exp:
+        key = (key << _FIELD_BITS) + e
+    return key + (sum(exp) << (_FIELD_BITS * nvars))
+
+
+def _unpack_all(keys, nvars: int) -> list[ExponentVector]:
+    """The exponent vectors of keys whose fields (degree too) fit in 16 signed bits."""
+    lay = _layout(nvars)
+    bias, size = lay.bias, lay.fields.size
+    blob = b"".join([((key + bias) ^ bias).to_bytes(size, "little") for key in keys])
+    return [f[nvars - 1::-1] for f in lay.fields.iter_unpack(blob)]
+
+
+def _range_error(exp: Sequence[int], nvars: int) -> ValueError | None:
+    for i, e in enumerate(exp):
+        if not _EXP_MIN <= e <= _EXP_MAX:
+            return ValueError(f"exponent {e} of {var_name(i, nvars)} is outside "
+                              f"[{_EXP_MIN}, {_EXP_MAX}]")
+    if not _EXP_MIN <= sum(exp) <= _EXP_MAX:
+        return ValueError(f"total degree {sum(exp)} is outside [{_EXP_MIN}, {_EXP_MAX}]")
+    return None
+
+
+def _checked_key(exp: Sequence[int], nvars: int) -> int:
+    err = _range_error(exp, nvars)
+    if err:
+        raise err
+    return _pack(exp, nvars)
+
+
+def _raw(nvars: int, terms: dict[int, int]) -> "LaurentPolynomial":
+    """A polynomial over a packed term map, as is."""
+    p = object.__new__(LaurentPolynomial)
+    p.nvars = nvars
+    p._terms = terms
+    return p
+
+
+def _checked(nvars: int, terms: dict[int, int]) -> "LaurentPolynomial":
+    """A polynomial over computed keys, refusing any exponent or degree out of range.
+
+    Keys are sums or differences of two in-range keys, so every field, the
+    degree's too, still fits in 16 signed bits.  The mask flags every key with
+    an exponent out of range; the flagged keys and the two extreme keys, which
+    hold the lowest and highest total degree, are decoded and checked exactly.
+    """
+    if terms:
+        lay = _layout(nvars)
+        signs, bits = lay.signs, lay.range_bits
+        suspects = [min(terms), max(terms)]  # the lowest and highest total degree
+        suspects += [key for key in terms if ((x := key + signs) ^ (x >> 1)) & bits != bits]
+        for exp in _unpack_all(suspects, nvars):
+            err = _range_error(exp, nvars)
+            if err:
+                raise err
+    return _raw(nvars, terms)
+
+
+def _exponent_box(p: "LaurentPolynomial") -> tuple[list[int], list[int]]:
+    """Per-variable minimum and maximum exponents of a nonzero polynomial."""
+    columns = list(zip(*_unpack_all(p._terms, p.nvars)))
+    return [min(c) for c in columns], [max(c) for c in columns]
 
 
 class LaurentPolynomial:
@@ -47,7 +155,7 @@ class LaurentPolynomial:
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for exp, coeff in terms.items():
                 if coeff == 0:
@@ -56,7 +164,7 @@ class LaurentPolynomial:
                     raise ValueError(f"exponent vector {exp} has wrong length for nvars={nvars}")
                 if exp[-1] < 0:
                     raise ValueError("the parameter variable (last position) is not invertible")
-                clean[tuple(exp)] = int(coeff)
+                clean[_checked_key(exp, nvars)] = int(coeff)
         self.nvars = nvars
         self._terms = clean
 
@@ -92,11 +200,16 @@ class LaurentPolynomial:
 
     def terms(self) -> dict[tuple[int, ...], int]:
         """A copy of the term map (exponent tuple -> nonzero int coefficient)."""
-        return dict(self._terms)
+        return dict(zip(_unpack_all(self._terms, self.nvars), self._terms.values()))
+
+    def coefficients(self):
+        """The nonzero coefficients, as a read-only view; no monomial is decoded."""
+        return self._terms.values()
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in descending canonical order (leading term first)."""
-        return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
+        keys = sorted(self._terms, reverse=True)
+        return list(zip(_unpack_all(keys, self.nvars), map(self._terms.__getitem__, keys)))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -131,7 +244,7 @@ class LaurentPolynomial:
     __hash__ = None  # mutable-looking container semantics; not hashable
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return _raw(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def _merge(self, other, sign: int) -> "LaurentPolynomial":
         """self + sign * other, term by term."""
@@ -145,7 +258,7 @@ class LaurentPolynomial:
                 out[e] = s
             else:
                 del out[e]
-        return LaurentPolynomial(self.nvars, out)
+        return _raw(self.nvars, out)
 
     def __add__(self, other) -> "LaurentPolynomial":
         return self._merge(other, 1)
@@ -172,17 +285,17 @@ class LaurentPolynomial:
         if len(a) > len(b):
             a, b = b, a
         b_items = list(b.items())
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for e1, c1 in a.items():
             for e2, c2 in b_items:
-                e = tuple(map(int.__add__, e1, e2))
+                e = e1 + e2
                 s = get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
-                elif e in out:
+                else:
                     del out[e]
-        return LaurentPolynomial(self.nvars, out)
+        return _checked(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -190,7 +303,7 @@ class LaurentPolynomial:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return LaurentPolynomial.one(self.nvars).exact_div(self ** (-n))
+            return LaurentPolynomial.one(self.nvars).exact_div(self) ** (-n)
         result = LaurentPolynomial.one(self.nvars)
         base = self
         while n:
@@ -232,37 +345,29 @@ class LaurentPolynomial:
         if self.is_zero():
             return LaurentPolynomial.zero(self.nvars)
         if divisor.is_monomial():
-            (dexp, dcoeff), = divisor._terms.items()
-            out: dict[tuple[int, ...], int] = {}
+            (dkey, dcoeff), = divisor._terms.items()
+            half = 1 << (_FIELD_BITS - 1)
+            out: dict[int, int] = {}
             for e, c in self._terms.items():
                 q, r = divmod(c, dcoeff)
                 if r:
                     raise NotExactError(f"coefficient {c} not divisible by {dcoeff}")
-                exp = tuple(map(int.__sub__, e, dexp))
-                if exp[-1] < 0:
+                key = e - dkey
+                if not (key + half) & half:  # the lowest field, the parameter's, is negative
                     raise NotExactError("the parameter variable does not divide every term")
-                out[exp] = q
-            return LaurentPolynomial(self.nvars, out)
-        return self._divide_general(divisor)
-
-    def _divide_general(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
+                out[key] = q
+            return _checked(self.nvars, out)
         nv = self.nvars
-        # factor out per-variable minimal x-exponents so both operands become
-        # ordinary polynomials; `a` (last slot) is already nonnegative
-        nmin = _min_exponents(self)
-        dmin = _min_exponents(divisor)
-        nmin[-1] = dmin[-1] = 0
-        nshift = {tuple(ei - mi for ei, mi in zip(e, nmin)): c for e, c in self._terms.items()}
-        dshift = {tuple(ei - mi for ei, mi in zip(e, dmin)): c for e, c in divisor._terms.items()}
-        q = _divide_ordinary(nshift, dshift)
+        nlo, nhi = _exponent_box(self)
+        dlo, dhi = _exponent_box(divisor)
+        lo = [n - d for n, d in zip(nlo, dlo)]
+        lo[-1] = max(lo[-1], 0)
+        hi = [n - d for n, d in zip(nhi, dhi)]
+        q = _divide_packed(self._terms, divisor._terms, _pack(lo, nv), _pack(hi, nv),
+                           _layout(nv).signs)
         if q is None:
             raise NotExactError("remainder is nonzero")
-        back = tuple(a - b for a, b in zip(nmin, dmin))
-        out = {tuple(map(int.__add__, e, back)): c for e, c in q.items()}
-        for e in out:
-            if e[-1] < 0:
-                raise NotExactError("quotient would need a negative power of the parameter")
-        return LaurentPolynomial(nv, out)
+        return _checked(nv, q)
 
     # -- evaluation and pullbacks -------------------------------------------
 
@@ -272,7 +377,7 @@ class LaurentPolynomial:
             raise ValueError(f"need {self.nvars} values, got {len(values)}")
         vals = [Fraction(v) for v in values]
         total = Fraction(0)
-        for exp, coeff in self._terms.items():
+        for exp, coeff in self.terms().items():
             term = Fraction(coeff)
             for i, e in enumerate(exp):
                 if e == 0:
@@ -291,9 +396,9 @@ class LaurentPolynomial:
         """Reverse the x-variables (x_i -> x_{2k-i}); the parameter is fixed."""
         nv = self.nvars
         out = {}
-        for exp, coeff in self._terms.items():
-            out[tuple(exp[nv - 2 - i] for i in range(nv - 1)) + (exp[-1],)] = coeff
-        return LaurentPolynomial(nv, out)
+        for exp, coeff in self.terms().items():
+            out[_checked_key(exp[-2::-1] + exp[-1:], nv)] = coeff
+        return _raw(nv, out)
 
     # -- text form -----------------------------------------------------------
 
@@ -304,60 +409,49 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.nvars}, {format_laurent(self)!r})"
 
 
-def _min_exponents(p: LaurentPolynomial) -> list[int]:
-    """Per-variable minimum exponent over the terms of a nonzero polynomial."""
-    it = iter(p._terms)
-    m = list(next(it))
-    for e in it:
-        for i, ei in enumerate(e):
-            if ei < m[i]:
-                m[i] = ei
-    return m
+def _divide_packed(num: dict[int, int], den: dict[int, int], lo: int, hi: int,
+                   signs: int) -> dict[int, int] | None:
+    """Quotient of packed term maps, or None if there is none.
 
-
-def _divide_ordinary(num: dict, den: dict) -> dict | None:
-    """Quotient of ordinary (nonnegative-exponent) term maps, or None.
-
-    Leading terms are tracked with a lazy max-heap over the graded order;
+    ``lo`` and ``hi`` are the keys of the per-variable exponent bounds every
+    quotient term must meet; one masked add against ``signs`` tests all fields
+    at once.  Leading terms are tracked with a lazy max-heap of negated keys;
     every reduction step cancels the current leading term, so the loop runs
-    once per quotient term.
+    once per quotient term.  Every remainder term stays inside the
+    numerator's exponent box.
     """
-    dlead = max(den, key=_order_key)
+    above_lo, below_hi = signs - lo, signs + hi
+    if (below_hi - lo) & signs != signs:  # the box is empty
+        return None
+    dlead = max(den)
     dlc = den[dlead]
     den_rest = [(e, c) for e, c in den.items() if e != dlead]
     r = dict(num)
-    q: dict[tuple[int, ...], int] = {}
-    heap = [(-s, tuple(-x for x in e), e) for e in r for s in (sum(e),)]
+    q: dict[int, int] = {}
+    heap = [-e for e in r]
     heapq.heapify(heap)
     while r:
         # lazy deletion: pop until the key is live
-        while heap:
-            _, _, rlead = heap[0]
-            if rlead in r:
-                break
+        while -heap[0] not in r:
             heapq.heappop(heap)
-        if not heap:
-            break
-        rc = r[rlead]
-        qexp = tuple(map(int.__sub__, rlead, dlead))
-        if any(e < 0 for e in qexp):
+        rlead = -heapq.heappop(heap)
+        qexp = rlead - dlead
+        if (qexp + above_lo) & signs != signs or (below_hi - qexp) & signs != signs:
             return None
-        qc, rem = divmod(rc, dlc)
+        qc, rem = divmod(r.pop(rlead), dlc)
         if rem:
             return None
         q[qexp] = qc
-        del r[rlead]
-        heapq.heappop(heap)
         for e, c in den_rest:
-            key = tuple(map(int.__add__, qexp, e))
+            key = qexp + e
             s = r.get(key, 0) - qc * c
             if s:
                 if key not in r:
-                    heapq.heappush(heap, (-sum(key), tuple(-x for x in key), key))
+                    heapq.heappush(heap, -key)
                 r[key] = s
-            elif key in r:
+            else:
                 del r[key]
-    return q if not r else None
+    return q
 
 
 def variables(nvars: int) -> list[LaurentPolynomial]:
@@ -606,16 +700,16 @@ def _reduce_pair(num: LaurentPolynomial, den: LaurentPolynomial):
     nv = num.nvars
     # strip the common monomial factor: per-variable min exponent of both
     # operands (the parameter's exponents are never negative)
-    common = [min(a, b) for a, b in zip(_min_exponents(num), _min_exponents(den))]
+    common = [min(a, b) for a, b in zip(_exponent_box(num)[0], _exponent_box(den)[0])]
     if any(common):
         shift = LaurentPolynomial.monomial(nv, common)
         num = num.exact_div(shift)
         den = den.exact_div(shift)
     # integer content
     g = 0
-    for c in num._terms.values():
+    for c in num.coefficients():
         g = gcd(g, c)
-    for c in den._terms.values():
+    for c in den.coefficients():
         g = gcd(g, c)
     if g > 1:
         num = num.exact_div(g)

@@ -510,7 +510,7 @@ def _check_sym_laurent(ctx: TrialContext) -> CheckResult:
         return CheckResult(False, _wit(exc.n, "iterate stays a Laurent polynomial", 0))
     for n in w.indices():
         p = w[n]
-        if not all(isinstance(c, int) for c in p.terms().values()):
+        if not all(isinstance(c, int) for c in p.coefficients()):
             return CheckResult(False, _wit(n, "integer coefficients", 0))
     return _xi_sweep(w, "xi_n = 0 symbolically")
 

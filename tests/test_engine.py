@@ -235,6 +235,12 @@ def test_symbolic_spec_uses_generic_variables():
     assert spec.init == (x0, x1, x2) and spec.a == a
 
 
+@pytest.mark.parametrize("k", [0, -1, -5])
+def test_symbolic_spec_refuses_k_below_one(k):
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        RecurrenceSpec.symbolic(k)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_symbolic_extension_no_laurent_violation(k):
     spec = RecurrenceSpec.symbolic(k)

@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,12 @@ from hhrec.engine import RecurrenceSpec
 from hhrec.errors import NotExactError, ZeroAtNegativeExponentError
 from hhrec.invariants import explicit_iterates
 from hhrec.laurent import (
+    _EXP_MAX,
+    _EXP_MIN,
     LaurentPolynomial,
     RationalFunction,
+    _pack,
+    _unpack_all,
     format_laurent,
     parse_laurent,
     variables,
@@ -217,3 +222,272 @@ def test_sigma_pullback_reverses_variables(gens):
     p = x0 ** 2 * x2 ** -1 + a * x1
     assert p.sigma_pullback() == x2 ** 2 * x0 ** -1 + a * x1
     assert p.sigma_pullback().sigma_pullback() == p
+
+
+# -- reference route: the tuple-keyed kernel -----------------------------------------------
+#
+# Multiply and exact division over exponent tuples, as the package computed
+# them before monomials were packed into ints.  Slow, but independent of the
+# packing: the packed kernel must agree with it term for term.
+
+def _order_key(exp):
+    # graded order: total degree, ties broken lexicographically from position 0
+    return (sum(exp), exp)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(int.__add__, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def ref_divide_ordinary(num: dict, den: dict) -> dict | None:
+    """Quotient of ordinary (nonnegative-exponent) term maps, or None."""
+    dlead = max(den, key=_order_key)
+    dlc = den[dlead]
+    den_rest = [(e, c) for e, c in den.items() if e != dlead]
+    r = dict(num)
+    q = {}
+    heap = [(-s, tuple(-x for x in e), e) for e in r for s in (sum(e),)]
+    heapq.heapify(heap)
+    while r:
+        while heap:
+            _, _, rlead = heap[0]
+            if rlead in r:
+                break
+            heapq.heappop(heap)
+        if not heap:
+            break
+        rc = r[rlead]
+        qexp = tuple(map(int.__sub__, rlead, dlead))
+        if any(e < 0 for e in qexp):
+            return None
+        qc, rem = divmod(rc, dlc)
+        if rem:
+            return None
+        q[qexp] = qc
+        del r[rlead]
+        heapq.heappop(heap)
+        for e, c in den_rest:
+            key = tuple(map(int.__add__, qexp, e))
+            s = r.get(key, 0) - qc * c
+            if s:
+                if key not in r:
+                    heapq.heappush(heap, (-sum(key), tuple(-x for x in key), key))
+                r[key] = s
+            elif key in r:
+                del r[key]
+    return q if not r else None
+
+
+def ref_exact_div(num: dict, den: dict) -> dict:
+    """Exact quotient of tuple term maps; raises NotExactError if there is none."""
+    if not num:
+        return {}
+    if len(den) == 1:
+        (dexp, dcoeff), = den.items()
+        out = {}
+        for e, c in num.items():
+            q, r = divmod(c, dcoeff)
+            exp = tuple(map(int.__sub__, e, dexp))
+            if r or exp[-1] < 0:
+                raise NotExactError("reference: not exact")
+            out[exp] = q
+        return out
+    # factor out per-variable minimal x-exponents; `a` (last slot) stays
+    nmin = [min(col) for col in zip(*num)]
+    dmin = [min(col) for col in zip(*den)]
+    nmin[-1] = dmin[-1] = 0
+    nshift = {tuple(ei - mi for ei, mi in zip(e, nmin)): c for e, c in num.items()}
+    dshift = {tuple(ei - mi for ei, mi in zip(e, dmin)): c for e, c in den.items()}
+    q = ref_divide_ordinary(nshift, dshift)
+    if q is None:
+        raise NotExactError("reference: remainder is nonzero")
+    back = tuple(a - b for a, b in zip(nmin, dmin))
+    out = {tuple(map(int.__add__, e, back)): c for e, c in q.items()}
+    if any(e[-1] < 0 for e in out):
+        raise NotExactError("reference: negative power of the parameter")
+    return out
+
+
+def outcome(fn):
+    """The value of fn(), or the class of the exception it raised."""
+    try:
+        return fn()
+    except (NotExactError, ValueError) as exc:
+        return type(exc)
+
+
+def in_range(terms: dict) -> bool:
+    return all(_EXP_MIN <= x <= _EXP_MAX for e in terms for x in e + (sum(e),))
+
+
+def wide_exponents():
+    # fields near the ends of the range, so carries between fields and the
+    # sign of every field matter
+    xs = st.one_of(st.integers(min_value=-6, max_value=6),
+                   st.integers(min_value=_EXP_MIN, max_value=_EXP_MAX))
+    last = st.one_of(st.integers(min_value=0, max_value=4),
+                     st.integers(min_value=0, max_value=_EXP_MAX))
+    return st.tuples(xs, xs, xs, last).filter(lambda e: _EXP_MIN <= sum(e) <= _EXP_MAX)
+
+
+def wide_polys(max_terms=5):
+    return st.dictionaries(st.one_of(exponents(), wide_exponents()),
+                           st.integers(min_value=-9, max_value=9).filter(bool),
+                           max_size=max_terms).map(lambda d: LaurentPolynomial(NV, d))
+
+
+def monomials():
+    return st.builds(lambda e, c: LaurentPolynomial.monomial(NV, e, c),
+                     exponents(), st.sampled_from([1, -1, 2, -3]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys(), wide_polys())
+def test_packed_mul_equals_reference_or_refuses_out_of_range(p, q):
+    expected = ref_mul(p.terms(), q.terms())
+    if in_range(expected):
+        assert (p * q).terms() == expected
+    else:
+        with pytest.raises(ValueError, match="outside"):
+            p * q
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(6), nonzero_polys(4), polys(2))
+def test_packed_exact_div_equals_reference(p, d, r):
+    # exact (p * d), perturbed (p * d + r, almost never exact) and arbitrary (p)
+    for num in (p * d, p * d + r, p):
+        expected = outcome(lambda: ref_exact_div(num.terms(), d.terms()))
+        assert outcome(lambda: num.exact_div(d).terms()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(6), monomials(), polys(2))
+def test_packed_monomial_div_equals_reference(p, m, r):
+    for num in (p * m, p * m + r, p):
+        expected = outcome(lambda: ref_exact_div(num.terms(), m.terms()))
+        assert outcome(lambda: num.exact_div(m).terms()) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(monomials(), nonzero_polys(3)), st.integers(min_value=1, max_value=4))
+def test_negative_power_equals_reference(p, n):
+    power = {(0,) * NV: 1}
+    for _ in range(n):
+        power = ref_mul(power, p.terms())
+    expected = outcome(lambda: ref_exact_div({(0,) * NV: 1}, power))
+    assert outcome(lambda: (p ** -n).terms()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(exponents(), wide_exponents()), unique=True, max_size=12))
+def test_packed_key_order_is_graded_order(exps):
+    keys = sorted(_pack(e, NV) for e in exps)
+    assert _unpack_all(keys, NV) == sorted(exps, key=_order_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys())
+def test_sorted_terms_follow_order_key(p):
+    assert p.sorted_terms() == sorted(p.terms().items(), key=lambda kv: _order_key(kv[0]),
+                                      reverse=True)
+    assert sorted(p.coefficients()) == sorted(p.terms().values())
+
+
+# -- exponent range guard ------------------------------------------------------------------
+
+def test_construction_at_and_past_the_bound():
+    for exp in [(_EXP_MAX, 0, 0, 0), (_EXP_MIN, 0, 0, 0), (0, 0, 0, _EXP_MAX),
+                (_EXP_MAX, _EXP_MIN, _EXP_MAX, 0)]:
+        assert LaurentPolynomial.monomial(NV, exp).terms() == {exp: 1}
+    for exp, what in [((_EXP_MAX + 1, 0, 0, 0), "x0"), ((0, _EXP_MIN - 1, 0, 0), "x1"),
+                      ((0, 0, 0, _EXP_MAX + 1), "a"), ((_EXP_MAX, 1, 0, 0), "total degree"),
+                      ((_EXP_MIN, 0, -1, 0), "total degree")]:
+        with pytest.raises(ValueError, match=rf"{what}\b.* is outside \[{_EXP_MIN}, {_EXP_MAX}\]"):
+            LaurentPolynomial.monomial(NV, exp)
+
+
+def test_multiply_at_and_past_the_bound(gens):
+    x0, x1, x2, a = gens
+    half = (_EXP_MAX + 1) // 2
+    assert x0 ** half * x0 ** (half - 1) == LaurentPolynomial.monomial(NV, (_EXP_MAX, 0, 0, 0))
+    with pytest.raises(ValueError, match="x0 is outside"):
+        x0 ** half * x0 ** half
+    with pytest.raises(ValueError, match="x2 is outside"):
+        x2 ** -half * (x2 ** -(half + 1) * x1 ** 2 + a)
+    with pytest.raises(ValueError, match="total degree 16384 is outside"):
+        x0 ** _EXP_MAX * (x1 + x2)
+    # out of range in a term that is neither the highest nor the lowest key
+    with pytest.raises(ValueError, match="x2 is outside"):
+        x2 ** half * (x2 ** half * x1 ** -1 + x0 ** _EXP_MAX * x2 ** -half + x1 ** -5 * x2 ** -half)
+
+
+def test_power_at_and_past_the_bound(gens):
+    x0, x1, x2, a = gens
+    assert (x0 ** _EXP_MAX).terms() == {(_EXP_MAX, 0, 0, 0): 1}
+    assert (x1 ** _EXP_MIN).terms() == {(0, _EXP_MIN, 0, 0): 1}
+    with pytest.raises(ValueError, match="x0 is outside"):
+        x0 ** (_EXP_MAX + 1)
+    with pytest.raises(ValueError, match="x1 is outside"):
+        x1 ** (_EXP_MIN - 1)
+
+
+def test_division_at_and_past_the_bound(gens):
+    x0, x1, x2, a = gens
+    low = x0 ** _EXP_MIN
+    assert (x0 ** (_EXP_MIN + 1)).exact_div(x0) == low
+    with pytest.raises(ValueError, match="x0 is outside"):
+        low.exact_div(x0)
+    assert (low * (x1 + a)).exact_div(x1 + a) == low
+    with pytest.raises(ValueError, match="x0 is outside"):
+        (low * (x1 + a)).exact_div(x0 * (x1 + a))
+
+
+def test_sigma_pullback_at_the_bound(gens):
+    p = LaurentPolynomial(NV, {(_EXP_MAX, 0, _EXP_MIN, 3): 2, (_EXP_MIN, 1, 0, 0): -1})
+    assert p.sigma_pullback().terms() == {(_EXP_MIN, 0, _EXP_MAX, 3): 2, (0, 1, _EXP_MIN, 0): -1}
+    assert p.sigma_pullback().sigma_pullback() == p
+
+
+# -- cross-check against sympy ---------------------------------------------------------------
+
+def test_k2_window_products_and_quotients_match_sympy():
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    k = 2
+    spec = RecurrenceSpec.symbolic(k)
+    w = spec.window().extend(-6, 16)
+    R, *_ = ring("x0,x1,x2,x3,x4,a", ZZ)
+
+    def to_sympy(p: LaurentPolynomial, shift: int):
+        # p times (x0...x4)^shift, which clears every negative exponent
+        return R({tuple(e + shift for e in exp[:-1]) + exp[-1:]: c
+                  for exp, c in p.terms().items()})
+
+    assert to_sympy(w[-6] * w[16], 40) == to_sympy(w[-6], 20) * to_sympy(w[16], 20)
+
+    # x_16 / x_-1: sympy's reduced denominator is not a monomial, so no
+    # Laurent quotient exists and the ring division must refuse
+    num, den = to_sympy(w[16], 20).cancel(to_sympy(w[-1], 20))
+    assert len(den.terms()) > 1
+    with pytest.raises(NotExactError):
+        w[16] / w[-1]
+
+    # the forward step to x_16 divides by x_11 exactly; sympy agrees
+    step = w[15] * w[12] + spec.a * (w[13] + w[14])
+    num, den = to_sympy(step, 20).cancel(to_sympy(w[11], 20))
+    assert len(den.terms()) == 1
+    assert num * to_sympy(LaurentPolynomial.one(spec.a.nvars), 20) == \
+        to_sympy(w[16], 20) * den
+    assert step / w[11] == w[16]
