@@ -46,7 +46,7 @@ from .invariants import (
     wronskian4_det,
 )
 from .laurent import LaurentPolynomial, RationalFunction, format_laurent, parse_laurent
-from .matrix import Matrix, det_bareiss, det_cofactor, det_dodgson, matrix_det
+from .matrix import Matrix, det_bareiss, matrix_det
 from .rational import Rational, format_rational, parse_rational
 from .verifier import (
     TrialConfig,

@@ -205,13 +205,6 @@ class PeriodicCoeffs:
     def gamma_at(self, n: int):
         return self.gamma[n % (2 * self.k)]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": {"period": self.k, "values": [format_value(v) for v in self.alpha]},
-            "beta": {"period": 2 * self.k, "values": [format_value(v) for v in self.beta]},
-            "gamma": {"period": 2 * self.k, "values": [format_value(v) for v in self.gamma]},
-        }
-
 
 def periodic_coeffs(w: SequenceWindow) -> PeriodicCoeffs:
     """One full period of the 3-term relation coefficients, from base index 0."""

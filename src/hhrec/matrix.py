@@ -5,15 +5,15 @@ Entries are any exact scalar with ring arithmetic, exact ``/`` and a
 ints are promoted to Fraction on construction.
 Three independent determinant routines are provided:
 
+* Bareiss fraction-free elimination -- the production route behind
+  ``matrix_det`` at every size; interior divisions are exact in the entry
+  ring by Sylvester's identity;
 * cofactor expansion -- the brute-force oracle, any size;
-* Bareiss fraction-free elimination -- interior divisions are exact in the
-  entry ring by Sylvester's identity;
 * Dodgson condensation -- repeated 2x2 condensation divided by the interior
   of the grandparent stage; fails when an interior entry vanishes.
 
-``matrix_det`` is the production entry point: cofactor for size <= 3, then
-Dodgson condensation with automatic fallback to Bareiss on a zero interior
-minor (exactness over speed: the matrix is never perturbed).
+Cofactor and Dodgson are reference routes: tests compare the production
+route against them, and no production code calls them.
 """
 
 from __future__ import annotations
@@ -152,14 +152,8 @@ def _condense(a, divisors):
 
 
 def matrix_det(m: Matrix):
-    """Exact determinant; algorithm choice never changes the result."""
-    n = _require_square(m)
-    if n <= 3:
-        return det_cofactor(m)
-    try:
-        return det_dodgson(m)
-    except ZeroMinorError:
-        return det_bareiss(m)
+    """Exact determinant by Bareiss elimination, the one production route."""
+    return det_bareiss(m)
 
 
 def solve_exact(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -252,8 +252,7 @@ class CheckResult:
 
 @dataclass
 class TrialContext:
-    """Shared per-(trial, attempt) state, or per campaign when symbolic: the
-    spec and a growing window.
+    """Shared per-(trial, attempt) state: the spec and a growing window.
 
     While ``corrupt`` is set (the running check is the fault-injection
     target), ``window`` hands out a raw copy with x_{2k+1} raised by one.
@@ -689,19 +688,19 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
     Each trial owns a deterministic spec stream; a check that raises a
     degeneracy is retried on the next candidate spec (all checks of the
     trial share candidates by attempt index, so windows are reused).
+    Symbolic trials draw nothing at random, so only trial 0 runs; the
+    records of trials 1..n-1 are its copies, with ``elapsed`` 0.0.
     """
     check_ids = cfg.resolved_checks()
     table = SYMBOLIC_CHECKS if cfg.symbolic else NUMERIC_CHECKS
     report = VerificationReport(cfg)
-    # symbolic trials draw nothing at random, so one context (spec and
-    # window) serves every trial; no symbolic check reads ctx.trial
-    shared = TrialContext(cfg, RecurrenceSpec.symbolic(cfg.k), 0) if cfg.symbolic else None
-    for trial in range(cfg.trials):
+    for trial in range(1 if cfg.symbolic else cfg.trials):
         pending = list(check_ids)
         done: dict[str, CheckRecord] = {}
         notes: dict[str, list[str]] = {cid: [] for cid in check_ids}
         for attempt in range(cfg.max_resamples + 1):
-            ctx = shared or TrialContext(cfg, random_spec(cfg, trial, attempt), trial)
+            spec = RecurrenceSpec.symbolic(cfg.k) if cfg.symbolic else random_spec(cfg, trial, attempt)
+            ctx = TrialContext(cfg, spec, trial)
             still: list[str] = []
             for cid in pending:
                 ctx.corrupt = cid == cfg.fault_target
@@ -725,4 +724,8 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
                 cid, cfg.k, cfg.seed, trial, "skipped-degenerate",
                 {"degeneracies": notes[cid]}, None, cfg.max_resamples, 0.0)
         report.records.extend(done[cid] for cid in check_ids)
+    if cfg.symbolic:
+        first = list(report.records)
+        report.records.extend(replace(r, trial=t, elapsed=0.0)
+                              for t in range(1, cfg.trials) for r in first)
     return report

@@ -355,13 +355,6 @@ def test_reversal_covariance_of_k(k):
     assert k_formula(spec.reversed_init()).K == K
 
 
-def test_periodic_coeffs_serialization():
-    d = periodic_coeffs(ones_window(2, 0, 16)).to_json_dict()
-    assert d["alpha"]["period"] == 2 and len(d["alpha"]["values"]) == 2
-    assert d["beta"]["period"] == 4 and len(d["beta"]["values"]) == 4
-    assert d["gamma"]["period"] == 4 and len(d["gamma"]["values"]) == 4
-
-
 def test_k_breakdown_serialization():
     d = k_formula(ones(1)).to_json_dict()
     assert d == {"P0": "3", "P1": "8", "P2": "3", "K": "14"}

@@ -77,16 +77,29 @@ def test_algorithms_agree_4x4(m):
         pass
 
 
-def test_dodgson_zero_interior_falls_back():
-    # interior entry is 0, so condensation cannot divide; matrix_det must
-    # silently switch to Bareiss and still match the oracle
+def test_dodgson_zero_interior_raises():
+    # interior entry is 0, so condensation cannot divide; Bareiss needs no
+    # interior minor and still matches the oracle
     m = Matrix.from_rows([(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 0, 12), (13, 14, 15, 17)])
     with pytest.raises(ZeroMinorError):
         det_dodgson(m)
     assert matrix_det(m) == det_cofactor(m)
 
 
+@pytest.mark.parametrize("rows, expected", [
+    ([[7]], 7),
+    ([[1, 2], [3, 4]], -2),
+    # a zero leading pivot forces a row swap
+    ([[0, 1], [1, 0]], -1),
+    ([(0, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 17)], 4),
+])
+def test_small_sizes_and_zero_leading_pivot(rows, expected):
+    m = Matrix.from_rows(rows)
+    assert matrix_det(m) == det_cofactor(m) == expected
+
+
 def test_symbolic_determinant():
+    from hhrec.engine import RecurrenceSpec
     x0, x1, x2, a = variables(4)
     m = Matrix.from_rows([
         [x0, x1, x2],
@@ -96,6 +109,12 @@ def test_symbolic_determinant():
     expected = det_cofactor(m)
     assert det_bareiss(m) == expected
     assert det_dodgson(m) == expected
+    # the 3x3 and 4x4 Wronskian blocks (x_{n+i+2j}) of the generic k = 1 window
+    w = RecurrenceSpec.symbolic(1).window().extend(-2, 8)
+    for n in (-2, -1):
+        for size in (3, 4):
+            m = Matrix.from_rows([[w[n + i + 2 * j] for j in range(size)] for i in range(size)])
+            assert matrix_det(m) == det_cofactor(m)
 
 
 def test_singular_bareiss_zero_column():

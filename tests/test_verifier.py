@@ -313,9 +313,17 @@ def test_symbolic_trials_share_one_window(monkeypatch):
         return extend(self, *args, **kwargs)
 
     monkeypatch.setattr(SequenceWindow, "extend", counted)
+    runs = {cid: 0 for cid in SYMBOLIC_CHECKS}
+    for cid, fn in list(SYMBOLIC_CHECKS.items()):
+        def check(ctx, cid=cid, fn=fn):
+            runs[cid] += 1
+            return fn(ctx)
+        monkeypatch.setitem(SYMBOLIC_CHECKS, cid, check)
 
     def run(trials):
         calls.clear()
+        for cid in runs:
+            runs[cid] = 0
         report = run_campaign(TrialConfig(k=1, trials=trials, symbolic=True))
         results = json.loads(report.to_json())["results"]
         for r in results:
@@ -326,6 +334,7 @@ def test_symbolic_trials_share_one_window(monkeypatch):
     thrice, extends_thrice = run(3)
     assert extends_once > 0 and extends_thrice == extends_once
     assert thrice == [dict(r, trial=t) for t in range(3) for r in once]
+    assert runs == {cid: 1 for cid in SYMBOLIC_CHECKS}
 
 
 def test_fault_target_must_be_requested():
