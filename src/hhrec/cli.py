@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -45,6 +44,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+
+# closed-form --eval refuses |m| * (bits(p) + bits(q)) past this, t = p/q and
+# m = n // 2k: about the bit size of the powers chebyshev_tu builds.  At the
+# bound one evaluation takes about 2 s (Python 3.11, 2-core Intel Xeon VM)
+EVAL_BIT_BUDGET = 2 ** 20
 
 
 class UsageError(Exception):
@@ -137,16 +141,9 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = args.max_symbolic_k
-    env_cap = os.environ.get("HH_MAX_SYMBOLIC_K")
-    if env_cap is not None:
-        try:
-            cap = int(env_cap)
-        except ValueError as exc:
-            raise UsageError(f"HH_MAX_SYMBOLIC_K must be an integer: {env_cap!r}") from exc
-    if args.symbolic and args.k > cap:
-        raise UsageError(f"symbolic campaigns are capped at k <= {cap} "
-                         "(raise with --max-symbolic-k or HH_MAX_SYMBOLIC_K)")
+    if args.symbolic and args.k > args.max_symbolic_k:
+        raise UsageError(f"symbolic campaigns are capped at k <= {args.max_symbolic_k} "
+                         "(raise with --max-symbolic-k)")
     checks = frozenset(c for c in args.checks.split(",") if c.strip())
     try:
         cfg = TrialConfig(
@@ -176,6 +173,12 @@ def cmd_closed_form(args) -> int:
     if args.coeffs:
         print(json.dumps(coeffs.to_json_dict(), indent=2))
     else:
+        t = coeffs.point.t
+        height = t.numerator.bit_length() + t.denominator.bit_length()
+        estimate = abs(args.eval // (2 * k)) * height
+        if estimate > EVAL_BIT_BUDGET:
+            raise UsageError(f"--eval {args.eval} needs about {estimate} bits of Chebyshev "
+                             f"powers, past the budget of {EVAL_BIT_BUDGET}")
         value = cf.eval_closed_form(coeffs, args.eval)
         print(json.dumps({"n": args.eval, "value": format_rational(value)}))
     return EXIT_OK
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denominator-bound", type=int, default=10)
     p.add_argument("--max-resamples", type=int, default=8)
     p.add_argument("--max-symbolic-k", type=int, default=2,
-                   help="symbolic campaigns refuse larger k (env HH_MAX_SYMBOLIC_K overrides)")
+                   help="symbolic campaigns refuse larger k")
     p.add_argument("--inject-fault", default=None, metavar="CHECK",
                    help="corrupt one window value for this check (negative control)")
     p.add_argument("--json", default=None, metavar="FILE", help="also write the JSON report")

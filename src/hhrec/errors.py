@@ -80,7 +80,3 @@ class SingularSystemError(DegenerateInputError):
 
 class DegenerateTError(DegenerateInputError):
     """Closed-form extraction needs t = (K-1)/2 outside {0, 1}."""
-
-
-class ResampleBudgetExhaustedError(HHRecError):
-    """Every resampled seed hit a degeneracy within the configured budget."""

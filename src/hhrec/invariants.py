@@ -167,16 +167,14 @@ def k_cramer(w: SequenceWindow, n: int = 0):
 
 # -- 3-term relation coefficients -------------------------------------------------
 
-def abg_coeffs(w: SequenceWindow, n: int, allow_symbolic: bool = False):
+def abg_coeffs(w: SequenceWindow, n: int):
     """(alpha_n, beta_n, gamma_n) of x_{n+3} - gamma x_{n+2} + beta x_{n+1} - alpha x_n = 0.
 
     These are ratios of 3x3 determinants over delta_n and are genuinely
-    rational functions, not Laurent polynomials, so symbolic evaluation is
-    gated behind ``allow_symbolic``: the four determinants are taken in the
-    Laurent ring and lifted into RationalFunction scalars for the ratios.
+    rational functions, not Laurent polynomials: on a symbolic window the
+    four determinants are taken in the Laurent ring and lifted into
+    RationalFunction scalars for the ratios.
     """
-    if w.spec.symbolic_mode and not allow_symbolic:
-        raise ValueError("alpha/beta/gamma are rational functions; pass allow_symbolic=True")
     dets = [matrix_det(_wronskian_block(w, n + s, offsets, (0, 1, 2)))
             for s, offsets in ((0, (0, 1, 2)), (1, (0, 1, 2)), (0, (0, 2, 3)), (0, (0, 1, 3)))]
     if w.spec.symbolic_mode:

@@ -22,11 +22,13 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational in p/q form: {text!r}")
+    num, _, den = text.partition("/")
+    if den and not den.strip("0"):
+        raise ValueError(f"zero denominator: {text!r}")
     try:
         return Fraction(text)
     except ValueError:
         # past Python's int-from-str digit limit: the mirror of format_rational
-        num, _, den = text.partition("/")
         return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
 
 

@@ -23,7 +23,8 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from . import closed_form as cf
 from . import invariants as inv
@@ -36,12 +37,7 @@ from .engine import (
     raw_window,
     xi_residual,
 )
-from .errors import (
-    DegenerateInputError,
-    InsufficientDataError,
-    LaurentViolationError,
-    ResampleBudgetExhaustedError,
-)
+from .errors import DegenerateInputError, InsufficientDataError, LaurentViolationError
 from .rational import format_rational
 
 _MASK64 = (1 << 64) - 1
@@ -120,46 +116,17 @@ class TrialConfig:
         return None if self.inject_fault is None else normalize_check_id(self.inject_fault)
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k, "trials": self.trials, "seed": self.seed,
-            "numerator_bound": self.numerator_bound,
-            "denominator_bound": self.denominator_bound,
-            "checks": self.resolved_checks(),
-            "symbolic": self.symbolic,
-            "max_resamples": self.max_resamples,
-            "inject_fault": self.inject_fault,
-        }
+        return {**asdict(self), "checks": self.resolved_checks()}
 
 
-def random_spec(cfg: TrialConfig, trial: int, attempt: int = 0,
-                reject: Callable[[RecurrenceSpec], bool] | None = None) -> RecurrenceSpec:
-    """The attempt-th candidate spec of the trial's deterministic stream.
-
-    With a ``reject`` predicate, draws successive candidates until one is
-    accepted, up to ``max_resamples`` extra draws.
-    """
+def random_spec(cfg: TrialConfig, trial: int, attempt: int = 0) -> RecurrenceSpec:
+    """The attempt-th candidate spec of the trial's deterministic stream."""
     rng = trial_stream(cfg.seed, trial)
-    budget = cfg.max_resamples if reject is not None else attempt
-
-    def draw() -> RecurrenceSpec:
+    for _ in range(attempt + 1):
         init = [random_rational(rng, cfg.numerator_bound, cfg.denominator_bound)
                 for _ in range(2 * cfg.k + 1)]
         a = random_rational(rng, cfg.numerator_bound, cfg.denominator_bound)
-        return RecurrenceSpec(cfg.k, a, tuple(init))
-
-    spec = draw()
-    if reject is None:
-        for _ in range(attempt):
-            spec = draw()
-        return spec
-    tried = 0
-    while reject(spec):
-        tried += 1
-        if tried > budget:
-            raise ResampleBudgetExhaustedError(
-                f"no acceptable seed within {budget} resamples (seed={cfg.seed}, trial={trial})")
-        spec = draw()
-    return spec
+    return RecurrenceSpec(cfg.k, a, tuple(init))
 
 
 # -- minimal linear recurrence detection ----------------------------------------
@@ -252,10 +219,12 @@ class CheckResult:
 
 @dataclass
 class TrialContext:
-    """Shared per-(trial, attempt) state: the spec and a growing window.
+    """Shared per-(trial, attempt) state: the spec, its k and K, and a growing window.
 
-    While ``corrupt`` is set (the running check is the fault-injection
-    target), ``window`` hands out a raw copy with x_{2k+1} raised by one.
+    K comes from the explicit formula once per context, however many checks
+    read it.  While ``corrupt`` is set (the running check is the
+    fault-injection target), ``window`` hands out a raw copy with x_{2k+1}
+    raised by one.
     """
 
     cfg: TrialConfig
@@ -263,6 +232,14 @@ class TrialContext:
     trial: int
     corrupt: bool = False
     _window: SequenceWindow | None = None
+
+    @property
+    def k(self) -> int:
+        return self.spec.k
+
+    @cached_property
+    def K(self):
+        return inv.k_formula(self.spec).K
 
     def window(self, lo: int, hi: int) -> SequenceWindow:
         if self._window is None:
@@ -272,15 +249,11 @@ class TrialContext:
                                                max(hi, self._window.hi))
         if not self.corrupt:
             return self._window
-        n = 2 * self.spec.k + 1  # inside every window the checks ask for
+        n = 2 * self.k + 1  # inside every window the checks ask for
         return self._window.with_value(n, self._window[n] + 1)
 
     def default_window(self) -> SequenceWindow:
-        k = self.spec.k
-        return self.window(-2 * k - 2, 12 * k + 3)
-
-    def breakdown(self) -> inv.KBreakdown:
-        return inv.k_formula(self.spec)
+        return self.window(-2 * self.k - 2, 12 * self.k + 3)
 
 
 def _wit(n: int, what: str, value) -> dict:
@@ -290,22 +263,34 @@ def _wit(n: int, what: str, value) -> dict:
     return {"n": n, "identity": what, "residual": residual}
 
 
-def _xi_sweep(w: SequenceWindow, what: str) -> CheckResult:
-    """xi_n = 0 at every n the window covers."""
-    for n in range(w.lo, w.hi - 2 * w.spec.k):
-        r = xi_residual(w, n)
+def _sweep(ns: Iterable[int], residual: Callable, what: str) -> CheckResult:
+    """Pass iff residual(n) is zero at every n; else witness the first n where it is not."""
+    for n in ns:
+        r = residual(n)
         if r:
             return CheckResult(False, _wit(n, what, r))
     return CheckResult(True)
 
 
+def _pair_sweep(pair: Callable, K, what: str) -> CheckResult:
+    """Both values of pair(n) equal K at n = 0 and 1; the witness keeps both residuals."""
+    for n in (0, 1):
+        k1, k2 = pair(n)
+        if k1 != K or k2 != K:
+            return CheckResult(False, _wit(n, what, (k1 - K, k2 - K)))
+    return CheckResult(True)
+
+
+def _xi_sweep(w: SequenceWindow, what: str) -> CheckResult:
+    """xi_n = 0 at every n the window covers."""
+    return _sweep(range(w.lo, w.hi - 2 * w.spec.k), lambda n: xi_residual(w, n), what)
+
+
 def _explicit_sweep(w: SequenceWindow, ex: inv.ExplicitIterates, what: str) -> CheckResult:
     """The closed formulas equal the iterates on [-2k, -1] and [2k+1, 4k]."""
     k = ex.spec.k
-    for m in [*range(-2 * k, 0), *range(2 * k + 1, 4 * k + 1)]:
-        if ex.value(m) != w[m]:
-            return CheckResult(False, _wit(m, what, ex.value(m) - w[m]))
-    return CheckResult(True)
+    return _sweep([*range(-2 * k, 0), *range(2 * k + 1, 4 * k + 1)],
+                  lambda m: ex.value(m) - w[m], what)
 
 
 # each check: fn(ctx) -> CheckResult; DegenerateInputError triggers a resample
@@ -315,18 +300,14 @@ def _check_xi_zero(ctx: TrialContext) -> CheckResult:
 
 
 def _check_linear_relation(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    K = ctx.breakdown().K
     w = ctx.default_window()
-    for n in range(w.lo, w.hi - 6 * k + 1):
-        r = inv.linear_relation_residual(w, n, K)
-        if r != 0:
-            return CheckResult(False, _wit(n, "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0", r))
-    return CheckResult(True)
+    return _sweep(range(w.lo, w.hi - 6 * ctx.k + 1),
+                  lambda n: inv.linear_relation_residual(w, n, ctx.K),
+                  "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0")
 
 
 def _check_k_ratio(ctx: TrialContext) -> CheckResult:
-    K = ctx.breakdown().K
+    K = ctx.K
     value, form = inv.k_ratio_route(ctx.default_window())  # may raise -> resample
     if value != K:
         return CheckResult(False, _wit(0, f"ratio ({form}) == K", value - K))
@@ -334,55 +315,37 @@ def _check_k_ratio(ctx: TrialContext) -> CheckResult:
 
 
 def _check_k_cramer(ctx: TrialContext) -> CheckResult:
-    K = ctx.breakdown().K
     w = ctx.default_window()
-    for n in (0, 1):
-        k1, k2 = inv.k_cramer(w, n)
-        if k1 != K or k2 != K:
-            return CheckResult(False, _wit(n, "Cramer pair == K", (k1 - K, k2 - K)))
-    return CheckResult(True)
+    return _pair_sweep(lambda n: inv.k_cramer(w, n), ctx.K, "Cramer pair == K")
 
 
 def _check_k_monodromy(ctx: TrialContext) -> CheckResult:
-    K = ctx.breakdown().K
-    w = ctx.default_window()
-    pc = inv.periodic_coeffs(w)
-    for start in (0, 1):
-        k1, k2 = inv.monodromy_k(pc, start=start)
-        if k1 != K or k2 != K:
-            return CheckResult(False, _wit(start, "monodromy traces == K", (k1 - K, k2 - K)))
-    return CheckResult(True)
+    pc = inv.periodic_coeffs(ctx.default_window())
+    return _pair_sweep(lambda n: inv.monodromy_k(pc, start=n), ctx.K, "monodromy traces == K")
 
 
 def _check_delta_invariance(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
     w = ctx.default_window()
-    for n in range(w.lo, w.hi - 5 * k - 2 + 1):
-        d0, d1 = inv.delta(w, n), inv.delta(w, n + k)
-        if d0 != d1:
-            return CheckResult(False, _wit(n, "delta[n+k] == delta[n]", d1 - d0))
-    return CheckResult(True)
+    return _sweep(range(w.lo, w.hi - 5 * ctx.k - 2 + 1),
+                  lambda n: inv.delta(w, n + ctx.k) - inv.delta(w, n), "delta[n+k] == delta[n]")
 
 
 def _check_wronskian4(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
     w = ctx.default_window()
-    for n in range(w.lo, w.hi - 6 * k - 3 + 1):
-        d = inv.wronskian4_det(w, n)
-        if d != 0:
-            return CheckResult(False, _wit(n, "det of 4x4 Wronskian = 0", d))
-    return CheckResult(True)
+    return _sweep(range(w.lo, w.hi - 6 * ctx.k - 3 + 1),
+                  lambda n: inv.wronskian4_det(w, n), "det of 4x4 Wronskian = 0")
 
 
 def _check_abg_relation(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
+    k = ctx.k
     w = ctx.default_window()
     pc = inv.periodic_coeffs(w)
-    for n in range(0, 6 * k):
-        r = (w[n + 3] - pc.gamma_at(n) * w[n + 2]
-             + pc.beta_at(n) * w[n + 1] - pc.alpha_at(n) * w[n])
-        if r != 0:
-            return CheckResult(False, _wit(n, "3-term relation", r))
+    sweep = _sweep(range(0, 6 * k),
+                   lambda n: (w[n + 3] - pc.gamma_at(n) * w[n + 2]
+                              + pc.beta_at(n) * w[n + 1] - pc.alpha_at(n) * w[n]),
+                   "3-term relation")
+    if not sweep.ok:
+        return sweep
     for n in range(0, 2 * k):
         if inv.abg_coeffs(w, n + k)[0] != pc.alpha_at(n + k):
             return CheckResult(False, _wit(n, "alpha periodicity", 0))
@@ -392,9 +355,7 @@ def _check_abg_relation(ctx: TrialContext) -> CheckResult:
     prod = Fraction(1)
     for j in range(1, k + 1):
         prod *= inv.abg_coeffs(w, j)[0]
-    if prod != 1:
-        return CheckResult(False, _wit(0, "product of alpha_1..alpha_k == 1", prod - 1))
-    return CheckResult(True)
+    return _sweep((0,), lambda n: prod - 1, "product of alpha_1..alpha_k == 1")
 
 
 def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:
@@ -403,8 +364,7 @@ def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:
 
 
 def _check_inhom(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    K = ctx.breakdown().K
+    k, K = ctx.k, ctx.K
     w = ctx.default_window()
     for n in range(0, 2 * k + 2):
         if inv.nu_invariant(w, n + 2 * k, K) != inv.nu_invariant(w, n, K):
@@ -415,48 +375,36 @@ def _check_inhom(ctx: TrialContext) -> CheckResult:
     c2k = inv.inhom_coeffs(w, 2 * k, K)
     if (c0.epsilon, c0.zeta, c0.eta) != (c2k.epsilon, c2k.zeta, c2k.eta):
         return CheckResult(False, _wit(0, "epsilon/zeta/eta 2k-invariance", 0))
-    m = 6 * k  # fourth bordered column satisfies the same relation
-    r = w[m + 2] + c0.eta * w[m + 1] + c0.zeta * w[m] - c0.epsilon
-    if r != 0:
-        return CheckResult(False, _wit(m, "order-2 inhomogeneous relation", r))
-    return CheckResult(True)
+    # the fourth bordered column satisfies the same relation
+    return _sweep((6 * k,), lambda m: w[m + 2] + c0.eta * w[m + 1] + c0.zeta * w[m] - c0.epsilon,
+                  "order-2 inhomogeneous relation")
 
 
 def _check_closed_form(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    K = ctx.breakdown().K
+    k = ctx.k
     w = ctx.window(-6 * k, 12 * k + 3)
-    coeffs = cf.extract_coeffs(w, K)  # DegenerateTError -> resample
-    for n in range(-6 * k, 12 * k + 1):
-        got = cf.eval_closed_form(coeffs, n)
-        if got != w[n]:
-            return CheckResult(False, _wit(n, "closed form == iterate", got - w[n]))
-    return CheckResult(True)
+    coeffs = cf.extract_coeffs(w, ctx.K)  # DegenerateTError -> resample
+    return _sweep(range(-6 * k, 12 * k + 1),
+                  lambda n: cf.eval_closed_form(coeffs, n) - w[n], "closed form == iterate")
 
 
 def _check_detect(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    K = ctx.breakdown().K
+    k = ctx.k
     w = ctx.window(-2 * k - 2, 14 * k)
-    values = [w[n] for n in range(0, 14 * k + 1)]
-    found = detect_linear_recurrence(values, 6 * k)
+    found = detect_linear_recurrence([w[n] for n in range(0, 14 * k + 1)], 6 * k)
     if found is None:
         return CheckResult(False, _wit(0, "a linear recurrence of order <= 6k exists", 0))
-    if not poly_divides(found, target_characteristic_poly(k, K)):
+    if not poly_divides(found, target_characteristic_poly(k, ctx.K)):
         return CheckResult(False, {"identity": "detected charpoly divides the factored one",
                                    "charpoly": [format_rational(c) for c in found]})
     return CheckResult(True, detail=f"order={len(found) - 1}")
 
 
 def _check_first_integral(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    K = ctx.breakdown().K
-    w = ctx.window(0, 2 * k + 1)
-    shifted = [w[j] for j in range(1, 2 * k + 2)]
-    K_shift = inv.k_breakdown(shifted, ctx.spec.a).K
-    if K_shift != K:
-        return CheckResult(False, _wit(1, "K after one map step == K", K_shift - K))
-    return CheckResult(True)
+    w = ctx.window(0, 2 * ctx.k + 1)
+    shifted = [w[j] for j in range(1, 2 * ctx.k + 2)]
+    return _sweep((1,), lambda n: inv.k_breakdown(shifted, ctx.spec.a).K - ctx.K,
+                  "K after one map step == K")
 
 
 def _check_reversibility(ctx: TrialContext) -> CheckResult:
@@ -467,7 +415,7 @@ def _check_reversibility(ctx: TrialContext) -> CheckResult:
 
 
 def _check_sigma_roundtrip(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
+    k = ctx.k
     w = ctx.default_window()
     back = apply_sigma(apply_sigma(w))
     if back.lo != w.lo or back.values != w.values:
@@ -478,44 +426,38 @@ def _check_sigma_roundtrip(ctx: TrialContext) -> CheckResult:
     # forward-then-backward round trip from the top of the window
     top = RecurrenceSpec(k, ctx.spec.a, tuple(w[w.hi - 2 * k + j] for j in range(2 * k + 1)))
     redone = top.window().extend(new_lo=-(w.hi - 2 * k - w.lo))
-    for j in range(redone.lo, 2 * k + 1):
-        if redone[j] != w[w.hi - 2 * k + j]:
-            return CheckResult(False, _wit(j, "forward-backward round trip", redone[j] - w[w.hi - 2 * k + j]))
-    return CheckResult(True)
+    return _sweep(range(redone.lo, 2 * k + 1), lambda j: redone[j] - w[w.hi - 2 * k + j],
+                  "forward-backward round trip")
 
 
 def _check_operator_identity(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    rng = trial_stream(ctx.cfg.seed, ctx.trial, salt=0x0B5E_21)
     cfg = ctx.cfg
+    rng = trial_stream(cfg.seed, ctx.trial, salt=0x0B5E_21)
     vals = [random_rational(rng, cfg.numerator_bound, cfg.denominator_bound)
-            for _ in range(8 * k + 2)]
+            for _ in range(8 * ctx.k + 2)]
     K = random_rational(rng, cfg.numerator_bound, cfg.denominator_bound)
     w = raw_window(ctx.spec, 0, vals)
-    r = inv.operator_identity_residual(w, K, 0)
-    if r != 0:
-        return CheckResult(False, _wit(0, "L xi == M . L x on a raw window", r))
-    return CheckResult(True)
+    return _sweep((0,), lambda n: inv.operator_identity_residual(w, K, n),
+                  "L xi == M . L x on a raw window")
 
 
 # -- symbolic checks ---------------------------------------------------------------
 
 def _check_sym_laurent(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
+    k = ctx.k
     try:
         w = ctx.window(-2 * k - 2, 6 * k + 4)
     except LaurentViolationError as exc:
         # would disprove the Laurent property: a failure witness, not a crash
         return CheckResult(False, _wit(exc.n, "iterate stays a Laurent polynomial", 0))
     for n in w.indices():
-        p = w[n]
-        if not all(isinstance(c, int) for c in p.coefficients()):
+        if not all(isinstance(c, int) for c in w[n].coefficients()):
             return CheckResult(False, _wit(n, "integer coefficients", 0))
     return _xi_sweep(w, "xi_n = 0 symbolically")
 
 
 def _check_sym_explicit(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
+    k = ctx.k
     w = ctx.window(-2 * k, 4 * k)
     ex = inv.explicit_iterates(ctx.spec)
     sweep = _explicit_sweep(w, ex, "closed formula == symbolic iterate")
@@ -534,18 +476,13 @@ def _check_sym_explicit(ctx: TrialContext) -> CheckResult:
 
 
 def _check_sym_first_integral(ctx: TrialContext) -> CheckResult:
-    K = ctx.breakdown().K
-    shifted = inv.k_after_phi(ctx.spec)
-    if shifted != K:
+    if inv.k_after_phi(ctx.spec) != ctx.K:
         return CheckResult(False, {"identity": "pullback of K equals K as Laurent polynomials"})
     return CheckResult(True)
 
 
 def _check_sym_k_ratio(ctx: TrialContext) -> CheckResult:
-    k = ctx.spec.k
-    K = ctx.breakdown().K
-    w = ctx.window(-2 * k, 4 * k)
-    if inv.k_ratio(w, 0) != K:
+    if inv.k_ratio(ctx.window(-2 * ctx.k, 4 * ctx.k), 0) != ctx.K:
         return CheckResult(False, {"identity": "ratio route == K symbolically"})
     return CheckResult(True)
 
@@ -559,7 +496,7 @@ def _check_sym_proof_identities(ctx: TrialContext) -> CheckResult:
 
 
 def _check_sym_reversal_covariance(ctx: TrialContext) -> CheckResult:
-    K = ctx.breakdown().K
+    K = ctx.K
     if K.sigma_pullback() != K:
         return CheckResult(False, {"identity": "K is invariant under variable reversal"})
     if inv.k_formula(ctx.spec.reversed_init()).K != K:

@@ -50,6 +50,15 @@ def test_gen_malformed_rational(run):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--init", "1,1,1", "--a", "1/0"),
+    ("--init", "1/0,1,1"),
+], ids=["a", "init"])
+def test_gen_zero_denominator_exits_2(run, argv):
+    code, _, err = run("gen", "--k", "1", "--to", "5", *argv)
+    assert code == 2 and "zero denominator" in err
+
+
 def test_gen_zero_pivot_exits_3(run):
     code, _, err = run("gen", "--k", "1", "--a", "1", "--init", "1,2,-1", "--to", "9")
     assert code == 3
@@ -164,12 +173,11 @@ def test_verify_json_report(run, tmp_path):
     assert data["summary"]["fail"] == 0 and data["summary"]["total"] == 4
 
 
-def test_verify_symbolic_cap(run, monkeypatch):
+def test_verify_symbolic_cap(run):
     code, _, err = run("verify", "--k", "3", "--symbolic", "--trials", "1")
     assert code == 2 and "capped" in err
-    monkeypatch.setenv("HH_MAX_SYMBOLIC_K", "3")
     code, out, _ = run("verify", "--k", "3", "--symbolic", "--trials", "1",
-                       "--checks", "first_integral")
+                       "--checks", "first_integral", "--max-symbolic-k", "3")
     assert code == 0
 
 
@@ -196,6 +204,17 @@ def test_closed_form_degenerate_exits_3(run):
     # a = -8/3 with the all-ones seed gives K = 3, i.e. t = 1
     code, _, err = run("closed-form", "--k", "1", "--a=-8/3", "--init", "1,1,1", "--coeffs")
     assert code == 3
+
+
+def test_closed_form_eval_refuses_past_the_size_budget(run):
+    # t = 29/6: m = 5 * 10**6 estimates 4 * 10**7 bits of Chebyshev powers
+    code, out, err = run("closed-form", "--k", "1", "--init", "1,2,3", "--eval", "10000000")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_closed_form_eval_within_the_size_budget(run):
+    code, out, _ = run("closed-form", "--k", "1", "--init", "1,2,3", "--eval", "100000")
+    assert code == 0 and json.loads(out)["n"] == 100000
 
 
 def test_closed_form_requires_mode_flag(run):
@@ -229,6 +248,13 @@ def test_detect_constant_input(run, tmp_path):
     path.write_text("\n".join(f"{i} 5" for i in range(12)) + "\n")
     code, out, _ = run("detect", "--input", str(path), "--max-order", "3")
     assert code == 0 and json.loads(out)["charpoly"] == ["1", "-1"]
+
+
+def test_detect_zero_denominator_exits_2(run, tmp_path):
+    path = tmp_path / "seq.csv"
+    path.write_text("0,1\n1,1/0\n")
+    code, _, err = run("detect", "--input", str(path), "--max-order", "1")
+    assert code == 2 and "zero denominator" in err
 
 
 def test_detect_too_short_exits_2(run, tmp_path):

@@ -176,9 +176,7 @@ def test_abg_product_identity_k2():
 
 def test_abg_symbolic_gate():
     w = RecurrenceSpec.symbolic(1).window().extend(0, 8)
-    with pytest.raises(ValueError):
-        abg_coeffs(w, 0)
-    alpha, beta, gamma = abg_coeffs(w, 0, allow_symbolic=True)
+    alpha, beta, gamma = abg_coeffs(w, 0)
     x = w.spec.init
     lhs = alpha * w[0] - beta * w[1] + gamma * w[2]
     assert lhs == w[3]

@@ -20,10 +20,16 @@ def test_parse(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "3/", "/4", "1/2/3", "a", "1e3", "3 / 4"])
+@pytest.mark.parametrize("bad", ["", "1.5", "3/", "/4", "1/2/3", "a", "1e3", "3 / 4", "1/0"])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_rejects_zero_denominator_past_the_digit_limit():
+    # Fraction refuses the 5001-digit numerator, so the decimal route parses it
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1" * 5001 + "/000")
 
 
 def test_format():

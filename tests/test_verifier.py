@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from hhrec.engine import RecurrenceSpec, SequenceWindow
-from hhrec.errors import InsufficientDataError, ResampleBudgetExhaustedError, ZeroPivotError
+from hhrec.errors import InsufficientDataError, ZeroPivotError
 from hhrec.matrix import solve_exact
 from hhrec.rational import parse_rational
 from hhrec.verifier import (
     NUMERIC_CHECKS,
     SYMBOLIC_CHECKS,
+    _NUMERIC_FAULT_BLIND,
+    _SYMBOLIC_FAULT_BLIND,
     SplitMix64,
     TrialConfig,
     detect_linear_recurrence,
@@ -67,14 +69,6 @@ def test_random_spec_unit_bounds():
     cfg = TrialConfig(k=2, trials=1, seed=5, numerator_bound=1, denominator_bound=1)
     spec = random_spec(cfg, 0)
     assert all(v in (1, -1) for v in spec.init) and spec.a in (1, -1)
-
-
-def test_random_spec_reject_budget():
-    cfg = TrialConfig(k=1, trials=1, seed=0, max_resamples=3)
-    with pytest.raises(ResampleBudgetExhaustedError):
-        random_spec(cfg, 0, reject=lambda s: True)
-    ok = random_spec(cfg, 0, reject=lambda s: s.a < 0)
-    assert ok.a > 0
 
 
 # -- recurrence detection ------------------------------------------------------------
@@ -335,6 +329,49 @@ def test_symbolic_trials_share_one_window(monkeypatch):
     assert extends_once > 0 and extends_thrice == extends_once
     assert thrice == [dict(r, trial=t) for t in range(3) for r in once]
     assert runs == {cid: 1 for cid in SYMBOLIC_CHECKS}
+
+
+# the exact witness of every check that can see the injected fault: the
+# first failing index, the identity text and the residual
+FAULT_WITNESSES = {
+    "xi_zero": {"n": 0, "identity": "xi_n = 0", "residual": "-2"},
+    "linear_relation": {"n": -3, "identity": "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0",
+                        "residual": "1"},
+    "k_cramer": {"n": 0, "identity": "Cramer pair == K",
+                 "residual": ["-3029/2177", "1612039/587790"]},
+    "k_monodromy": {"n": 0, "identity": "monodromy traces == K",
+                    "residual": ["-3029/2177", "1081297477828501401931/1258136241543435438"]},
+    "delta_invariance": {"n": -4, "identity": "delta[n+k] == delta[n]", "residual": "2104/1215"},
+    "wronskian4": {"n": -4, "identity": "det of 4x4 Wronskian = 0", "residual": "40094/6075"},
+    "abg_relation": {"n": 1, "identity": "3-term relation",
+                     "residual": "-64946476242919/350683638564"},
+    "explicit_iterates": {"n": 3, "identity": "closed formula == iterate", "residual": "-1"},
+    "inhom": {"n": 1, "identity": "nu is a 2k-invariant", "residual": "0"},
+    "closed_form": {"n": -5, "identity": "closed form == iterate", "residual": "-611/270"},
+    "detect": {"n": 0, "identity": "a linear recurrence of order <= 6k exists", "residual": "0"},
+    "first_integral": {"n": 1, "identity": "K after one map step == K", "residual": "-2233/20115"},
+    "sigma_roundtrip": {"n": -4, "identity": "sigma image solves the recurrence",
+                        "residual": "1929431/43740"},
+    "sym:laurent": {"n": 0, "identity": "xi_n = 0 symbolically", "residual": "x0"},
+    "sym:explicit": {"n": 3, "identity": "closed formula == symbolic iterate", "residual": "-1"},
+}
+
+
+@pytest.mark.parametrize("target", FAULT_WITNESSES)
+def test_fault_witness_pinned(target):
+    symbolic = target.startswith("sym:")
+    cid = target.removeprefix("sym:")
+    report = run_campaign(TrialConfig(k=1, trials=1, seed=0, symbolic=symbolic,
+                                      checks=frozenset({cid}), inject_fault=cid))
+    [record] = report.records
+    assert (record.status, record.resamples) == ("fail", 0)
+    assert record.witness == FAULT_WITNESSES[target]
+
+
+def test_fault_witnesses_cover_every_fault_capable_check():
+    capable = {cid for cid in NUMERIC_CHECKS if cid not in _NUMERIC_FAULT_BLIND}
+    capable |= {f"sym:{cid}" for cid in SYMBOLIC_CHECKS if cid not in _SYMBOLIC_FAULT_BLIND}
+    assert capable == set(FAULT_WITNESSES)
 
 
 def test_fault_target_must_be_requested():
