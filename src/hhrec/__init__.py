@@ -8,7 +8,6 @@ closed-form identities are verified with zero tolerance.
 """
 
 from .closed_form import (
-    ChebyshevPoint,
     ClosedFormCoeffs,
     chebyshev_tu,
     eval_closed_form,
@@ -46,8 +45,8 @@ from .invariants import (
     wronskian4_det,
 )
 from .laurent import LaurentPolynomial, RationalFunction, format_laurent, parse_laurent
-from .matrix import Matrix, det_bareiss, matrix_det
-from .rational import Rational, format_rational, parse_rational
+from .matrix import det_bareiss, matrix_det
+from .rational import format_rational, parse_rational
 from .verifier import (
     TrialConfig,
     VerificationReport,

@@ -159,8 +159,11 @@ def cmd_verify(args) -> int:
     report = run_campaign(cfg)
     sys.stdout.write(report.render_table())
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
     return EXIT_OK if not report.failures else EXIT_CHECK_FAILED
 
 
@@ -173,7 +176,7 @@ def cmd_closed_form(args) -> int:
     if args.coeffs:
         print(json.dumps(coeffs.to_json_dict(), indent=2))
     else:
-        t = coeffs.point.t
+        t = coeffs.t
         height = t.numerator.bit_length() + t.denominator.bit_length()
         estimate = abs(args.eval // (2 * k)) * height
         if estimate > EVAL_BIT_BUDGET:
@@ -219,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "of linearizable rational recurrences.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_args(p, init_required=True):
+    def add_spec_args(p):
         p.add_argument("--k", type=int, required=True, help="order parameter (order is 2k+1)")
         p.add_argument("--a", default="1", help="nonzero rational coefficient, p/q form")
         p.add_argument("--init", default=None,

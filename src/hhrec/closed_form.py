@@ -61,28 +61,13 @@ def _mat2_mul(a, b):
 
 
 @dataclass(frozen=True)
-class ChebyshevPoint:
-    """The evaluation point t = (K-1)/2 together with K itself."""
-
-    t: Fraction
-    K: Fraction
-
-    @classmethod
-    def from_k(cls, K: Fraction) -> "ChebyshevPoint":
-        K = Fraction(K)
-        return cls((K - 1) / 2, K)
-
-    @property
-    def degenerate(self) -> bool:
-        return self.t in (Fraction(0), Fraction(1))
-
-
-@dataclass(frozen=True)
 class ClosedFormCoeffs:
-    """The 2k coefficient triples (q_j, r_j, s_j), indexed by j = n mod 2k."""
+    """The 2k coefficient triples (q_j, r_j, s_j), indexed by j = n mod 2k,
+    with K and the evaluation point t = (K-1)/2."""
 
     k: int
-    point: ChebyshevPoint
+    K: Fraction
+    t: Fraction
     q: tuple
     r: tuple
     s: tuple
@@ -90,8 +75,8 @@ class ClosedFormCoeffs:
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "K": format_rational(self.point.K),
-            "t": format_rational(self.point.t),
+            "K": format_rational(self.K),
+            "t": format_rational(self.t),
             "triples": [
                 {"j": j, "q": format_rational(self.q[j]),
                  "r": format_rational(self.r[j]), "s": format_rational(self.s[j])}
@@ -110,10 +95,10 @@ def extract_coeffs(w: SequenceWindow, K: Fraction) -> ClosedFormCoeffs:
     if not w.covers(-2 * k, 4 * k - 1):
         raise IndexError(f"coefficient extraction needs [{-2 * k}, {4 * k - 1}] "
                          f"inside [{w.lo}, {w.hi}]")
-    point = ChebyshevPoint.from_k(K)
-    if point.degenerate:
-        raise DegenerateTError(f"t = {point.t} makes the extraction matrix singular (K = {point.K})")
-    t = point.t
+    K = Fraction(K)
+    t = (K - 1) / 2
+    if t in (0, 1):
+        raise DegenerateTError(f"t = {t} makes the extraction matrix singular (K = {K})")
     pref = 1 / (2 * t * (1 - t))
     qs, rs, ss = [], [], []
     for j in range(2 * k):
@@ -121,7 +106,7 @@ def extract_coeffs(w: SequenceWindow, K: Fraction) -> ClosedFormCoeffs:
         qs.append(pref * (t * hi_v - 2 * t * t * mid_v + t * lo_v))
         rs.append(pref * (-hi_v + 2 * t * mid_v + (1 - 2 * t) * lo_v))
         ss.append(pref * ((1 - t) * hi_v + (t - 1) * lo_v))
-    return ClosedFormCoeffs(k, point, tuple(qs), tuple(rs), tuple(ss))
+    return ClosedFormCoeffs(k, K, t, tuple(qs), tuple(rs), tuple(ss))
 
 
 def eval_closed_form(c: ClosedFormCoeffs, n: int) -> Fraction:
@@ -133,5 +118,5 @@ def eval_closed_form(c: ClosedFormCoeffs, n: int) -> Fraction:
     period = 2 * c.k
     j = n % period
     m = n // period
-    tm, um = chebyshev_tu(c.point.t, m)
+    tm, um = chebyshev_tu(c.t, m)
     return c.q[j] + c.r[j] * tm + c.s[j] * um

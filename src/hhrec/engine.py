@@ -32,11 +32,6 @@ from .laurent import LaurentPolynomial, variables
 from .rational import format_rational, parse_rational, promote
 
 
-def default_symbolic_cap(k: int) -> int:
-    """Default bound on |n| for symbolic windows; term counts grow steeply."""
-    return 6 * k + 6
-
-
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """One instance of the recurrence: order parameter k, coefficient a, seed."""
@@ -110,9 +105,11 @@ class SequenceWindow:
     def indices(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def extend(self, new_lo: int | None = None, new_hi: int | None = None,
-               symbolic_cap: int | None = None) -> "SequenceWindow":
-        """Enlarge to [new_lo, new_hi] by forward and backward steps."""
+    def extend(self, new_lo: int | None = None, new_hi: int | None = None) -> "SequenceWindow":
+        """Enlarge to [new_lo, new_hi] by forward and backward steps.
+
+        Symbolic windows stop at |n| <= 6k + 6: their term counts grow steeply.
+        """
         if self.raw:
             raise ValueError("raw windows are not solutions and cannot be extended")
         new_lo = self.lo if new_lo is None else min(new_lo, self.lo)
@@ -120,11 +117,9 @@ class SequenceWindow:
         spec = self.spec
         k = spec.k
         if spec.symbolic_mode:
-            cap = default_symbolic_cap(k) if symbolic_cap is None else symbolic_cap
+            cap = 6 * k + 6
             if new_lo < -cap or new_hi > cap:
-                raise ValueError(
-                    f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}; "
-                    "pass symbolic_cap to override")
+                raise ValueError(f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}")
         order = spec.order
         fwd = list(self.values)
         for m in range(self.hi + 1, new_hi + 1):
@@ -266,8 +261,7 @@ def parse_sequence(text: str) -> list[tuple[int, Fraction]]:
     if not stripped:
         raise ValueError("empty sequence input")
     if stripped.startswith("["):
-        data = json.loads(stripped)
-        return [(int(item["n"]), parse_rational(str(item["value"]))) for item in data]
+        return [_json_row(item) for item in json.loads(stripped)]
     rows = []
     for line in stripped.splitlines():
         line = line.strip()
@@ -284,6 +278,16 @@ def parse_sequence(text: str) -> list[tuple[int, Fraction]]:
                 raise ValueError(f"cannot parse sequence line: {line!r}")
             rows.append((int(parts[0]), parse_rational(parts[1])))
     return rows
+
+
+def _json_row(item) -> tuple[int, Fraction]:
+    """One ``{"n": ..., "value": ...}`` item of the JSON format as an (n, value) pair."""
+    if not isinstance(item, dict) or "n" not in item or "value" not in item:
+        raise ValueError(f'each sequence item needs "n" and "value": {json.dumps(item)}')
+    n = item["n"]
+    if isinstance(n, bool) or not isinstance(n, (int, str)):
+        raise ValueError(f"index n must be an integer, got {json.dumps(n)}")
+    return int(n), parse_rational(str(item["value"]))
 
 
 def contiguous_values(rows: Sequence[tuple[int, Fraction]]) -> tuple[int, list[Fraction]]:

@@ -35,7 +35,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, RationalFunction
-from .matrix import Matrix, matrix_det, solve_exact
+from .matrix import matrix_det, solve_exact
 
 
 # -- the explicit formula ------------------------------------------------------
@@ -125,16 +125,16 @@ def k_ratio_route(w: SequenceWindow):
 # -- discrete Wronskians -------------------------------------------------------
 
 def _wronskian_block(w: SequenceWindow, n: int, offsets: Sequence[int],
-                     shifts: Sequence[int]) -> Matrix:
-    """The matrix with entry (i, j) = x_{n + offsets[i] + 2k shifts[j]}."""
+                     shifts: Sequence[int]) -> list[list]:
+    """The rows of the matrix with entry (i, j) = x_{n + offsets[i] + 2k shifts[j]}."""
     k = w.spec.k
     _need(w, n + min(offsets) + 2 * k * min(shifts), n + max(offsets) + 2 * k * max(shifts),
           "Wronskian block")
-    return Matrix.from_rows([[w[n + i + 2 * k * j] for j in shifts] for i in offsets])
+    return [[w[n + i + 2 * k * j] for j in shifts] for i in offsets]
 
 
-def wronskian3(w: SequenceWindow, n: int) -> Matrix:
-    """The 3x3 matrix with columns (x_{n+2kj+i}) for j = 0,1,2 and rows i = 0..2."""
+def wronskian3(w: SequenceWindow, n: int) -> list[list]:
+    """The rows of the 3x3 matrix with columns (x_{n+2kj+i}) for j = 0,1,2 and rows i = 0..2."""
     return _wronskian_block(w, n, (0, 1, 2), (0, 1, 2))
 
 
@@ -262,27 +262,21 @@ def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
 class ExplicitIterates:
     """Closed formulas for the 2k iterates on each side of the seed.
 
-    ``forward[j]`` is x_{2k+1+j} for j = 0..2k-1; ``backward[j]`` is x_{-1-j}.
-    The coefficient families are keyed by the absolute sequence index; the
-    quadratic coefficient is zero on the first k steps of either side, where
-    the iterates are still linear in the parameter.
+    ``values[m]`` is x_m for m in [-2k, -1] and [2k+1, 4k].  The coefficient
+    families ``F1`` and ``F2`` are keyed by the absolute sequence index over
+    [-2k, -1] and [2k, 4k]; the quadratic coefficient is zero on the first k
+    steps of either side, where the iterates are still linear in the parameter.
     """
 
     spec: RecurrenceSpec
-    forward: tuple
-    backward: tuple
-    F1_forward: dict
-    F2_forward: dict
-    F1_backward: dict
-    F2_backward: dict
+    values: dict
+    F1: dict
+    F2: dict
 
     def value(self, m: int):
-        k = self.spec.k
-        if 2 * k + 1 <= m <= 4 * k:
-            return self.forward[m - 2 * k - 1]
-        if -2 * k <= m <= -1:
-            return self.backward[-m - 1]
-        raise IndexError(f"explicit formulas cover [-2k, -1] and [2k+1, 4k], not {m}")
+        if m not in self.values:
+            raise IndexError(f"explicit formulas cover [-2k, -1] and [2k+1, 4k], not {m}")
+        return self.values[m]
 
 
 def _coefficient_families(values: Sequence, a):
@@ -325,23 +319,13 @@ def explicit_iterates(spec: RecurrenceSpec) -> ExplicitIterates:
     f1, f2 = _coefficient_families(x, a)
     xr = list(reversed(x))
     g1, g2 = _coefficient_families(xr, a)
-    forward = []
-    for m in range(2 * k + 1, 4 * k + 1):
-        lead = x[m - 2 * k] * x[2 * k] / x[0]
-        forward.append(lead + a * f1[m] + a * a * f2[m])
-    backward = []
-    f1_b, f2_b = {}, {}
+    values = {m: x[m - 2 * k] * x[2 * k] / x[0] + a * f1[m] + a * a * f2[m]
+              for m in range(2 * k + 1, 4 * k + 1)}
     for j in range(1, 2 * k + 1):
+        f1[-j], f2[-j] = g1[2 * k + j], g2[2 * k + j]
         lead = xr[j] * x[0] / x[2 * k]  # x_{2k-j} * x_0 / x_{2k}
-        f1_b[-j] = g1[2 * k + j]
-        f2_b[-j] = g2[2 * k + j]
-        backward.append(lead + a * f1_b[-j] + a * a * f2_b[-j])
-    return ExplicitIterates(
-        spec, tuple(forward), tuple(backward),
-        {m: f1[m] for m in range(2 * k, 4 * k + 1)},
-        {m: f2[m] for m in range(2 * k, 4 * k + 1)},
-        f1_b, f2_b,
-    )
+        values[-j] = lead + a * f1[-j] + a * a * f2[-j]
+    return ExplicitIterates(spec, values, f1, f2)
 
 
 # -- inhomogeneous relations -----------------------------------------------------
@@ -356,20 +340,16 @@ class InhomCoeffs:
     eta: Fraction
 
 
-def nu_invariant(w: SequenceWindow, n: int, K=None):
+def nu_invariant(w: SequenceWindow, n: int, K):
     """nu_n = x_{n+4k} - (K-1) x_{n+2k} + x_n; shifts by 2k leave it fixed."""
     k = w.spec.k
     _need(w, n, n + 4 * k, "nu")
-    if K is None:
-        K = k_formula(w.spec).K
     return w[n + 4 * k] - (K - 1) * w[n + 2 * k] + w[n]
 
 
-def k_prime(w: SequenceWindow, n: int = 0, K=None):
+def k_prime(w: SequenceWindow, n: int, K):
     """K' = nu_n + ... + nu_{n+2k-1}; a conserved quantity."""
     k = w.spec.k
-    if K is None:
-        K = k_formula(w.spec).K
     total = None
     for j in range(2 * k):
         v = nu_invariant(w, n + j, K)
@@ -377,7 +357,7 @@ def k_prime(w: SequenceWindow, n: int = 0, K=None):
     return total
 
 
-def inhom_coeffs(w: SequenceWindow, n: int, K=None) -> InhomCoeffs:
+def inhom_coeffs(w: SequenceWindow, n: int, K) -> InhomCoeffs:
     """nu_n plus (epsilon_n, zeta_n, eta_n) of x_{m+2} + eta x_{m+1} + zeta x_m = epsilon.
 
     The three coefficients solve the 3x3 system over the columns m = n,
@@ -390,7 +370,7 @@ def inhom_coeffs(w: SequenceWindow, n: int, K=None) -> InhomCoeffs:
     nu = nu_invariant(w, n, K)
     a_rows = [[Fraction(1), -w[m], -w[m + 1]] for m in (n, n + 2 * k, n + 4 * k)]
     rhs = [w[m + 2] for m in (n, n + 2 * k, n + 4 * k)]
-    det = matrix_det(Matrix.from_rows(a_rows))
+    det = matrix_det(a_rows)
     if det == 0:
         raise SingularSystemError(f"order-2 relation solve is singular at n={n}")
     sol = solve_exact(a_rows, rhs)
@@ -401,12 +381,10 @@ def inhom_coeffs(w: SequenceWindow, n: int, K=None) -> InhomCoeffs:
 
 # -- linear relation and the operator identity -------------------------------------
 
-def linear_relation_residual(w: SequenceWindow, n: int, K=None):
+def linear_relation_residual(w: SequenceWindow, n: int, K):
     """x_{n+6k} - K (x_{n+4k} - x_{n+2k}) - x_n; identically 0 on solutions."""
     k = w.spec.k
     _need(w, n, n + 6 * k, "linear relation")
-    if K is None:
-        K = k_formula(w.spec).K
     return w[n + 6 * k] - K * (w[n + 4 * k] - w[n + 2 * k]) - w[n]
 
 
@@ -444,12 +422,8 @@ def k_after_phi(spec: RecurrenceSpec) -> LaurentPolynomial:
     """
     if not spec.symbolic_mode:
         raise ValueError("use numeric windows for the numeric first-integral check")
-    k = spec.k
-    nv = 2 * k + 2
-    shifted = [RationalFunction.lift(v, nv) for v in phi(spec.init, spec.a, k)]
-    a = RationalFunction.lift(spec.a, nv)
-    shifted_k = k_breakdown(shifted, a).K
-    return shifted_k.as_laurent()
+    shifted = [RationalFunction(v) for v in phi(spec.init, spec.a, spec.k)]
+    return k_breakdown(shifted, RationalFunction(spec.a)).K.as_laurent()
 
 
 def first_integral_proof_residuals(spec: RecurrenceSpec):
@@ -463,10 +437,7 @@ def first_integral_proof_residuals(spec: RecurrenceSpec):
     x = list(spec.init)
     ex = explicit_iterates(spec)
     kb = k_formula(spec)
-    f1 = dict(ex.F1_forward)
-    f1.update(ex.F1_backward)
-    f2 = dict(ex.F2_forward)
-    f2.update(ex.F2_backward)
+    f1, f2 = ex.F1, ex.F2
     s_mid = x[k] + x[k + 1]
     i1 = (s_mid * (x[2 * k] / x[0] - kb.P0)
           + (x[1] * x[2 * k] / x[0]) * f1[-2 * k]
@@ -488,6 +459,6 @@ def p_vs_iterates_residuals(spec: RecurrenceSpec):
     ex = explicit_iterates(spec)
     kb = k_formula(spec)
     gap = x[2 * k] - x[0]
-    r1 = gap * kb.P1 - (ex.F1_forward[4 * k] - ex.F1_backward[-2 * k])
-    r2 = gap * kb.P2 - (ex.F2_forward[4 * k] - ex.F2_backward[-2 * k])
+    r1 = gap * kb.P1 - (ex.F1[4 * k] - ex.F1[-2 * k])
+    r2 = gap * kb.P2 - (ex.F2[4 * k] - ex.F2[-2 * k])
     return r1, r2

@@ -22,7 +22,7 @@ iterates stay far inside it: they have total degree 1 (the recurrence is
 homogeneous of degree 1 in the x-variables and ``a``), and their largest
 exponent grows at most about linearly in |n|: 12 over the whole default window
 [-12, 12] at k = 1, 8 over [-14, 18] at k = 2, 6 over [-8, 22] at k = 3.  So no
-window under the default symbolic caps (|n| <= 6k + 6) for k <= 6 comes near
+window under the symbolic cap (|n| <= 6k + 6) for k <= 6 comes near
 the bound.  The public API speaks exponent tuples: the constructor takes
 tuple-keyed maps, and ``terms()`` and ``sorted_terms()`` decode.
 
@@ -171,18 +171,10 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars)
-
-    @classmethod
     def constant(cls, nvars: int, value: int) -> "LaurentPolynomial":
         if value == 0:
             return cls(nvars)
         return cls(nvars, {(0,) * nvars: int(value)})
-
-    @classmethod
-    def one(cls, nvars: int) -> "LaurentPolynomial":
-        return cls.constant(nvars, 1)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "LaurentPolynomial":
@@ -191,10 +183,6 @@ class LaurentPolynomial:
         exp = [0] * nvars
         exp[index] = 1
         return cls(nvars, {tuple(exp): 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, exp: Sequence[int], coeff: int = 1) -> "LaurentPolynomial":
-        return cls(nvars, {tuple(exp): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -210,12 +198,6 @@ class LaurentPolynomial:
         """Terms in descending canonical order (leading term first)."""
         keys = sorted(self._terms, reverse=True)
         return list(zip(_unpack_all(keys, self.nvars), map(self._terms.__getitem__, keys)))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -279,7 +261,7 @@ class LaurentPolynomial:
         if other is None:
             return NotImplemented
         if not self._terms or not other._terms:
-            return LaurentPolynomial.zero(self.nvars)
+            return LaurentPolynomial(self.nvars)
         # iterate the smaller operand on the outside
         a, b = self._terms, other._terms
         if len(a) > len(b):
@@ -303,8 +285,8 @@ class LaurentPolynomial:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return LaurentPolynomial.one(self.nvars).exact_div(self) ** (-n)
-        result = LaurentPolynomial.one(self.nvars)
+            return LaurentPolynomial.constant(self.nvars, 1).exact_div(self) ** (-n)
+        result = LaurentPolynomial.constant(self.nvars, 1)
         base = self
         while n:
             if n & 1:
@@ -340,11 +322,11 @@ class LaurentPolynomial:
         divisor = self._coerce(divisor)
         if divisor is None:
             raise TypeError("divisor must be a LaurentPolynomial or int")
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPolynomial.zero(self.nvars)
-        if divisor.is_monomial():
+        if not self:
+            return LaurentPolynomial(self.nvars)
+        if len(divisor) == 1:
             (dkey, dcoeff), = divisor._terms.items()
             half = 1 << (_FIELD_BITS - 1)
             out: dict[int, int] = {}
@@ -467,7 +449,7 @@ def format_laurent(p: LaurentPolynomial) -> str:
     Zero exponents are omitted, exponent 1 is rendered as the bare variable,
     and a unit coefficient is omitted unless the monomial is empty.
     """
-    if p.is_zero():
+    if not p:
         return "0"
     chunks: list[str] = []
     for i, (exp, coeff) in enumerate(p.sorted_terms()):
@@ -591,24 +573,16 @@ class RationalFunction:
     def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial | int = 1):
         if isinstance(den, int):
             den = LaurentPolynomial.constant(num.nvars, den)
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.nvars != den.nvars:
             raise ValueError("variable-count mismatch")
-        if not num.is_zero():
+        if num:
             num, den = _reduce_pair(num, den)
         else:
-            den = LaurentPolynomial.one(num.nvars)
+            den = LaurentPolynomial.constant(num.nvars, 1)
         self.num = num
         self.den = den
-
-    @classmethod
-    def lift(cls, p: "LaurentPolynomial | RationalFunction | int", nvars: int) -> "RationalFunction":
-        if isinstance(p, RationalFunction):
-            return p
-        if isinstance(p, int):
-            p = LaurentPolynomial.constant(nvars, p)
-        return cls(p)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -620,8 +594,10 @@ class RationalFunction:
     def _coerce(self, other) -> "RationalFunction | None":
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (LaurentPolynomial, int)):
-            return RationalFunction.lift(other, self.num.nvars)
+        if isinstance(other, int):
+            other = LaurentPolynomial.constant(self.num.nvars, other)
+        if isinstance(other, LaurentPolynomial):
+            return RationalFunction(other)
         return None
 
     def __eq__(self, other) -> bool:
@@ -678,7 +654,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.num.is_zero():
+        if not other.num:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
@@ -702,7 +678,7 @@ def _reduce_pair(num: LaurentPolynomial, den: LaurentPolynomial):
     # operands (the parameter's exponents are never negative)
     common = [min(a, b) for a, b in zip(_exponent_box(num)[0], _exponent_box(den)[0])]
     if any(common):
-        shift = LaurentPolynomial.monomial(nv, common)
+        shift = LaurentPolynomial(nv, {tuple(common): 1})
         num = num.exact_div(shift)
         den = den.exact_div(shift)
     # integer content
@@ -714,10 +690,10 @@ def _reduce_pair(num: LaurentPolynomial, den: LaurentPolynomial):
     if g > 1:
         num = num.exact_div(g)
         den = den.exact_div(g)
-    if den.is_monomial() or len(den) <= len(num):
+    if len(den) <= len(num):
         try:
             num = num.exact_div(den)
-            den = LaurentPolynomial.one(nv)
+            den = LaurentPolynomial.constant(nv, 1)
         except NotExactError:
             pass
     return num, den

@@ -1,8 +1,8 @@
-"""Small exact matrices and determinant kernels.
+"""Determinants of small exact square matrices, given as lists of rows.
 
 Entries are any exact scalar with ring arithmetic, exact ``/`` and a
 ``bool()`` zero test (Fraction, LaurentPolynomial or RationalFunction); plain
-ints are promoted to Fraction on construction.
+ints are promoted to Fraction, since int / int is a float.
 Three independent determinant routines are provided:
 
 * Bareiss fraction-free elimination -- the production route behind
@@ -18,7 +18,6 @@ route against them, and no production code calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,49 +28,24 @@ class ZeroMinorError(Exception):
     """Dodgson condensation hit a zero interior minor; use another algorithm."""
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable row-major matrix of exact scalars."""
+def _square_rows(rows: Sequence[Sequence]) -> list[list]:
+    """A fresh copy of a square matrix's rows, plain ints promoted to Fraction.
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entries length must equal rows*cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(promote(v) for r in rows for v in r))
-
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list]:
-        return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    Refuses an empty, ragged or non-square input with ValueError.
+    """
+    n = len(rows)
+    if n == 0:
+        raise ValueError("determinant of an empty matrix")
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise ValueError("ragged rows")
+    if widths != {n}:
+        raise ValueError(f"determinant of a non-square {n}x{widths.pop()} matrix")
+    return [[promote(v) for v in r] for r in rows]
 
 
-def _require_square(m: Matrix) -> int:
-    if not m.is_square:
-        raise ValueError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
-    return m.rows
-
-
-def det_cofactor(m: Matrix):
+def det_cofactor(rows: Sequence[Sequence]):
     """Determinant by cofactor expansion along the first row (oracle)."""
-    n = _require_square(m)
-    rows = m.to_rows()
 
     def rec(rs):
         size = len(rs)
@@ -88,15 +62,13 @@ def det_cofactor(m: Matrix):
             total = term if total is None else total + term
         return total
 
-    return rec(rows)
+    return rec(_square_rows(rows))
 
 
-def det_bareiss(m: Matrix):
+def det_bareiss(rows: Sequence[Sequence]):
     """Fraction-free Gaussian elimination; divisions are exact in the ring."""
-    n = _require_square(m)
-    if n == 1:
-        return m.at(0, 0)
-    a = m.to_rows()
+    a = _square_rows(rows)
+    n = len(a)
     sign = 1
     prev = None  # pivot of the previous stage
     for k in range(n - 1):
@@ -107,8 +79,7 @@ def det_bareiss(m: Matrix):
                     sign = -sign
                     break
             else:
-                zero = m.at(0, 0) - m.at(0, 0)
-                return zero
+                return a[k][k]  # a zero column: the determinant is this zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
@@ -120,13 +91,10 @@ def det_bareiss(m: Matrix):
     return -det if sign < 0 else det
 
 
-def det_dodgson(m: Matrix):
+def det_dodgson(rows: Sequence[Sequence]):
     """Determinant by condensation; raises ZeroMinorError on a zero interior."""
-    n = _require_square(m)
-    if n == 1:
-        return m.at(0, 0)
-    outer = m.to_rows()
-    inner = _condense(outer, None)
+    outer = _square_rows(rows)
+    inner = outer if len(outer) == 1 else _condense(outer, None)
     while len(inner) > 1:
         interior = [row[1:-1] for row in outer[1:-1]]
         nxt = _condense(inner, interior)
@@ -151,9 +119,9 @@ def _condense(a, divisors):
     return out
 
 
-def matrix_det(m: Matrix):
-    """Exact determinant by Bareiss elimination, the one production route."""
-    return det_bareiss(m)
+def matrix_det(rows: Sequence[Sequence]):
+    """Exact determinant of a square list of rows, by Bareiss elimination."""
+    return det_bareiss(rows)
 
 
 def solve_exact(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:

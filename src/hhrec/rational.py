@@ -1,6 +1,6 @@
 """Exact rational scalars.
 
-``Rational`` is the standard library ``fractions.Fraction``: arbitrary
+Rationals are the standard library ``fractions.Fraction``: arbitrary
 precision, always stored with positive denominator and gcd(|num|, den) = 1,
 with decidable equality.  This module adds the canonical text form used by
 the CLI and all JSON output: ``p/q``, or just ``p`` when q = 1.
@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -47,7 +45,3 @@ def format_rational(value: Fraction) -> str:
         # the parsing of outside input; Decimal converts ints exactly
         num = str(Decimal(value.numerator))
         return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
-
-
-def is_integer(value: Fraction) -> bool:
-    return Fraction(value).denominator == 1

@@ -288,9 +288,7 @@ def _xi_sweep(w: SequenceWindow, what: str) -> CheckResult:
 
 def _explicit_sweep(w: SequenceWindow, ex: inv.ExplicitIterates, what: str) -> CheckResult:
     """The closed formulas equal the iterates on [-2k, -1] and [2k+1, 4k]."""
-    k = ex.spec.k
-    return _sweep([*range(-2 * k, 0), *range(2 * k + 1, 4 * k + 1)],
-                  lambda m: ex.value(m) - w[m], what)
+    return _sweep(sorted(ex.values), lambda m: ex.values[m] - w[m], what)
 
 
 # each check: fn(ctx) -> CheckResult; DegenerateInputError triggers a resample
@@ -463,13 +461,11 @@ def _check_sym_explicit(ctx: TrialContext) -> CheckResult:
     sweep = _explicit_sweep(w, ex, "closed formula == symbolic iterate")
     if not sweep.ok:
         return sweep
-    if ex.F1_forward[2 * k]:
-        return CheckResult(False, _wit(2 * k, "first linear coefficient is zero",
-                                       ex.F1_forward[2 * k]))
+    if ex.F1[2 * k]:
+        return CheckResult(False, _wit(2 * k, "first linear coefficient is zero", ex.F1[2 * k]))
     for j in range(1, 2 * k + 1):
-        for name, back, fwd in (("linear", ex.F1_backward, ex.F1_forward),
-                                ("quadratic", ex.F2_backward, ex.F2_forward)):
-            r = back[-j] - fwd[2 * k + j].sigma_pullback()
+        for name, family in (("linear", ex.F1), ("quadratic", ex.F2)):
+            r = family[-j] - family[2 * k + j].sigma_pullback()
             if r:
                 return CheckResult(False, _wit(-j, f"backward {name} coeff is the reversal image", r))
     return CheckResult(True)
@@ -490,7 +486,7 @@ def _check_sym_k_ratio(ctx: TrialContext) -> CheckResult:
 def _check_sym_proof_identities(ctx: TrialContext) -> CheckResult:
     i1, i2, i3 = inv.first_integral_proof_residuals(ctx.spec)
     for order, r in ((1, i1), (2, i2), (3, i3)):
-        if not r.is_zero():
+        if r:
             return CheckResult(False, {"identity": f"conservation proof identity at order {order}"})
     return CheckResult(True)
 
@@ -507,7 +503,7 @@ def _check_sym_reversal_covariance(ctx: TrialContext) -> CheckResult:
 def _check_sym_p_from_iterates(ctx: TrialContext) -> CheckResult:
     r1, r2 = inv.p_vs_iterates_residuals(ctx.spec)
     for j, r in ((1, r1), (2, r2)):
-        if not r.is_zero():
+        if r:
             return CheckResult(False, {"identity": f"(x_2k - x_0) P{j} == F{j}[4k] - F{j}[-2k]"})
     return CheckResult(True)
 

@@ -173,6 +173,12 @@ def test_verify_json_report(run, tmp_path):
     assert data["summary"]["fail"] == 0 and data["summary"]["total"] == 4
 
 
+def test_verify_json_unwritable_path_exits_2(run, tmp_path):
+    code, _, err = run("verify", "--k", "1", "--trials", "1", "--checks", "k_ratio",
+                       "--json", str(tmp_path))
+    assert code == 2 and err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_verify_symbolic_cap(run):
     code, _, err = run("verify", "--k", "3", "--symbolic", "--trials", "1")
     assert code == 2 and "capped" in err
@@ -262,6 +268,22 @@ def test_detect_too_short_exits_2(run, tmp_path):
     path.write_text("0 1\n1 2\n2 3\n")
     code, _, err = run("detect", "--input", str(path), "--max-order", "4")
     assert code == 2
+
+
+# four items, enough for --max-order 1, so only the malformed item can refuse them
+@pytest.mark.parametrize("bad, message", [
+    (7, '"n" and "value"'),
+    ({"x": 1, "value": "1"}, '"n" and "value"'),
+    ({"n": 3}, '"n" and "value"'),
+    ({"n": 3.5, "value": "1"}, "must be an integer, got 3.5"),
+    ({"n": True, "value": "1"}, "must be an integer, got true"),
+], ids=["non-object", "missing-n", "missing-value", "float-n", "bool-n"])
+def test_detect_malformed_json_item_exits_2(run, tmp_path, bad, message):
+    items = [{"n": n, "value": "1"} for n in range(3)] + [bad]
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(items))
+    code, out, err = run("detect", "--input", str(path), "--max-order", "1")
+    assert (code, out) == (2, "") and err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("max_order", ["0", "-3"])

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from hhrec.closed_form import (
-    ChebyshevPoint,
     chebyshev_tu,
     eval_closed_form,
     extract_coeffs,
@@ -81,7 +80,7 @@ def test_chebyshev_power_matches_three_term_recurrence(t):
 def test_extraction_golden_triple():
     w = ones_window(1, -2, 4)
     c = extract_coeffs(w, k_formula(w.spec).K)
-    assert c.point.t == Fraction(13, 2)
+    assert (c.K, c.t) == (Fraction(14), Fraction(13, 2))
     assert (c.q[0], c.r[0], c.s[0]) == (Fraction(5, 11), Fraction(144, 143), Fraction(-66, 143))
 
 
@@ -112,7 +111,6 @@ def test_degenerate_t():
         extract_coeffs(w, Fraction(3))  # t = 1
     with pytest.raises(DegenerateTError):
         extract_coeffs(w, Fraction(1))  # t = 0
-    assert ChebyshevPoint.from_k(Fraction(3)).degenerate
 
 
 def test_extraction_needs_window_coverage():

@@ -246,7 +246,7 @@ def test_symbolic_extension_no_laurent_violation(k):
     spec = RecurrenceSpec.symbolic(k)
     w = spec.window().extend(-2 * k, 4 * k)  # never raises LaurentViolationError
     for n in range(w.lo, w.hi - 2 * k):
-        assert xi_residual(w, n).is_zero()
+        assert not xi_residual(w, n)
     for n in w.indices():
         assert all(isinstance(c, int) for c in w[n].terms().values())
 
@@ -259,12 +259,11 @@ def test_symbolic_matches_numeric_substitution():
         assert sw[n].substitute(point) == nw[n]
 
 
-def test_symbolic_cap_enforced_and_overridable():
+def test_symbolic_window_cap_enforced():
     spec = RecurrenceSpec.symbolic(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"exceeds cap \|n\| <= 12$"):
         spec.window().extend(new_hi=13)
-    w = spec.window().extend(new_hi=13, symbolic_cap=13)
-    assert w.hi == 13
+    assert spec.window().extend(-12, 12).hi == 12
 
 
 # -- export formats --------------------------------------------------------------

@@ -214,14 +214,25 @@ def test_explicit_iterates_symbolic_all_positions(k):
 def test_explicit_backward_coeffs_are_reversal_images(k):
     ex = explicit_iterates(RecurrenceSpec.symbolic(k))
     for j in range(1, 2 * k + 1):
-        assert ex.F1_backward[-j] == ex.F1_forward[2 * k + j].sigma_pullback()
-        assert ex.F2_backward[-j] == ex.F2_forward[2 * k + j].sigma_pullback()
+        assert ex.F1[-j] == ex.F1[2 * k + j].sigma_pullback()
+        assert ex.F2[-j] == ex.F2[2 * k + j].sigma_pullback()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_explicit_iterates_key_ranges(k):
+    ex = explicit_iterates(RecurrenceSpec.symbolic(k))
+    families = {*range(-2 * k, 0), *range(2 * k, 4 * k + 1)}
+    assert set(ex.F1) == set(ex.F2) == families
+    assert set(ex.values) == families - {2 * k}
+    for m in (0, 4 * k + 1):
+        with pytest.raises(IndexError, match=rf"\[2k\+1, 4k\], not {m}$"):
+            ex.value(m)
 
 
 def test_explicit_first_linear_coefficient_vanishes():
     for k in (1, 2, 3):
         ex = explicit_iterates(RecurrenceSpec.symbolic(k))
-        assert ex.F1_forward[2 * k].is_zero()
+        assert not ex.F1[2 * k]
 
 
 def test_explicit_iterates_numeric():
@@ -237,20 +248,22 @@ def test_explicit_iterates_numeric():
 
 def test_nu_goldens():
     w = ones_window(1, 0, 8)
-    assert nu_invariant(w, 0) == -5
-    assert nu_invariant(w, 1) == -7
-    assert nu_invariant(w, 2) == -5
+    K = k_formula(w.spec).K
+    assert nu_invariant(w, 0, K) == -5
+    assert nu_invariant(w, 1, K) == -7
+    assert nu_invariant(w, 2, K) == -5
 
 
 def test_k_prime_golden_and_shift_invariance():
     w = ones_window(1, 0, 9)
-    assert k_prime(w, 0) == -12
-    assert k_prime(w, 1) == -12
+    K = k_formula(w.spec).K
+    assert k_prime(w, 0, K) == -12
+    assert k_prime(w, 1, K) == -12
 
 
 def test_inhom_relation_defining_property():
     w = ones_window(1, 0, 8)
-    c = inhom_coeffs(w, 0)
+    c = inhom_coeffs(w, 0, k_formula(w.spec).K)
     assert w[2] + c.eta * w[1] + c.zeta * w[0] - c.epsilon == 0
     # the fourth bordered column obeys the same relation
     assert w[8] + c.eta * w[7] + c.zeta * w[6] - c.epsilon == 0
@@ -260,7 +273,8 @@ def test_inhom_coeffs_2k_invariant():
     rng = SplitMix64(4242)
     spec = rand_spec(2, rng)
     w = spec.window().extend(-2, 16)
-    c0, c4 = inhom_coeffs(w, 0), inhom_coeffs(w, 4)
+    K = k_formula(spec).K
+    c0, c4 = inhom_coeffs(w, 0, K), inhom_coeffs(w, 4, K)
     assert (c0.epsilon, c0.zeta, c0.eta) == (c4.epsilon, c4.zeta, c4.eta)
     assert c0.nu == c4.nu
 
@@ -322,7 +336,7 @@ def test_operator_identity_in_the_free_ring(k):
     a = gens[-1]
     spec = RecurrenceSpec(k, a, tuple(gens[: 2 * k + 1]))
     w = raw_window(spec, 0, gens[: 8 * k + 2])
-    assert operator_identity_residual(w, a + 1, 0).is_zero()
+    assert not operator_identity_residual(w, a + 1, 0)
 
 
 # -- symbolic conservation ------------------------------------------------------------------
@@ -336,13 +350,13 @@ def test_first_integral_symbolic(k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_proof_identities_vanish(k):
     i1, i2, i3 = first_integral_proof_residuals(RecurrenceSpec.symbolic(k))
-    assert i1.is_zero() and i2.is_zero() and i3.is_zero()
+    assert not i1 and not i2 and not i3
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_p_pieces_from_iterates(k):
     r1, r2 = p_vs_iterates_residuals(RecurrenceSpec.symbolic(k))
-    assert r1.is_zero() and r2.is_zero()
+    assert not r1 and not r2
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -383,7 +397,7 @@ def test_symbolic_identities_at_k3():
     # (these identities use only the closed iterate formulas, not iteration)
     spec = RecurrenceSpec.symbolic(3)
     r1, r2 = p_vs_iterates_residuals(spec)
-    assert r1.is_zero() and r2.is_zero()
+    assert not r1 and not r2
     i1, i2, i3 = first_integral_proof_residuals(spec)
-    assert i1.is_zero() and i2.is_zero() and i3.is_zero()
+    assert not i1 and not i2 and not i3
     assert k_after_phi(spec) == k_formula(spec).K

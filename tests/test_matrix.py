@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from hhrec.laurent import variables
 from hhrec.matrix import (
-    Matrix,
     ZeroMinorError,
     det_bareiss,
     det_cofactor,
@@ -23,16 +22,16 @@ def rationals():
 
 def square(n):
     return st.lists(st.lists(rationals(), min_size=n, max_size=n),
-                    min_size=n, max_size=n).map(Matrix.from_rows)
+                    min_size=n, max_size=n)
 
 
 def test_all_ones_3x3_is_singular():
-    assert matrix_det(Matrix.from_rows([[1] * 3] * 3)) == 0
+    assert matrix_det([[1] * 3] * 3) == 0
 
 
 def test_wronskian_golden_value():
     # rows of the 3x3 discrete Wronskian at the all-ones seed (k = 1, a = 1)
-    m = Matrix.from_rows([(1, 1, 7), (1, 3, 31), (1, 7, 85)])
+    m = [(1, 1, 7), (1, 3, 31), (1, 7, 85)]
     assert det_cofactor(m) == det_bareiss(m) == det_dodgson(m) == matrix_det(m) == 12
 
 
@@ -45,12 +44,17 @@ def test_4x4_wronskian_vanishes_on_solution_window():
 
 def test_non_square_rejected():
     with pytest.raises(ValueError):
-        matrix_det(Matrix.from_rows([(1, 2, 3), (4, 5, 6)]))
+        matrix_det([(1, 2, 3), (4, 5, 6)])
 
 
-def test_entry_count_validated():
-    with pytest.raises(ValueError):
-        Matrix(2, 2, (1, 2, 3))
+@pytest.mark.parametrize("rows, message", [
+    ([(1, 2), (3,)], "ragged rows"),
+    ([], "empty matrix"),
+], ids=["ragged", "empty"])
+def test_ragged_and_empty_rows_rejected(rows, message):
+    for det in (matrix_det, det_cofactor, det_dodgson):
+        with pytest.raises(ValueError, match=message):
+            det(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -80,7 +84,7 @@ def test_algorithms_agree_4x4(m):
 def test_dodgson_zero_interior_raises():
     # interior entry is 0, so condensation cannot divide; Bareiss needs no
     # interior minor and still matches the oracle
-    m = Matrix.from_rows([(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 0, 12), (13, 14, 15, 17)])
+    m = [(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 0, 12), (13, 14, 15, 17)]
     with pytest.raises(ZeroMinorError):
         det_dodgson(m)
     assert matrix_det(m) == det_cofactor(m)
@@ -94,18 +98,17 @@ def test_dodgson_zero_interior_raises():
     ([(0, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13, 14, 15, 17)], 4),
 ])
 def test_small_sizes_and_zero_leading_pivot(rows, expected):
-    m = Matrix.from_rows(rows)
-    assert matrix_det(m) == det_cofactor(m) == expected
+    assert matrix_det(rows) == det_cofactor(rows) == expected
 
 
 def test_symbolic_determinant():
     from hhrec.engine import RecurrenceSpec
     x0, x1, x2, a = variables(4)
-    m = Matrix.from_rows([
+    m = [
         [x0, x1, x2],
         [x1, x2, x0],
         [x2, x0, x1],
-    ])
+    ]
     expected = det_cofactor(m)
     assert det_bareiss(m) == expected
     assert det_dodgson(m) == expected
@@ -113,13 +116,13 @@ def test_symbolic_determinant():
     w = RecurrenceSpec.symbolic(1).window().extend(-2, 8)
     for n in (-2, -1):
         for size in (3, 4):
-            m = Matrix.from_rows([[w[n + i + 2 * j] for j in range(size)] for i in range(size)])
+            m = [[w[n + i + 2 * j] for j in range(size)] for i in range(size)]
             assert matrix_det(m) == det_cofactor(m)
 
 
 def test_singular_bareiss_zero_column():
     z = Fraction(0)
-    m = Matrix.from_rows([(z, 1, 2), (z, 3, 4), (z, 5, 6)])
+    m = [(z, 1, 2), (z, 3, 4), (z, 5, 6)]
     assert det_bareiss(m) == 0 == det_cofactor(m)
 
 

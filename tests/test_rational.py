@@ -2,11 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhrec.rational import Rational, format_rational, is_integer, parse_rational
-
-
-def test_rational_is_fraction():
-    assert Rational is Fraction
+from hhrec.rational import format_rational, parse_rational
 
 
 @pytest.mark.parametrize("text,value", [
@@ -45,11 +41,6 @@ def test_canonical_form_after_operations():
         assert v.denominator > 0
         from math import gcd
         assert gcd(abs(v.numerator), v.denominator) == 1
-
-
-def test_is_integer():
-    assert is_integer(Fraction(8, 4))
-    assert not is_integer(Fraction(1, 3))
 
 
 def test_equality_agrees_with_cross_multiplication():
