@@ -12,6 +12,7 @@ All numbers in JSON output are canonical rational strings, never floats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -156,14 +157,16 @@ def cmd_verify(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = run_campaign(cfg)
-    sys.stdout.write(report.render_table())
-    if args.json:
-        try:
-            with open(args.json, "w") as fh:
-                fh.write(report.to_json())
-        except OSError as exc:
-            raise UsageError(str(exc)) from exc
+    try:  # refuse an unwritable path before the campaign runs
+        report_file = open(args.json, "a") if args.json else None
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+    with report_file or contextlib.nullcontext():
+        report = run_campaign(cfg)
+        sys.stdout.write(report.render_table())
+        if report_file:
+            report_file.truncate(0)  # opened to append: an aborted run keeps the old report
+            report_file.write(report.to_json())
     return EXIT_OK if not report.failures else EXIT_CHECK_FAILED
 
 

@@ -170,8 +170,6 @@ def xi_residual(w: SequenceWindow, n: int):
            | x_{n+1}  x_{n+2k+1} |
     """
     k = w.spec.k
-    if not w.covers(n, n + 2 * k + 1):
-        raise IndexError(f"xi_{n} needs [{n}, {n + 2 * k + 1}] inside [{w.lo}, {w.hi}]")
     a = w.spec.a
     return (w[n] * w[n + 2 * k + 1] - w[n + 1] * w[n + 2 * k]
             - a * (w[n + k] + w[n + k + 1]))
@@ -205,15 +203,11 @@ def phi_inverse(point: Sequence, a, k: int) -> tuple:
     return (_step(point[::-1], promote(a), 2 * k, -1),) + point[:2 * k]
 
 
-def sigma_point(point: Sequence) -> tuple:
-    return tuple(reversed(point))
-
-
 def check_reversibility(spec: RecurrenceSpec) -> bool:
     """Exact test of the conjugacy: the map equals sigma o inverse o sigma."""
     p = spec.init
     lhs = phi(p, spec.a, spec.k)
-    rhs = sigma_point(phi_inverse(sigma_point(p), spec.a, spec.k))
+    rhs = phi_inverse(p[::-1], spec.a, spec.k)[::-1]
     return all(l == r for l, r in zip(lhs, rhs))
 
 
@@ -229,8 +223,6 @@ def format_value(v) -> str:
 def window_rows(w: SequenceWindow, lo: int | None = None, hi: int | None = None) -> list[tuple[int, object]]:
     lo = w.lo if lo is None else lo
     hi = w.hi if hi is None else hi
-    if not w.covers(lo, hi):
-        raise IndexError(f"[{lo}, {hi}] outside window [{w.lo}, {w.hi}]")
     return [(n, w[n]) for n in range(lo, hi + 1)]
 
 

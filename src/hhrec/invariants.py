@@ -88,12 +88,6 @@ def k_formula(spec: RecurrenceSpec) -> KBreakdown:
     return k_breakdown(spec.init, spec.a)
 
 
-def _need(w: SequenceWindow, lo: int, hi: int, what: str) -> None:
-    """Raise IndexError unless the window covers [lo, hi]."""
-    if not w.covers(lo, hi):
-        raise IndexError(f"{what} needs [{lo}, {hi}] inside [{w.lo}, {w.hi}]")
-
-
 # -- the ratio route -----------------------------------------------------------
 
 def k_ratio(w: SequenceWindow, base: int = 0):
@@ -104,7 +98,6 @@ def k_ratio(w: SequenceWindow, base: int = 0):
     vanishes (e.g. the all-ones seed at base 0).
     """
     k = w.spec.k
-    _need(w, base - 2 * k, base + 4 * k, "ratio")
     den = w[base + 2 * k] - w[base]
     num = w[base + 4 * k] - w[base - 2 * k]
     if not den:
@@ -128,8 +121,6 @@ def _wronskian_block(w: SequenceWindow, n: int, offsets: Sequence[int],
                      shifts: Sequence[int]) -> list[list]:
     """The rows of the matrix with entry (i, j) = x_{n + offsets[i] + 2k shifts[j]}."""
     k = w.spec.k
-    _need(w, n + min(offsets) + 2 * k * min(shifts), n + max(offsets) + 2 * k * max(shifts),
-          "Wronskian block")
     return [[w[n + i + 2 * k * j] for j in shifts] for i in offsets]
 
 
@@ -244,13 +235,10 @@ def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
                 [1, 0, 0],
                 [0, 1, 0]]
 
-    fwd = None
+    fwd = inv = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for m in range(start, start + 2 * k):
-        fwd = companion(m) if fwd is None else _mat3_mul(companion(m), fwd)
-    inv = None
-    for m in range(start, start + 2 * k):
-        step = companion_inv(m)
-        inv = step if inv is None else _mat3_mul(inv, step)
+        fwd = _mat3_mul(companion(m), fwd)
+        inv = _mat3_mul(inv, companion_inv(m))
     k1 = fwd[0][0] + fwd[1][1] + fwd[2][2]
     k2 = inv[0][0] + inv[1][1] + inv[2][2]
     return k1, k2
@@ -343,18 +331,12 @@ class InhomCoeffs:
 def nu_invariant(w: SequenceWindow, n: int, K):
     """nu_n = x_{n+4k} - (K-1) x_{n+2k} + x_n; shifts by 2k leave it fixed."""
     k = w.spec.k
-    _need(w, n, n + 4 * k, "nu")
     return w[n + 4 * k] - (K - 1) * w[n + 2 * k] + w[n]
 
 
 def k_prime(w: SequenceWindow, n: int, K):
     """K' = nu_n + ... + nu_{n+2k-1}; a conserved quantity."""
-    k = w.spec.k
-    total = None
-    for j in range(2 * k):
-        v = nu_invariant(w, n + j, K)
-        total = v if total is None else total + v
-    return total
+    return sum(nu_invariant(w, n + j, K) for j in range(2 * w.spec.k))
 
 
 def inhom_coeffs(w: SequenceWindow, n: int, K) -> InhomCoeffs:
@@ -366,7 +348,6 @@ def inhom_coeffs(w: SequenceWindow, n: int, K) -> InhomCoeffs:
     k = w.spec.k
     if w.spec.symbolic_mode:
         raise ValueError("inhomogeneous coefficients are computed in numeric mode only")
-    _need(w, n, n + 4 * k + 2, "inhomogeneous relation")
     nu = nu_invariant(w, n, K)
     a_rows = [[Fraction(1), -w[m], -w[m + 1]] for m in (n, n + 2 * k, n + 4 * k)]
     rhs = [w[m + 2] for m in (n, n + 2 * k, n + 4 * k)]
@@ -384,7 +365,6 @@ def inhom_coeffs(w: SequenceWindow, n: int, K) -> InhomCoeffs:
 def linear_relation_residual(w: SequenceWindow, n: int, K):
     """x_{n+6k} - K (x_{n+4k} - x_{n+2k}) - x_n; identically 0 on solutions."""
     k = w.spec.k
-    _need(w, n, n + 6 * k, "linear relation")
     return w[n + 6 * k] - K * (w[n + 4 * k] - w[n + 2 * k]) - w[n]
 
 
@@ -396,7 +376,6 @@ def operator_identity_residual(w: SequenceWindow, K, n: int):
     operator M_n, for ANY window (solution or not) and any constant K.
     """
     k = w.spec.k
-    _need(w, n, n + 8 * k + 1, "operator identity")
     a = w.spec.a
 
     def y(m):  # (L x)_m

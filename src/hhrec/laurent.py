@@ -164,6 +164,8 @@ class LaurentPolynomial:
                     raise ValueError(f"exponent vector {exp} has wrong length for nvars={nvars}")
                 if exp[-1] < 0:
                     raise ValueError("the parameter variable (last position) is not invertible")
+                if int(coeff) != coeff:
+                    raise ValueError(f"coefficient {coeff!r} is not an integer")
                 clean[_checked_key(exp, nvars)] = int(coeff)
         self.nvars = nvars
         self._terms = clean
@@ -172,9 +174,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "LaurentPolynomial":
-        if value == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: int(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "LaurentPolynomial":
@@ -291,10 +291,9 @@ class LaurentPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     def __truediv__(self, other) -> "LaurentPolynomial":
@@ -471,89 +470,44 @@ def format_laurent(p: LaurentPolynomial) -> str:
     return "".join(chunks)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>a|x\d+)|(?P<op>[*^+-]))")
+# no two whitespace runs are adjacent: a refused text costs linear time
+# instead of exponential backtracking
+_FACTOR = r"(?:\d+|(?:a|x\d+)(?:\s*\^\s*(?:-\s*)?\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_TEXT_RE = re.compile(rf"\s*(?:[+-]\s*)?{_TERM}(?:\s*[+-]\s*{_TERM})*")
+_SIGNED_TERM_RE = re.compile(rf"([+-]?)\s*({_TERM})")
+_FACTOR_RE = re.compile(r"(\d+)|(a|x\d+)(?:\s*\^\s*(?:(-)\s*)?(\d+))?")
 
 
 def parse_laurent(text: str, nvars: int) -> LaurentPolynomial:
-    """Parse the canonical text form (the same grammar ``format_laurent`` emits)."""
-    tokens: list[str | int] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"bad character at position {pos} in {text!r}")
-        if m.group("num") is not None:
-            tokens.append(int(m.group("num")))
-        elif m.group("name") is not None:
-            tokens.append(m.group("name"))
-        else:
-            tokens.append(m.group("op"))
-        pos = m.end()
-    if not tokens:
-        raise ValueError("empty polynomial text")
+    """Parse the text form; the grammar is wider than what ``format_laurent`` emits.
 
+        text   = [+|-] term { (+|-) term }
+        term   = factor { * factor }
+        factor = integer | var [ ^ [-] integer ],   var = a | x<integer>
+
+    Whitespace may precede any token, but none may trail the text.  Integer
+    factors multiply, exponents of a repeated variable add, and equal
+    monomials add.  Raises ValueError on any other text, on an x-index past
+    ``nvars - 2``, and on a term whose total exponent of ``a`` is negative.
+    """
+    if not _TEXT_RE.fullmatch(text):
+        raise ValueError(f"not a Laurent polynomial: {text!r}")
     terms: dict[tuple[int, ...], int] = {}
-    i = 0
-
-    def parse_term(i: int, sign: int) -> int:
-        coeff = sign
+    for sign, term in _SIGNED_TERM_RE.findall(text):
+        coeff = -1 if sign == "-" else 1
         exp = [0] * nvars
-        expect_factor = True
-        saw_factor = False
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok in ("+", "-") and not expect_factor:
-                break
-            if not expect_factor:
-                if tok != "*":
-                    raise ValueError(f"expected '*' or end of term, got {tok!r}")
-                i += 1
-                expect_factor = True
+        for num, name, neg, e in _FACTOR_RE.findall(term):
+            if num:
+                coeff *= int(num)
                 continue
-            if isinstance(tok, int):
-                coeff *= tok
-                i += 1
-            elif isinstance(tok, str) and tok not in ("*", "^", "+", "-"):
-                if tok == "a":
-                    idx = nvars - 1
-                else:
-                    idx = int(tok[1:])
-                    if idx >= nvars - 1:
-                        raise ValueError(f"variable {tok} out of range for nvars={nvars}")
-                e = 1
-                if i + 1 < len(tokens) and tokens[i + 1] == "^":
-                    i += 2
-                    neg = False
-                    if i < len(tokens) and tokens[i] == "-":
-                        neg = True
-                        i += 1
-                    if i >= len(tokens) or not isinstance(tokens[i], int):
-                        raise ValueError("expected integer exponent after '^'")
-                    e = -tokens[i] if neg else tokens[i]
-                i += 1
-                exp[idx] += e
-            else:
-                raise ValueError(f"unexpected token {tok!r}")
-            expect_factor = False
-            saw_factor = True
-        if not saw_factor:
-            raise ValueError("empty term")
-        key = tuple(exp)
-        if key[-1] < 0:
+            idx = nvars - 1 if name == "a" else int(name[1:])
+            if name != "a" and idx >= nvars - 1:
+                raise ValueError(f"variable {name} out of range for nvars={nvars}")
+            exp[idx] += int(neg + e) if e else 1
+        if exp[-1] < 0:
             raise ValueError("the parameter variable cannot have a negative exponent")
-        terms[key] = terms.get(key, 0) + coeff
-        return i
-
-    sign = 1
-    if tokens[0] in ("+", "-"):
-        sign = -1 if tokens[0] == "-" else 1
-        i = 1
-    i = parse_term(i, sign)
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok not in ("+", "-"):
-            raise ValueError(f"expected '+' or '-' between terms, got {tok!r}")
-        i = parse_term(i + 1, -1 if tok == "-" else 1)
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
     return LaurentPolynomial(nvars, terms)
 
 
@@ -615,17 +569,6 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # quasi-lcm: when one denominator divides the other, reuse the larger
-        try:
-            q = other.den.exact_div(self.den)
-            return RationalFunction(self.num * q + other.num, other.den)
-        except NotExactError:
-            pass
-        try:
-            q = self.den.exact_div(other.den)
-            return RationalFunction(self.num + other.num * q, self.den)
-        except NotExactError:
-            pass
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__

@@ -2,7 +2,7 @@
 
 Entries are any exact scalar with ring arithmetic, exact ``/`` and a
 ``bool()`` zero test (Fraction, LaurentPolynomial or RationalFunction); plain
-ints are promoted to Fraction, since int / int is a float.
+ints are promoted to Fraction, since int / int is a float, and floats refused.
 Three independent determinant routines are provided:
 
 * Bareiss fraction-free elimination -- the production route behind

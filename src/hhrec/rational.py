@@ -31,7 +31,9 @@ def parse_rational(text: str) -> Fraction:
 
 
 def promote(value):
-    """A plain int as a Fraction, anything else unchanged: int / int is a float."""
+    """A plain int as a Fraction (int / int is a float); refuses a float with TypeError."""
+    if isinstance(value, float):
+        raise TypeError(f"floats are not exact scalars: {value!r}")
     return Fraction(value) if isinstance(value, int) else value
 
 

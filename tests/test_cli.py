@@ -174,9 +174,10 @@ def test_verify_json_report(run, tmp_path):
 
 
 def test_verify_json_unwritable_path_exits_2(run, tmp_path):
-    code, _, err = run("verify", "--k", "1", "--trials", "1", "--checks", "k_ratio",
-                       "--json", str(tmp_path))
+    code, out, err = run("verify", "--k", "1", "--trials", "1", "--checks", "k_ratio",
+                         "--json", str(tmp_path))
     assert code == 2 and err.startswith("error: ") and str(tmp_path) in err
+    assert out == ""  # refused before the campaign runs
 
 
 def test_verify_symbolic_cap(run):

@@ -23,6 +23,7 @@ from hhrec.errors import (
     ZeroPivotError,
 )
 from hhrec.laurent import variables
+from hhrec.matrix import matrix_det
 from hhrec.verifier import SplitMix64, random_rational
 
 
@@ -160,6 +161,27 @@ def test_int_scalars_never_make_floats():
     for point in (phi((1, 1, 1), 1, 1), phi_inverse((1, 1, 1), 1, 1)):
         assert sorted(point) == [1, 1, 3] and all(type(v) is Fraction for v in point)
     assert type(RecurrenceSpec(1, 2, (1, 1, 1)).a) is Fraction
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RecurrenceSpec(1, 1.5, (1, 1, 1)),
+    lambda: RecurrenceSpec(1, 1, (1, 0.5, 1)),
+    lambda: phi((1, 1, 1), 0.5, 1),
+    lambda: phi((1, 1.0, 1), 1, 1),
+    lambda: phi_inverse((1, 1, 1), 0.5, 1),
+    lambda: phi_inverse((1.0, 1, 1), 1, 1),
+    lambda: raw_window(ones(1), 0, [1, 2.5, 3]),
+    lambda: matrix_det([[1, 2], [3, 4.0]]),
+], ids=["spec_a", "spec_init", "phi_a", "phi_point", "phi_inverse_a", "phi_inverse_point",
+        "raw_window", "matrix_det"])
+def test_floats_are_refused(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_numeric_spec_converts_floats_exactly():
+    spec = RecurrenceSpec.numeric(1, 1.5, (1, 0.25, 1))
+    assert spec.a == Fraction(3, 2) and spec.init[1] == Fraction(1, 4)
 
 
 def _phi_orbit(spec, steps, inverse=False):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hhrec.engine import RecurrenceSpec, raw_window
+from hhrec.closed_form import extract_coeffs
+from hhrec.engine import RecurrenceSpec, SequenceWindow, raw_window, window_rows, xi_residual
 from hhrec.errors import (
     DegenerateDenominatorError,
     SingularDeltaError,
@@ -401,3 +402,33 @@ def test_symbolic_identities_at_k3():
     i1, i2, i3 = first_integral_proof_residuals(spec)
     assert not i1 and not i2 and not i3
     assert k_after_phi(spec) == k_formula(spec).K
+
+
+# -- window coverage ------------------------------------------------------------------
+
+_COVERAGE_SPEC = RecurrenceSpec.numeric(1, Fraction(1, 2), [2, 3, 5])
+_COVERAGE_K = k_formula(_COVERAGE_SPEC).K
+
+
+@pytest.mark.parametrize("read, lo, hi", [
+    (lambda w: k_ratio(w, 0), -2, 4),
+    (lambda w: wronskian4_det(w, 0), 0, 9),
+    (lambda w: delta(w, 0), 0, 6),
+    (lambda w: linear_relation_residual(w, 0, _COVERAGE_K), 0, 6),
+    (lambda w: xi_residual(w, 0), 0, 3),
+    (lambda w: extract_coeffs(w, _COVERAGE_K), -2, 3),
+    (lambda w: window_rows(w, -2, 5), -2, 5),
+], ids=["k_ratio", "wronskian4_det", "delta", "linear_relation_residual", "xi_residual",
+        "extract_coeffs", "window_rows"])
+def test_window_one_index_short_is_refused(read, lo, hi):
+    # k = 1: each reader needs exactly [lo, hi]; a window one index short at
+    # either end raises IndexError
+    full = _COVERAGE_SPEC.window().extend(lo - 1, hi + 1)
+
+    def window(a, b):
+        return SequenceWindow(full.spec, a, tuple(full[n] for n in range(a, b + 1)))
+
+    read(window(lo, hi))
+    for a, b in ((lo + 1, hi), (lo, hi - 1)):
+        with pytest.raises(IndexError):
+            read(window(a, b))

@@ -1,4 +1,5 @@
 import heapq
+import time
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,16 @@ def test_zero_coefficients_never_stored(gens):
     x0, x1, x2, a = gens
     p = x0 + x1 - x0 - x1
     assert not p and len(p) == 0
+
+
+def test_non_integer_coefficients_rejected():
+    # an int() cast would truncate each of these silently
+    for terms in ({(1, 0): Fraction(3, 2)}, {(1, 0): 2.7}):
+        with pytest.raises(ValueError):
+            LaurentPolynomial(2, terms)
+    with pytest.raises(ValueError):
+        LaurentPolynomial.constant(2, Fraction(1, 2))
+    assert LaurentPolynomial(2, {(1, 0): Fraction(4, 2)}) == 2 * LaurentPolynomial.variable(2, 0)
 
 
 def test_parameter_exponent_must_be_nonnegative():
@@ -183,9 +194,30 @@ def test_text_round_trip(p):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "x9", "x0^", "2**x0", "x0 x1", "b0"]:
+    for bad in ["", "x9", "x0^", "2**x0", "x0 x1", "b0", "x0*", "2*x1*"]:
         with pytest.raises(ValueError):
             parse_laurent(bad, NV)
+
+
+def test_parse_refuses_in_linear_time():
+    # a grammar regex with two adjacent whitespace runs backtracks
+    # exponentially on such a text: about 10 s at 12 factors
+    text = "x0^   2*" * 12 + "x"
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_laurent(text, NV)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("  x0 + 1", "x0 + 1"),
+    ("x0 ^ - 2 * a", "x0^-2*a"),
+    ("2*3*x0", "6*x0"),
+    ("x0*x0^-1", "1"),
+    ("a^-1*a^2", "a"),
+])
+def test_parse_accepts_non_canonical_spellings(text, expected):
+    assert format_laurent(parse_laurent(text, NV)) == expected
 
 
 # -- rational functions ------------------------------------------------------------------
