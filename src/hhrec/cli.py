@@ -51,6 +51,11 @@ EXIT_DEGENERATE = 3
 # bound one evaluation takes about 2 s (Python 3.11, 2-core Intel Xeon VM)
 EVAL_BIT_BUDGET = 2 ** 20
 
+# gen refuses a window [lo, hi] whose sum of |n // 2k| * (bits(p) + bits(q))
+# passes this, t = (K-1)/2 = p/q: about the total bits of the iterates it
+# would build.  k = 1 with the all-ones seed to n = 16000 estimates 3.8e8
+GEN_BIT_BUDGET = 2 ** 30
+
 
 class UsageError(Exception):
     pass
@@ -81,13 +86,30 @@ def _numeric_spec(args) -> RecurrenceSpec:
         raise UsageError(str(exc)) from exc
 
 
+def _quotient_sum(lo: int, hi: int, m: int) -> int:
+    """The sum of |n // m| over n in [lo, hi], lo <= 0 <= hi, in closed form."""
+    def below(n):  # the sum of j // m over j in [0, n)
+        q, r = divmod(n, m)
+        return m * q * (q - 1) // 2 + r * q
+    # n >= 0 adds n // m; n = -1 - j < 0 adds j // m + 1
+    return below(hi + 1) + below(-lo) - lo
+
+
 def _generated_rows(args) -> list:
     """(n, x_n) for n in [--from, --to] of the numeric spec in the arguments."""
     spec = _numeric_spec(args)
     lo, hi = args.from_, args.to
     if lo > hi:
         raise UsageError(f"--from {lo} exceeds --to {hi}")
-    w = spec.window().extend(min(lo, 0), max(hi, 2 * args.k))
+    w_lo, w_hi = min(lo, 0), max(hi, 2 * args.k)
+    if all(spec.init):  # a zero seed value raises ZeroPivotError while stepping
+        t = (inv.k_formula(spec).K - 1) / 2
+        height = t.numerator.bit_length() + t.denominator.bit_length()
+        estimate = _quotient_sum(w_lo, w_hi, 2 * args.k) * height
+        if estimate > GEN_BIT_BUDGET:
+            raise UsageError(f"the window [{w_lo}, {w_hi}] needs about {estimate} bits of "
+                             f"iterates, past the budget of {GEN_BIT_BUDGET}")
+    w = spec.window().extend(w_lo, w_hi)
     return window_rows(w, lo, hi)
 
 

@@ -10,6 +10,13 @@ mode every division goes through Laurent exact division and a failure aborts
 with :class:`LaurentViolationError` (it would disprove the Laurent property,
 so it must never be silent).
 
+This nonlinear step is the definition, and builds every window until it
+holds 6k consecutive values.  Numeric windows then continue with the linear
+relation x[n+6k] = K (x[n+4k] - x[n+2k]) + x[n], with K from the explicit
+formula on the seed, run over scaled integers so that no step takes a gcd;
+outputs and zero-pivot errors are those of the nonlinear step.  Symbolic
+windows use the nonlinear step throughout.
+
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
 and exists for fault injection and identities that hold for any sequence.
@@ -18,6 +25,8 @@ and exists for fault injection and identities that hold for any sequence.
 from __future__ import annotations
 
 import json
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -80,7 +89,11 @@ class RecurrenceSpec:
 
 @dataclass(frozen=True)
 class SequenceWindow:
-    """Contiguous table of iterates x_n for n in [lo, lo + len(values) - 1]."""
+    """Contiguous table of iterates x_n for n in [lo, lo + len(values) - 1].
+
+    A window that is not raw holds iterates of ``spec``'s own seed: ``extend``
+    continues it with the linear relation whose K comes from ``spec.init``.
+    """
 
     spec: RecurrenceSpec
     lo: int
@@ -120,15 +133,12 @@ class SequenceWindow:
             cap = 6 * k + 6
             if new_lo < -cap or new_hi > cap:
                 raise ValueError(f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}")
-        order = spec.order
         fwd = list(self.values)
-        for m in range(self.hi + 1, new_hi + 1):
-            fwd.append(_step(fwd[-order:], spec.a, m - order, m))
-        # backward is the forward step on the reversed block
-        bwd = fwd[order - 1::-1]
-        for m in range(self.lo - 1, new_lo - 1, -1):
-            bwd.append(_step(bwd[-order:], spec.a, m + order, m))
-        return SequenceWindow(spec, new_lo, tuple(bwd[:order - 1:-1]) + tuple(fwd))
+        _iterate(fwd, spec, new_hi - self.hi, lambda j: self.lo + j)
+        # backward is the forward step on the reversed window
+        bwd = fwd[::-1]
+        _iterate(bwd, spec, self.lo - new_lo, lambda j: new_hi - j)
+        return SequenceWindow(spec, new_lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
 
     def with_value(self, n: int, value) -> "SequenceWindow":
         """A raw copy with one entry overwritten (for fault injection tests)."""
@@ -156,6 +166,52 @@ def _step(block: Sequence, a, pivot: int, target: int):
         return num / block[0]
     except NotExactError as exc:
         raise LaurentViolationError(target) from exc
+
+
+def _iterate(seq: list, spec: RecurrenceSpec, count: int, index) -> None:
+    """Append ``count`` iterates to ``seq``, a window in stepping order whose
+    j-th entry is x_{index(j)}.
+
+    ``_step`` builds the values until ``seq`` holds 6k of them; symbolic
+    windows use it throughout.  Past that, numeric windows run the linear
+    relation x[j] = K (x[j-2k] - x[j-4k]) + x[j-6k], which has this form in
+    both stepping directions, over the integers y[j] = D Q^(j // 2k) x[j].
+    Here K = P/Q, j counts from the first of the last 6k values in ``seq``,
+    and D is the lcm of those values' denominators:
+
+        y[j] = P y[j-2k] - P Q y[j-4k] + Q^3 y[j-6k]
+
+    No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)).
+    Each step first tests the value ``_step`` would divide by, so a zero
+    pivot raises ZeroPivotError at the same index on both routes.
+    """
+    k, order = spec.k, spec.order
+    end = len(seq) + count
+    while len(seq) < end and (spec.symbolic_mode or len(seq) < 6 * k):
+        j = len(seq)
+        seq.append(_step(seq[-order:], spec.a, index(j - order), index(j)))
+    if len(seq) == end:
+        return
+    from .invariants import k_breakdown  # deferred: invariants imports this module
+    # 6k values built around [0, 2k] have used every seed value as a divisor,
+    # so none is zero and the formula is defined
+    K = k_breakdown(spec.init, spec.a).K
+    p, q = K.numerator, K.denominator
+    start = seq[-6 * k:]
+    scale = math.lcm(*(v.denominator for v in start))
+    y = deque((v.numerator * (scale // v.denominator) * q ** (i // (2 * k))
+               for i, v in enumerate(start)), maxlen=6 * k)
+    scale *= q ** 2  # the scale of y[4k..6k-1]
+    pq, q3 = p * q, q ** 3
+    first = len(seq)
+    for j in range(first, end):
+        # y holds the scaled x_{index(j-6k)}..x_{index(j-1)}
+        if not y[6 * k - order]:
+            raise ZeroPivotError(index(j - order))
+        y.append(p * y[4 * k] - pq * y[2 * k] + q3 * y[0])
+        if (j - first) % (2 * k) == 0:
+            scale *= q
+        seq.append(Fraction(y[-1], scale))
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:

@@ -134,7 +134,7 @@ def solve_exact(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> 
     if nrows == 0:
         return []
     ncols = len(a_rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
+    aug = [[promote(v) for v in row] + [promote(b[i])] for i, row in enumerate(a_rows)]
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(ncols):

@@ -34,6 +34,8 @@ from .engine import (
     apply_sigma,
     check_reversibility,
     format_value,
+    phi,
+    phi_inverse,
     raw_window,
     xi_residual,
 )
@@ -304,6 +306,28 @@ def _check_linear_relation(ctx: TrialContext) -> CheckResult:
                   "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0")
 
 
+def _map_orbit(spec: RecurrenceSpec, lo: int, hi: int) -> dict:
+    """x_n for n in [lo, hi] by iterated phi and phi_inverse alone: the slow
+    route, which never takes the linear relation."""
+    k = spec.k
+    x = dict(enumerate(spec.init))
+    point = spec.init
+    for n in range(2 * k + 1, hi + 1):
+        point = phi(point, spec.a, k)
+        x[n] = point[-1]
+    point = spec.init
+    for n in range(-1, lo - 1, -1):
+        point = phi_inverse(point, spec.a, k)
+        x[n] = point[0]
+    return x
+
+
+def _check_linear_route(ctx: TrialContext) -> CheckResult:
+    w = ctx.default_window()
+    slow = _map_orbit(ctx.spec, w.lo, w.hi)
+    return _sweep(w.indices(), lambda n: w[n] - slow[n], "linear route == nonlinear step")
+
+
 def _check_k_ratio(ctx: TrialContext) -> CheckResult:
     K = ctx.K
     value, form = inv.k_ratio_route(ctx.default_window())  # may raise -> resample
@@ -511,6 +535,7 @@ def _check_sym_p_from_iterates(ctx: TrialContext) -> CheckResult:
 NUMERIC_CHECKS: dict[str, Callable[[TrialContext], CheckResult]] = {
     "xi_zero": _check_xi_zero,
     "linear_relation": _check_linear_relation,
+    "linear_route": _check_linear_route,
     "k_ratio": _check_k_ratio,
     "k_cramer": _check_k_cramer,
     "k_monodromy": _check_k_monodromy,

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hhrec import cli
 from hhrec.cli import main
 from hhrec.verifier import NUMERIC_CHECKS, SYMBOLIC_CHECKS
 
@@ -62,6 +63,36 @@ def test_gen_zero_denominator_exits_2(run, argv):
 def test_gen_zero_pivot_exits_3(run):
     code, _, err = run("gen", "--k", "1", "--a", "1", "--init", "1,2,-1", "--to", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize("init,window,pivot", [
+    ("1,-1,2", ("--to", "9"), 6),            # x_6 = 0 comes from the linear relation
+    ("2,-1,1", ("--from", "-7", "--to", "2"), -4),
+    ("0,1,1", ("--to", "3"), 0),             # a zero seed value skips the size budget
+])
+def test_gen_zero_pivot_names_its_index(run, init, window, pivot):
+    code, out, err = run("gen", "--k", "1", "--a", "1", "--init", init, *window)
+    assert (code, out, err) == (3, "", f"degenerate input: zero iterate x_{pivot} used as a divisor\n")
+
+
+def test_gen_refuses_past_the_size_budget(run):
+    # t = 13/2: the window [0, 10**6] estimates 1.5 * 10**12 bits of iterates
+    code, out, err = run("gen", "--k", "1", "--init", "1,1,1", "--to", "1000000")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_gen_budget_sums_the_quotients_in_closed_form():
+    for lo, hi, m in [(-7, 9, 2), (0, 5, 4), (-13, 0, 6), (-1, 1, 2), (0, 0, 2)]:
+        assert cli._quotient_sum(lo, hi, m) == sum(abs(n // m) for n in range(lo, hi + 1))
+
+
+def test_gen_accepts_the_largest_documented_window(run):
+    # k = 1, all-ones seed, to n = 16000: 3.8 * 10**8 bits, under the budget;
+    # detect --gen builds the same window without rendering 16001 values
+    assert cli._quotient_sum(0, 16000, 2) * 6 == 384_000_000 <= cli.GEN_BIT_BUDGET
+    code, out, err = run("detect", "--gen", "--k", "1", "--init", "1,1,1", "--to", "16000",
+                         "--max-order", "1")
+    assert (code, err) == (0, "") and json.loads(out) == {"order": None, "charpoly": None}
 
 
 def test_gen_bfile_non_integer_exits_3(run):

@@ -209,10 +209,60 @@ def test_iterated_maps_equal_extend(spec):
         assert point == tuple(w[n] for n in range(-j, -j + 2 * k + 1))
 
 
+def _step_only(spec, lo, hi):
+    """x_lo..x_hi (lo <= 0, hi >= 2k) by iterated phi and phi_inverse alone."""
+    k = spec.k
+    fwd = [point[-1] for point in _phi_orbit(spec, hi - 2 * k)[1:]]
+    bwd = [point[0] for point in _phi_orbit(spec, -lo, inverse=True)[1:]]
+    return tuple(bwd[::-1]) + spec.init + tuple(fwd)
+
+
+def _draw(rng, family, k):
+    """A seeded spec of one family: unit, integer or rational seed values."""
+    if family == "unit":
+        return RecurrenceSpec.numeric(k, (1, -1, 2, -2, 3)[rng.randint(0, 4)],
+                                      [(1, -1)[rng.randint(0, 1)] for _ in range(2 * k + 1)])
+    a = random_rational(rng, 9, 9)
+    if family == "integer":
+        return RecurrenceSpec.numeric(k, a, [rng.randint(1, 9) for _ in range(2 * k + 1)])
+    return RecurrenceSpec(k, a, tuple(random_rational(rng, 9, 9) for _ in range(2 * k + 1)))
+
+
+# successive (new_lo, new_hi) requests; past 6k values extend runs the linear
+# relation, so each shape starts it from a different block
+EXTENSIONS = {
+    "forward": lambda k: [(None, 14 * k + 3)],
+    "backward": lambda k: [(-14 * k - 3, None)],
+    "two-sided": lambda k: [(-9 * k, 11 * k)],
+    "shorter-than-6k": lambda k: [(-k, 5 * k - 2)],
+    "re-extended": lambda k: [(-k, 3 * k), (None, 9 * k), (-10 * k, 12 * k)],
+}
+
+
+@pytest.mark.parametrize("shape", EXTENSIONS)
+@pytest.mark.parametrize("family", ["unit", "integer", "rational"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_linear_route_equals_step_only_build(k, family, shape):
+    rng = SplitMix64(1000 * k + len(family) + len(shape))
+    w = None
+    while w is None:
+        spec = _draw(rng, family, k)
+        try:
+            w = spec.window()
+            for lo, hi in EXTENSIONS[shape](k):
+                w = w.extend(lo, hi)
+        except ZeroPivotError:
+            w = None
+    assert w.values == _step_only(spec, w.lo, w.hi)
+    assert all(type(v) is Fraction for v in w.values)
+
+
 @pytest.mark.parametrize("init,hi,lo,pivot", [
     ([1, 2, -1], 9, None, 6),   # x_6 = 0 divides the step to x_9
     ([0, 1, 1], 3, None, 0),
     ([1, 1, 0], None, -1, 2),
+    ([1, -1, 2], 9, None, 6),   # x_6 = 0 comes from the linear relation
+    ([2, -1, 1], None, -7, -4),  # x_-4 = 0 comes from the linear relation
 ])
 def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
     spec = RecurrenceSpec.numeric(1, 1, init)
@@ -220,11 +270,16 @@ def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
         spec.window().extend(new_lo=lo, new_hi=hi)
     assert by_extend.value.n == pivot
     inverse = lo is not None
-    steps = 0 if inverse else pivot  # phi's indices are relative to its point
-    point = _phi_orbit(spec, steps)[-1]
+    # one step short of the failing one, both routes build the same window
+    short = spec.window().extend(new_lo=lo and lo + 1, new_hi=hi and hi - 1)
+    assert short.values == _step_only(spec, short.lo, short.hi)
+    # phi's indices are relative to its point (x_s..x_s+2k forward,
+    # x_-s..x_-s+2k backward)
+    steps = 2 - pivot if inverse else pivot
+    point = _phi_orbit(spec, steps, inverse)[-1]
     with pytest.raises(ZeroPivotError) as by_map:
         (phi_inverse if inverse else phi)(point, spec.a, 1)
-    assert steps + by_map.value.n == pivot
+    assert (-steps if inverse else steps) + by_map.value.n == pivot
 
 
 @pytest.mark.parametrize("seed,lo,hi,target", [

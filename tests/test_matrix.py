@@ -134,6 +134,17 @@ def test_solve_exact_unique_and_inconsistent():
                        [Fraction(1), Fraction(3)]) is None
 
 
+@pytest.mark.parametrize("rows,rhs", [
+    ([[1.5, 1], [2, 3]], [1, 0]),
+    ([[1, 1], [2, 3]], [1, 0.1]),
+], ids=["matrix", "right-hand-side"])
+def test_solve_exact_refuses_floats(rows, rhs):
+    with pytest.raises(TypeError):
+        solve_exact(rows, rhs)
+    # plain ints are promoted to Fraction
+    assert solve_exact([[2, 1], [1, -1]], [5, 1]) == [2, 1]
+
+
 def test_solve_exact_underdetermined_picks_a_solution():
     sol = solve_exact([[Fraction(1), Fraction(2)]], [Fraction(4)])
     assert sol is not None and sol[0] + 2 * sol[1] == 4

@@ -337,6 +337,7 @@ FAULT_WITNESSES = {
     "xi_zero": {"n": 0, "identity": "xi_n = 0", "residual": "-2"},
     "linear_relation": {"n": -3, "identity": "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0",
                         "residual": "1"},
+    "linear_route": {"n": 3, "identity": "linear route == nonlinear step", "residual": "1"},
     "k_cramer": {"n": 0, "identity": "Cramer pair == K",
                  "residual": ["-3029/2177", "1612039/587790"]},
     "k_monodromy": {"n": 0, "identity": "monodromy traces == K",
