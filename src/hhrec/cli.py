@@ -103,7 +103,7 @@ def _generated_rows(args) -> list:
         raise UsageError(f"--from {lo} exceeds --to {hi}")
     w_lo, w_hi = min(lo, 0), max(hi, 2 * args.k)
     if all(spec.init):  # a zero seed value raises ZeroPivotError while stepping
-        t = (inv.k_formula(spec).K - 1) / 2
+        t = (spec.K - 1) / 2
         height = t.numerator.bit_length() + t.denominator.bit_length()
         estimate = _quotient_sum(w_lo, w_hi, 2 * args.k) * height
         if estimate > GEN_BIT_BUDGET:
@@ -195,9 +195,8 @@ def cmd_verify(args) -> int:
 def cmd_closed_form(args) -> int:
     spec = _numeric_spec(args)
     k = args.k
-    K = inv.k_formula(spec).K
     w = spec.window().extend(-2 * k, 4 * k - 1)
-    coeffs = cf.extract_coeffs(w, K)  # DegenerateTError -> exit 3
+    coeffs = cf.extract_coeffs(w, spec.K)  # DegenerateTError -> exit 3
     if args.coeffs:
         print(json.dumps(coeffs.to_json_dict(), indent=2))
     else:

@@ -14,8 +14,18 @@ This nonlinear step is the definition, and builds every window until it
 holds 6k consecutive values.  Numeric windows then continue with the linear
 relation x[n+6k] = K (x[n+4k] - x[n+2k]) + x[n], with K from the explicit
 formula on the seed, run over scaled integers so that no step takes a gcd;
-outputs and zero-pivot errors are those of the nonlinear step.  Symbolic
-windows use the nonlinear step throughout.
+outputs and zero-pivot errors are those of the nonlinear step.
+
+Windows of the generic seed (``RecurrenceSpec.symbolic(k)``, the general
+solution) take the same relation over Laurent polynomials once they leave
+the centred block [-3k, 3k].  The nonlinear step builds that block, at most
+3k steps from the seed, and a certificate is checked on it at every such
+build: (a) K after one map step is K, and (b) the relation holds at n = -3k.
+As x_j(phi^m X) = x_{j+m}(X), the residual at -3k pulled back through m map
+steps is the residual at m - 3k with the same K by (a), so (b) gives the
+relation at every n; a failure raises :class:`CertificateError`.  Requests
+inside the block, and every other symbolic seed, use the nonlinear step
+throughout.
 
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
@@ -29,9 +39,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
+    CertificateError,
     LaurentViolationError,
     NonIntegerValueError,
     NotExactError,
@@ -74,6 +86,12 @@ class RecurrenceSpec:
     @property
     def symbolic_mode(self) -> bool:
         return isinstance(self.a, LaurentPolynomial)
+
+    @cached_property
+    def K(self):
+        """The conserved quantity by the explicit formula on the seed, computed once."""
+        from .invariants import k_breakdown  # deferred: invariants imports this module
+        return k_breakdown(self.init, self.a).K
 
     @property
     def order(self) -> int:
@@ -121,7 +139,9 @@ class SequenceWindow:
     def extend(self, new_lo: int | None = None, new_hi: int | None = None) -> "SequenceWindow":
         """Enlarge to [new_lo, new_hi] by forward and backward steps.
 
-        Symbolic windows stop at |n| <= 6k + 6: their term counts grow steeply.
+        A window of the generic seed that leaves [-3k, 3k] is built through
+        the certified block (see the module docstring).  Symbolic windows
+        stop at |n| <= 6k + 6: their term counts grow steeply.
         """
         if self.raw:
             raise ValueError("raw windows are not solutions and cannot be extended")
@@ -133,12 +153,24 @@ class SequenceWindow:
             cap = 6 * k + 6
             if new_lo < -cap or new_hi > cap:
                 raise ValueError(f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}")
+        w, linear = self, not spec.symbolic_mode
+        if (spec.symbolic_mode and (new_lo < -3 * k or new_hi > 3 * k)
+                and spec == RecurrenceSpec.symbolic(k)):
+            w = w._grown(-3 * k, 3 * k, linear=False)
+            _certify(w)
+            linear = True
+        w = w._grown(new_lo, new_hi, linear)
+        return SequenceWindow(spec, new_lo, w.values[new_lo - w.lo:new_hi - w.lo + 1])
+
+    def _grown(self, new_lo: int, new_hi: int, linear: bool) -> "SequenceWindow":
+        """The window over [min(lo, new_lo), max(hi, new_hi)]; ``linear`` as in ``_iterate``."""
+        lo, hi = min(self.lo, new_lo), max(self.hi, new_hi)
         fwd = list(self.values)
-        _iterate(fwd, spec, new_hi - self.hi, lambda j: self.lo + j)
+        _iterate(fwd, self.spec, hi - self.hi, lambda j: self.lo + j, linear)
         # backward is the forward step on the reversed window
         bwd = fwd[::-1]
-        _iterate(bwd, spec, self.lo - new_lo, lambda j: new_hi - j)
-        return SequenceWindow(spec, new_lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
+        _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
+        return SequenceWindow(self.spec, lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
 
     def with_value(self, n: int, value) -> "SequenceWindow":
         """A raw copy with one entry overwritten (for fault injection tests)."""
@@ -168,50 +200,71 @@ def _step(block: Sequence, a, pivot: int, target: int):
         raise LaurentViolationError(target) from exc
 
 
-def _iterate(seq: list, spec: RecurrenceSpec, count: int, index) -> None:
+def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -> None:
     """Append ``count`` iterates to ``seq``, a window in stepping order whose
     j-th entry is x_{index(j)}.
 
-    ``_step`` builds the values until ``seq`` holds 6k of them; symbolic
-    windows use it throughout.  Past that, numeric windows run the linear
-    relation x[j] = K (x[j-2k] - x[j-4k]) + x[j-6k], which has this form in
-    both stepping directions, over the integers y[j] = D Q^(j // 2k) x[j].
-    Here K = P/Q, j counts from the first of the last 6k values in ``seq``,
-    and D is the lcm of those values' denominators:
+    ``_step`` builds the values until ``seq`` holds 6k of them, and
+    throughout unless ``linear`` is set.  Past that, the linear relation
+    x[j] = K (x[j-2k] - x[j-4k]) + x[j-6k], which has this form in both
+    stepping directions, continues from the last 6k values in ``seq``.  A
+    numeric window runs it over the integers y[j] = D Q^(j // 2k) x[j]; here
+    K = P/Q, j counts from the first of those 6k values, and D is the lcm of
+    their denominators:
 
-        y[j] = P y[j-2k] - P Q y[j-4k] + Q^3 y[j-6k]
+        y[j] = P (y[j-2k] - Q y[j-4k]) + Q^3 y[j-6k]
 
     No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)).
-    Each step first tests the value ``_step`` would divide by, so a zero
-    pivot raises ZeroPivotError at the same index on both routes.
+    A symbolic window, whose K is a Laurent polynomial, runs the same lines
+    with P = K and Q = D = 1, so y is x itself.  Each step first tests the
+    value ``_step`` would divide by, so a zero pivot raises ZeroPivotError at
+    the same index on both routes.
     """
     k, order = spec.k, spec.order
     end = len(seq) + count
-    while len(seq) < end and (spec.symbolic_mode or len(seq) < 6 * k):
+    while len(seq) < end and (not linear or len(seq) < 6 * k):
         j = len(seq)
         seq.append(_step(seq[-order:], spec.a, index(j - order), index(j)))
     if len(seq) == end:
         return
-    from .invariants import k_breakdown  # deferred: invariants imports this module
     # 6k values built around [0, 2k] have used every seed value as a divisor,
     # so none is zero and the formula is defined
-    K = k_breakdown(spec.init, spec.a).K
-    p, q = K.numerator, K.denominator
+    K = spec.K
     start = seq[-6 * k:]
-    scale = math.lcm(*(v.denominator for v in start))
-    y = deque((v.numerator * (scale // v.denominator) * q ** (i // (2 * k))
-               for i, v in enumerate(start)), maxlen=6 * k)
-    scale *= q ** 2  # the scale of y[4k..6k-1]
-    pq, q3 = p * q, q ** 3
+    if spec.symbolic_mode:
+        p, q, scale = K, 1, 1
+        y = deque(start, maxlen=6 * k)
+    else:
+        p, q = K.numerator, K.denominator
+        scale = math.lcm(*(v.denominator for v in start))
+        y = deque((v.numerator * (scale // v.denominator) * q ** (i // (2 * k))
+                   for i, v in enumerate(start)), maxlen=6 * k)
+        scale *= q ** 2  # the scale of y[4k..6k-1]
+    q3 = q ** 3
     first = len(seq)
     for j in range(first, end):
         # y holds the scaled x_{index(j-6k)}..x_{index(j-1)}
         if not y[6 * k - order]:
             raise ZeroPivotError(index(j - order))
-        y.append(p * y[4 * k] - pq * y[2 * k] + q3 * y[0])
+        y.append(p * (y[4 * k] - q * y[2 * k]) + q3 * y[0])
         if (j - first) % (2 * k) == 0:
             scale *= q
-        seq.append(Fraction(y[-1], scale))
+        seq.append(y[-1] if spec.symbolic_mode else Fraction(y[-1], scale))
+
+
+def _certify(w: SequenceWindow) -> None:
+    """Check the certificate for the generic seed's linear route on ``w``,
+    which covers [-3k, 3k]: (b) the relation holds at n = -3k, and (a) K
+    after one map step is K.  Raises CertificateError naming the failed piece.
+    """
+    from .invariants import k_after_phi, linear_relation_residual  # deferred, as in K
+    spec, k = w.spec, w.spec.k
+    residual = linear_relation_residual(w, -3 * k, spec.K)
+    if residual:
+        raise CertificateError("(b) x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0", -3 * k, residual)
+    residual = k_after_phi(spec) - spec.K
+    if residual:
+        raise CertificateError("(a) K after one map step == K", 0, residual)
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:

@@ -38,6 +38,22 @@ class LaurentViolationError(HHRecError):
         self.n = n
 
 
+class CertificateError(HHRecError):
+    """The certificate for the linear route of the generic seed failed.
+
+    Either piece failing would disprove the linear relation for the general
+    solution, so it is a check failure and never a degeneracy to resample.
+    ``identity`` names the failed piece, ``n`` its index and ``residual`` the
+    nonzero value it left.
+    """
+
+    def __init__(self, identity: str, n: int, residual):
+        super().__init__(f"linear-route certificate failed: {identity} at n={n}")
+        self.identity = identity
+        self.n = n
+        self.residual = residual
+
+
 class NonIntegerValueError(HHRecError):
     """b-file export requires every value to be an integer."""
 

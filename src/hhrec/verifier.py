@@ -23,7 +23,6 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import closed_form as cf
@@ -39,7 +38,12 @@ from .engine import (
     raw_window,
     xi_residual,
 )
-from .errors import DegenerateInputError, InsufficientDataError, LaurentViolationError
+from .errors import (
+    CertificateError,
+    DegenerateInputError,
+    InsufficientDataError,
+    LaurentViolationError,
+)
 from .rational import format_rational
 
 _MASK64 = (1 << 64) - 1
@@ -221,12 +225,11 @@ class CheckResult:
 
 @dataclass
 class TrialContext:
-    """Shared per-(trial, attempt) state: the spec, its k and K, and a growing window.
+    """Shared per-(trial, attempt) state: the spec, its k, and a growing window.
 
-    K comes from the explicit formula once per context, however many checks
-    read it.  While ``corrupt`` is set (the running check is the
-    fault-injection target), ``window`` hands out a raw copy with x_{2k+1}
-    raised by one.
+    The checks read K as ``spec.K``, computed once per spec.  While
+    ``corrupt`` is set (the running check is the fault-injection target),
+    ``window`` hands out a raw copy with x_{2k+1} raised by one.
     """
 
     cfg: TrialConfig
@@ -238,10 +241,6 @@ class TrialContext:
     @property
     def k(self) -> int:
         return self.spec.k
-
-    @cached_property
-    def K(self):
-        return inv.k_formula(self.spec).K
 
     def window(self, lo: int, hi: int) -> SequenceWindow:
         if self._window is None:
@@ -293,6 +292,12 @@ def _explicit_sweep(w: SequenceWindow, ex: inv.ExplicitIterates, what: str) -> C
     return _sweep(sorted(ex.values), lambda m: ex.values[m] - w[m], what)
 
 
+def _violation_witness(exc: LaurentViolationError | CertificateError) -> dict:
+    if isinstance(exc, LaurentViolationError):
+        return _wit(exc.n, "iterate stays a Laurent polynomial", 0)
+    return _wit(exc.n, f"linear-route certificate {exc.identity}", exc.residual)
+
+
 # each check: fn(ctx) -> CheckResult; DegenerateInputError triggers a resample
 
 def _check_xi_zero(ctx: TrialContext) -> CheckResult:
@@ -302,7 +307,7 @@ def _check_xi_zero(ctx: TrialContext) -> CheckResult:
 def _check_linear_relation(ctx: TrialContext) -> CheckResult:
     w = ctx.default_window()
     return _sweep(range(w.lo, w.hi - 6 * ctx.k + 1),
-                  lambda n: inv.linear_relation_residual(w, n, ctx.K),
+                  lambda n: inv.linear_relation_residual(w, n, ctx.spec.K),
                   "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0")
 
 
@@ -329,7 +334,7 @@ def _check_linear_route(ctx: TrialContext) -> CheckResult:
 
 
 def _check_k_ratio(ctx: TrialContext) -> CheckResult:
-    K = ctx.K
+    K = ctx.spec.K
     value, form = inv.k_ratio_route(ctx.default_window())  # may raise -> resample
     if value != K:
         return CheckResult(False, _wit(0, f"ratio ({form}) == K", value - K))
@@ -338,12 +343,12 @@ def _check_k_ratio(ctx: TrialContext) -> CheckResult:
 
 def _check_k_cramer(ctx: TrialContext) -> CheckResult:
     w = ctx.default_window()
-    return _pair_sweep(lambda n: inv.k_cramer(w, n), ctx.K, "Cramer pair == K")
+    return _pair_sweep(lambda n: inv.k_cramer(w, n), ctx.spec.K, "Cramer pair == K")
 
 
 def _check_k_monodromy(ctx: TrialContext) -> CheckResult:
     pc = inv.periodic_coeffs(ctx.default_window())
-    return _pair_sweep(lambda n: inv.monodromy_k(pc, start=n), ctx.K, "monodromy traces == K")
+    return _pair_sweep(lambda n: inv.monodromy_k(pc, start=n), ctx.spec.K, "monodromy traces == K")
 
 
 def _check_delta_invariance(ctx: TrialContext) -> CheckResult:
@@ -386,7 +391,7 @@ def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:
 
 
 def _check_inhom(ctx: TrialContext) -> CheckResult:
-    k, K = ctx.k, ctx.K
+    k, K = ctx.k, ctx.spec.K
     w = ctx.default_window()
     for n in range(0, 2 * k + 2):
         if inv.nu_invariant(w, n + 2 * k, K) != inv.nu_invariant(w, n, K):
@@ -405,7 +410,7 @@ def _check_inhom(ctx: TrialContext) -> CheckResult:
 def _check_closed_form(ctx: TrialContext) -> CheckResult:
     k = ctx.k
     w = ctx.window(-6 * k, 12 * k + 3)
-    coeffs = cf.extract_coeffs(w, ctx.K)  # DegenerateTError -> resample
+    coeffs = cf.extract_coeffs(w, ctx.spec.K)  # DegenerateTError -> resample
     return _sweep(range(-6 * k, 12 * k + 1),
                   lambda n: cf.eval_closed_form(coeffs, n) - w[n], "closed form == iterate")
 
@@ -416,7 +421,7 @@ def _check_detect(ctx: TrialContext) -> CheckResult:
     found = detect_linear_recurrence([w[n] for n in range(0, 14 * k + 1)], 6 * k)
     if found is None:
         return CheckResult(False, _wit(0, "a linear recurrence of order <= 6k exists", 0))
-    if not poly_divides(found, target_characteristic_poly(k, ctx.K)):
+    if not poly_divides(found, target_characteristic_poly(k, ctx.spec.K)):
         return CheckResult(False, {"identity": "detected charpoly divides the factored one",
                                    "charpoly": [format_rational(c) for c in found]})
     return CheckResult(True, detail=f"order={len(found) - 1}")
@@ -425,7 +430,7 @@ def _check_detect(ctx: TrialContext) -> CheckResult:
 def _check_first_integral(ctx: TrialContext) -> CheckResult:
     w = ctx.window(0, 2 * ctx.k + 1)
     shifted = [w[j] for j in range(1, 2 * ctx.k + 2)]
-    return _sweep((1,), lambda n: inv.k_breakdown(shifted, ctx.spec.a).K - ctx.K,
+    return _sweep((1,), lambda n: inv.k_breakdown(shifted, ctx.spec.a).K - ctx.spec.K,
                   "K after one map step == K")
 
 
@@ -466,12 +471,15 @@ def _check_operator_identity(ctx: TrialContext) -> CheckResult:
 # -- symbolic checks ---------------------------------------------------------------
 
 def _check_sym_laurent(ctx: TrialContext) -> CheckResult:
+    """Every iterate over [-2k-2, 6k+4] is a Laurent polynomial with integer
+    coefficients, and xi_n = 0 at every n.
+
+    The window past [-3k, 3k] comes from the certified linear relation, so
+    this xi sweep is the campaign's independent slow check of every value
+    the relation built.
+    """
     k = ctx.k
-    try:
-        w = ctx.window(-2 * k - 2, 6 * k + 4)
-    except LaurentViolationError as exc:
-        # would disprove the Laurent property: a failure witness, not a crash
-        return CheckResult(False, _wit(exc.n, "iterate stays a Laurent polynomial", 0))
+    w = ctx.window(-2 * k - 2, 6 * k + 4)
     for n in w.indices():
         if not all(isinstance(c, int) for c in w[n].coefficients()):
             return CheckResult(False, _wit(n, "integer coefficients", 0))
@@ -496,13 +504,15 @@ def _check_sym_explicit(ctx: TrialContext) -> CheckResult:
 
 
 def _check_sym_first_integral(ctx: TrialContext) -> CheckResult:
-    if inv.k_after_phi(ctx.spec) != ctx.K:
+    if inv.k_after_phi(ctx.spec) != ctx.spec.K:
         return CheckResult(False, {"identity": "pullback of K equals K as Laurent polynomials"})
     return CheckResult(True)
 
 
 def _check_sym_k_ratio(ctx: TrialContext) -> CheckResult:
-    if inv.k_ratio(ctx.window(-2 * ctx.k, 4 * ctx.k), 0) != ctx.K:
+    # [-3k, 3k] holds only values of the nonlinear step, which never read K
+    k = ctx.k
+    if inv.k_ratio(ctx.window(-3 * k, 3 * k), base=-k) != ctx.spec.K:
         return CheckResult(False, {"identity": "ratio route == K symbolically"})
     return CheckResult(True)
 
@@ -516,10 +526,10 @@ def _check_sym_proof_identities(ctx: TrialContext) -> CheckResult:
 
 
 def _check_sym_reversal_covariance(ctx: TrialContext) -> CheckResult:
-    K = ctx.K
+    K = ctx.spec.K
     if K.sigma_pullback() != K:
         return CheckResult(False, {"identity": "K is invariant under variable reversal"})
-    if inv.k_formula(ctx.spec.reversed_init()).K != K:
+    if ctx.spec.reversed_init().K != K:
         return CheckResult(False, {"identity": "K of the reversed seed equals K"})
     return CheckResult(True)
 
@@ -564,7 +574,8 @@ SYMBOLIC_CHECKS: dict[str, Callable[[TrialContext], CheckResult]] = {
 
 
 # checks that never read x_{2k+1} of a trial window, where fault injection
-# writes: a fault aimed at them would control nothing, so it is refused
+# writes: a fault aimed at them would control nothing, so it is refused (the
+# symbolic k_ratio reads x_{3k}, which is x_{2k+1} at k = 1 only)
 _NUMERIC_FAULT_BLIND = frozenset({"k_ratio", "reversibility", "operator_identity"})
 _SYMBOLIC_FAULT_BLIND = frozenset({"k_ratio", "first_integral", "proof_identities",
                                    "reversal_covariance", "p_from_iterates"})
@@ -669,6 +680,9 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
                     notes[cid].append(f"attempt {attempt}: {exc}")
                     still.append(cid)
                     continue
+                except (LaurentViolationError, CertificateError) as exc:
+                    # a window build that would disprove the theorem: data, not a crash
+                    result = CheckResult(False, _violation_witness(exc))
                 elapsed = time.perf_counter() - t0
                 done[cid] = CheckRecord(
                     cid, cfg.k, cfg.seed, trial,

@@ -17,14 +17,17 @@ from hhrec.engine import (
     window_rows,
     xi_residual,
 )
+import hhrec.engine as engine
+import hhrec.invariants as invariants
 from hhrec.errors import (
+    CertificateError,
     LaurentViolationError,
     NonIntegerValueError,
     ZeroPivotError,
 )
 from hhrec.laurent import variables
 from hhrec.matrix import matrix_det
-from hhrec.verifier import SplitMix64, random_rational
+from hhrec.verifier import SplitMix64, _map_orbit, random_rational
 
 
 def ones(k, a=1):
@@ -341,6 +344,110 @@ def test_symbolic_window_cap_enforced():
     with pytest.raises(ValueError, match=r"exceeds cap \|n\| <= 12$"):
         spec.window().extend(new_hi=13)
     assert spec.window().extend(-12, 12).hi == 12
+
+
+# -- the generic seed's linear route ----------------------------------------------
+
+# the slow references, shared by the tests below: [lo, hi] by _step alone,
+# over [-2k-2, 6k+4] widened to hold the block [-3k, 3k]
+_GENERIC_RANGES = {1: (-12, 12), 2: (-6, 16), 3: (-9, 22)}
+_STEP_ONLY = {}
+
+
+def _generic_step_only(k):
+    if k not in _STEP_ONLY:
+        spec = RecurrenceSpec.symbolic(k)
+        _STEP_ONLY[k] = dict(zip(range(_GENERIC_RANGES[k][0], _GENERIC_RANGES[k][1] + 1),
+                                 _step_only(spec, *_GENERIC_RANGES[k])))
+    return _STEP_ONLY[k]
+
+
+# successive (new_lo, new_hi) requests inside the reference range of each k
+GENERIC_EXTENSIONS = {
+    "forward": lambda k, lo, hi: [(None, hi)],
+    "backward": lambda k, lo, hi: [(lo, None)],
+    "inside-the-block": lambda k, lo, hi: [(-3 * k, 3 * k)],
+    "re-extended": lambda k, lo, hi: [(-k, 2 * k), (None, 3 * k + 1), (lo, None), (None, hi)],
+}
+
+
+@pytest.mark.parametrize("shape", GENERIC_EXTENSIONS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_generic_linear_route_equals_step_only_build(k, shape):
+    ref = _generic_step_only(k)
+    w = RecurrenceSpec.symbolic(k).window()
+    for lo, hi in GENERIC_EXTENSIONS[shape](k, *_GENERIC_RANGES[k]):
+        w = w.extend(lo, hi)
+    assert [str(v) for v in w.values] == [str(ref[n]) for n in w.indices()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_generic_window_substitutes_to_the_map_orbit(k):
+    """At two seeded rational points, each symbolic x_n equals the numeric
+    iterate that iterated phi and phi_inverse build."""
+    lo, hi = -2 * k - 2, 6 * k + 4
+    w = RecurrenceSpec.symbolic(k).window().extend(lo, hi)
+    rng = SplitMix64(4000 + k)
+    points = 0
+    while points < 2:
+        point = [random_rational(rng, 9, 9) for _ in range(2 * k + 2)]
+        try:
+            slow = _map_orbit(RecurrenceSpec(k, point[-1], tuple(point[:-1])), lo, hi)
+        except ZeroPivotError:
+            continue
+        assert all(w[n].substitute(point) == slow[n] for n in range(lo, hi + 1))
+        points += 1
+
+
+def _refuse_certificate(w):
+    raise AssertionError("the certificate ran")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_requests_inside_the_block_skip_the_certificate(k, monkeypatch):
+    monkeypatch.setattr(engine, "_certify", _refuse_certificate)
+    w = RecurrenceSpec.symbolic(k).window().extend(-3 * k, 3 * k)
+    assert (w.lo, w.hi) == (-3 * k, 3 * k)
+    with pytest.raises(AssertionError, match="certificate ran"):
+        w.extend(new_hi=3 * k + 1)
+
+
+def test_other_symbolic_seeds_keep_the_nonlinear_step(monkeypatch):
+    monkeypatch.setattr(engine, "_certify", _refuse_certificate)
+    x0, x1, x2, a = variables(4)
+    spec = RecurrenceSpec(1, a, (x2, x1, x0))  # the reversed generic seed
+    w = spec.window().extend(-6, 8)
+    assert w.values == _step_only(spec, -6, 8)
+
+
+def test_k_plus_one_fails_certificate_piece_b(monkeypatch):
+    monkeypatch.setattr(RecurrenceSpec, "K",
+                        property(lambda s: invariants.k_breakdown(s.init, s.a).K + 1))
+    with pytest.raises(CertificateError) as exc:
+        RecurrenceSpec.symbolic(1).window().extend(new_hi=4)
+    assert exc.value.identity.startswith("(b)") and exc.value.n == -3
+    assert exc.value.residual
+
+
+def test_corrupted_pullback_fails_certificate_piece_a(monkeypatch):
+    honest = invariants.k_after_phi
+    monkeypatch.setattr(invariants, "k_after_phi", lambda spec: honest(spec) + spec.init[0])
+    with pytest.raises(CertificateError) as exc:
+        RecurrenceSpec.symbolic(2).window().extend(new_lo=-7)
+    assert exc.value.identity.startswith("(a)")
+    assert exc.value.residual == RecurrenceSpec.symbolic(2).init[0]
+
+
+def test_numeric_k_is_computed_once_per_spec(monkeypatch):
+    calls = []
+    honest = invariants.k_breakdown
+    monkeypatch.setattr(invariants, "k_breakdown", lambda *args: calls.append(1) or honest(*args))
+    spec = RecurrenceSpec.numeric(1, 2, [1, 3, 2])
+    w = spec.window()
+    for lo, hi in [(None, 20), (-20, None), (-40, 40)]:
+        w = w.extend(lo, hi)
+    assert len(calls) == 1
+    assert spec.K == honest(spec.init, spec.a).K
 
 
 # -- export formats --------------------------------------------------------------

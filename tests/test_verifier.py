@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import hhrec.engine as engine
+import hhrec.invariants as invariants
 from hhrec.engine import RecurrenceSpec, SequenceWindow
 from hhrec.errors import InsufficientDataError, ZeroPivotError
 from hhrec.matrix import solve_exact
@@ -16,6 +18,7 @@ from hhrec.verifier import (
     _SYMBOLIC_FAULT_BLIND,
     SplitMix64,
     TrialConfig,
+    TrialContext,
     detect_linear_recurrence,
     expand_checks,
     poly_divides,
@@ -296,6 +299,36 @@ def test_symbolic_explicit_witness_reports_the_difference():
     # the fault raises x_3 by one, so formula minus iterate is -1
     assert report.failures[0].witness == {"n": 3, "identity": "closed formula == symbolic iterate",
                                           "residual": "-1"}
+
+
+@pytest.mark.parametrize("piece", ["a", "b"])
+def test_certificate_failure_is_a_laurent_fail_record(piece, monkeypatch):
+    if piece == "a":
+        honest = invariants.k_after_phi
+        monkeypatch.setattr(invariants, "k_after_phi", lambda spec: honest(spec) + 1)
+        n, residual = 0, "1"
+    else:
+        monkeypatch.setattr(RecurrenceSpec, "K",
+                            property(lambda s: invariants.k_breakdown(s.init, s.a).K + 1))
+        # the residual at -3k gains x_{-k} - x_k when K is raised by one
+        w = RecurrenceSpec.symbolic(2).window().extend(-2, 2)
+        n, residual = -6, str(w[-2] - w[2])
+    report = run_campaign(TrialConfig(k=2, trials=1, symbolic=True))
+    [record] = [r for r in report.records if r.check == "laurent"]
+    assert record.status == "fail"
+    assert record.witness["identity"].startswith(f"linear-route certificate ({piece})")
+    assert (record.witness["n"], record.witness["residual"]) == (n, residual)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symbolic_k_ratio_reads_only_the_nonlinear_step(k, monkeypatch):
+    def refuse(w):
+        raise AssertionError("the certificate ran")
+
+    monkeypatch.setattr(engine, "_certify", refuse)
+    ctx = TrialContext(TrialConfig(k=k, trials=1, symbolic=True), RecurrenceSpec.symbolic(k), 0)
+    assert SYMBOLIC_CHECKS["k_ratio"](ctx).ok
+    assert (ctx.window(0, 0).lo, ctx.window(0, 0).hi) == (-3 * k, 3 * k)
 
 
 def test_symbolic_trials_share_one_window(monkeypatch):
