@@ -19,13 +19,13 @@ outputs and zero-pivot errors are those of the nonlinear step.
 Windows of the generic seed (``RecurrenceSpec.symbolic(k)``, the general
 solution) take the same relation over Laurent polynomials once they leave
 the centred block [-3k, 3k].  The nonlinear step builds that block, at most
-3k steps from the seed, and a certificate is checked on it at every such
-build: (a) K after one map step is K, and (b) the relation holds at n = -3k.
-As x_j(phi^m X) = x_{j+m}(X), the residual at -3k pulled back through m map
-steps is the residual at m - 3k with the same K by (a), so (b) gives the
-relation at every n; a failure raises :class:`CertificateError`.  Requests
-inside the block, and every other symbolic seed, use the nonlinear step
-throughout.
+3k steps from the seed, and a certificate is checked on it once per spec
+(``RecurrenceSpec.certified_block``): (a) K after one map step is K, and
+(b) the relation holds at n = -3k.  As x_j(phi^m X) = x_{j+m}(X), the
+residual at -3k pulled back through m map steps is the residual at m - 3k
+with the same K by (a), so (b) gives the relation at every n; a failure
+raises :class:`CertificateError`.  Requests inside the block, and every
+other symbolic seed, use the nonlinear step throughout.
 
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
@@ -93,6 +93,24 @@ class RecurrenceSpec:
         from .invariants import k_breakdown  # deferred: invariants imports this module
         return k_breakdown(self.init, self.a).K
 
+    @cached_property
+    def certified_block(self) -> "SequenceWindow | None":
+        """The generic seed's [-3k, 3k] by the nonlinear step once the certificate
+        holds, (b) and then (a) of the module docstring; None for other seeds.
+        A failed piece raises CertificateError naming it, which is not cached."""
+        if self != RecurrenceSpec.symbolic(self.k):
+            return None
+        from .invariants import k_after_phi, linear_relation_residual  # deferred, as in K
+        n = -3 * self.k
+        block = self.window()._grown(n, -n, linear=False)
+        residual = linear_relation_residual(block, n, self.K)
+        if residual:
+            raise CertificateError("(b) x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0", n, residual)
+        residual = k_after_phi(self) - self.K
+        if residual:
+            raise CertificateError("(a) K after one map step == K", 0, residual)
+        return block
+
     @property
     def order(self) -> int:
         return 2 * self.k + 1
@@ -139,9 +157,9 @@ class SequenceWindow:
     def extend(self, new_lo: int | None = None, new_hi: int | None = None) -> "SequenceWindow":
         """Enlarge to [new_lo, new_hi] by forward and backward steps.
 
-        A window of the generic seed that leaves [-3k, 3k] is built through
-        the certified block (see the module docstring).  Symbolic windows
-        stop at |n| <= 6k + 6: their term counts grow steeply.
+        A window of the generic seed that leaves [-3k, 3k] continues the
+        spec's certified block.  Symbolic windows stop at |n| <= 6k + 6:
+        their term counts grow steeply.
         """
         if self.raw:
             raise ValueError("raw windows are not solutions and cannot be extended")
@@ -154,11 +172,8 @@ class SequenceWindow:
             if new_lo < -cap or new_hi > cap:
                 raise ValueError(f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}")
         w, linear = self, not spec.symbolic_mode
-        if (spec.symbolic_mode and (new_lo < -3 * k or new_hi > 3 * k)
-                and spec == RecurrenceSpec.symbolic(k)):
-            w = w._grown(-3 * k, 3 * k, linear=False)
-            _certify(w)
-            linear = True
+        if not linear and (new_lo < -3 * k or new_hi > 3 * k) and spec.certified_block is not None:
+            w, linear = spec.certified_block, True
         w = w._grown(new_lo, new_hi, linear)
         return SequenceWindow(spec, new_lo, w.values[new_lo - w.lo:new_hi - w.lo + 1])
 
@@ -250,21 +265,6 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
         if (j - first) % (2 * k) == 0:
             scale *= q
         seq.append(y[-1] if spec.symbolic_mode else Fraction(y[-1], scale))
-
-
-def _certify(w: SequenceWindow) -> None:
-    """Check the certificate for the generic seed's linear route on ``w``,
-    which covers [-3k, 3k]: (b) the relation holds at n = -3k, and (a) K
-    after one map step is K.  Raises CertificateError naming the failed piece.
-    """
-    from .invariants import k_after_phi, linear_relation_residual  # deferred, as in K
-    spec, k = w.spec, w.spec.k
-    residual = linear_relation_residual(w, -3 * k, spec.K)
-    if residual:
-        raise CertificateError("(b) x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0", -3 * k, residual)
-    residual = k_after_phi(spec) - spec.K
-    if residual:
-        raise CertificateError("(a) K after one map step == K", 0, residual)
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:

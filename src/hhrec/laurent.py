@@ -616,6 +616,8 @@ class RationalFunction:
 def _reduce_pair(num: LaurentPolynomial, den: LaurentPolynomial):
     from math import gcd
 
+    if den == 1:  # a Laurent polynomial is already reduced
+        return num, den
     nv = num.nvars
     # strip the common monomial factor: per-variable min exponent of both
     # operands (the parameter's exponents are never negative)

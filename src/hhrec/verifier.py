@@ -43,6 +43,7 @@ from .errors import (
     DegenerateInputError,
     InsufficientDataError,
     LaurentViolationError,
+    NotExactError,
 )
 from .rational import format_rational
 
@@ -110,7 +111,7 @@ class TrialConfig:
         target = self.fault_target
         if target is not None and target not in checks:
             raise ValueError(f"inject_fault target {self.inject_fault!r} is not among the requested checks")
-        if target in (_SYMBOLIC_FAULT_BLIND if self.symbolic else _NUMERIC_FAULT_BLIND):
+        if target in _fault_blind(self.k, self.symbolic):
             raise ValueError(f"inject_fault target {self.inject_fault!r} never reads the corrupted "
                              "iterate x_{2k+1}, so it cannot serve as a negative control")
 
@@ -512,7 +513,12 @@ def _check_sym_first_integral(ctx: TrialContext) -> CheckResult:
 def _check_sym_k_ratio(ctx: TrialContext) -> CheckResult:
     # [-3k, 3k] holds only values of the nonlinear step, which never read K
     k = ctx.k
-    if inv.k_ratio(ctx.window(-3 * k, 3 * k), base=-k) != ctx.spec.K:
+    try:
+        ratio = inv.k_ratio(ctx.window(-3 * k, 3 * k), base=-k)
+    except NotExactError:
+        return CheckResult(False, {"n": -k, "identity":
+                                   "(x[n+4k]-x[n-2k])/(x[n+2k]-x[n]) is a Laurent polynomial"})
+    if ratio != ctx.spec.K:
         return CheckResult(False, {"identity": "ratio route == K symbolically"})
     return CheckResult(True)
 
@@ -573,12 +579,15 @@ SYMBOLIC_CHECKS: dict[str, Callable[[TrialContext], CheckResult]] = {
 }
 
 
-# checks that never read x_{2k+1} of a trial window, where fault injection
-# writes: a fault aimed at them would control nothing, so it is refused (the
-# symbolic k_ratio reads x_{3k}, which is x_{2k+1} at k = 1 only)
-_NUMERIC_FAULT_BLIND = frozenset({"k_ratio", "reversibility", "operator_identity"})
-_SYMBOLIC_FAULT_BLIND = frozenset({"k_ratio", "first_integral", "proof_identities",
-                                   "reversal_covariance", "p_from_iterates"})
+def _fault_blind(k: int, symbolic: bool) -> frozenset:
+    """The checks that never read x_{2k+1} of a trial window, where fault
+    injection writes: a fault aimed at them would control nothing, so it is
+    refused.  The symbolic k_ratio reads x_{3k}, which is x_{2k+1} at k = 1 only.
+    """
+    if not symbolic:
+        return frozenset({"k_ratio", "reversibility", "operator_identity"})
+    return frozenset({"first_integral", "proof_identities", "reversal_covariance",
+                      "p_from_iterates", *(["k_ratio"] if k > 1 else [])})
 
 
 def normalize_check_id(name: str) -> str:

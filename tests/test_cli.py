@@ -163,10 +163,11 @@ def test_verify_fault_injection_fails_with_witness(run):
 
 
 # fault injection raises x_{2k+1}; these checks never read it and are refused
+# (the symbolic k_ratio reads x_{3k}, which is x_{2k+1} at k = 1 only)
 FAULT_BLIND = {
-    False: {"k_ratio", "reversibility", "operator_identity"},
-    True: {"k_ratio", "first_integral", "proof_identities", "reversal_covariance",
-           "p_from_iterates"},
+    False: lambda k: {"k_ratio", "reversibility", "operator_identity"},
+    True: lambda k: {"first_integral", "proof_identities", "reversal_covariance",
+                     "p_from_iterates"} | ({"k_ratio"} if k > 1 else set()),
 }
 
 
@@ -177,13 +178,20 @@ def test_every_injected_fault_fails_its_target_only_or_is_refused(run, tmp_path,
     code, _, err = run("verify", "--k", "1", "--trials", "1", "--checks", "all",
                        "--inject-fault", target, "--json", str(path),
                        *(["--symbolic"] if symbolic else []))
-    if target in FAULT_BLIND[symbolic]:
+    if target in FAULT_BLIND[symbolic](1):
         assert code == 2 and "negative control" in err and not path.exists()
         return
     results = json.loads(path.read_text())["results"]
     assert code == 1
     assert {r["check"] for r in results if r["status"] == "fail"} == {target}
     assert all(r["status"] == "pass" for r in results if r["check"] != target)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_symbolic_k_ratio_fault_is_refused_past_k_1(run, k):
+    code, out, err = run("verify", "--k", str(k), "--symbolic", "--max-symbolic-k", "3",
+                         "--trials", "1", "--checks", "k_ratio", "--inject-fault", "k_ratio")
+    assert (code, out) == (2, "") and "never reads the corrupted iterate x_{2k+1}" in err
 
 
 @pytest.mark.parametrize("argv", [

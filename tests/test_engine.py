@@ -17,7 +17,6 @@ from hhrec.engine import (
     window_rows,
     xi_residual,
 )
-import hhrec.engine as engine
 import hhrec.invariants as invariants
 from hhrec.errors import (
     CertificateError,
@@ -399,13 +398,21 @@ def test_generic_window_substitutes_to_the_map_orbit(k):
         points += 1
 
 
-def _refuse_certificate(w):
-    raise AssertionError("the certificate ran")
+def _refuse_certificate(monkeypatch):
+    """Make ``certified_block`` raise once its certificate has run; for other
+    seeds it still returns None without one."""
+    certified = RecurrenceSpec.certified_block.func
+
+    def refuse(spec):
+        if certified(spec) is not None:
+            raise AssertionError("the certificate ran")
+
+    monkeypatch.setattr(RecurrenceSpec, "certified_block", property(refuse))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_requests_inside_the_block_skip_the_certificate(k, monkeypatch):
-    monkeypatch.setattr(engine, "_certify", _refuse_certificate)
+    _refuse_certificate(monkeypatch)
     w = RecurrenceSpec.symbolic(k).window().extend(-3 * k, 3 * k)
     assert (w.lo, w.hi) == (-3 * k, 3 * k)
     with pytest.raises(AssertionError, match="certificate ran"):
@@ -413,7 +420,7 @@ def test_requests_inside_the_block_skip_the_certificate(k, monkeypatch):
 
 
 def test_other_symbolic_seeds_keep_the_nonlinear_step(monkeypatch):
-    monkeypatch.setattr(engine, "_certify", _refuse_certificate)
+    _refuse_certificate(monkeypatch)
     x0, x1, x2, a = variables(4)
     spec = RecurrenceSpec(1, a, (x2, x1, x0))  # the reversed generic seed
     w = spec.window().extend(-6, 8)
@@ -427,6 +434,48 @@ def test_k_plus_one_fails_certificate_piece_b(monkeypatch):
         RecurrenceSpec.symbolic(1).window().extend(new_hi=4)
     assert exc.value.identity.startswith("(b)") and exc.value.n == -3
     assert exc.value.residual
+
+
+@pytest.mark.parametrize("piece", ["a", "b"])
+def test_failed_certificate_raises_at_every_extend_that_leaves_the_block(piece, monkeypatch):
+    if piece == "a":
+        honest = invariants.k_after_phi
+        monkeypatch.setattr(invariants, "k_after_phi", lambda spec: honest(spec) + 1)
+    else:
+        monkeypatch.setattr(RecurrenceSpec, "K",
+                            property(lambda s: invariants.k_breakdown(s.init, s.a).K + 1))
+    spec = RecurrenceSpec.symbolic(2)
+    w = spec.window().extend(-6, 6)
+    for lo, hi in [(None, 7), (-7, None), (None, 7)]:
+        with pytest.raises(CertificateError) as exc:
+            w.extend(lo, hi)
+        assert exc.value.identity.startswith(f"({piece})")
+    assert "certified_block" not in vars(spec)
+    assert w.extend(-5, 5).values == w.values  # requests inside the block still build
+
+
+def test_certificate_runs_once_per_spec(certificate_runs, monkeypatch):
+    calls = []
+    honest = invariants.k_after_phi
+    monkeypatch.setattr(invariants, "k_after_phi", lambda spec: calls.append(1) or honest(spec))
+    spec = RecurrenceSpec.symbolic(2)
+    w = spec.window()
+    for lo, hi in [(None, 7), (-8, None), (-3, 3), (-9, 10)]:
+        w = w.extend(lo, hi)
+    assert (certificate_runs, len(calls)) == ([spec], 1)
+    spec.window().extend(new_lo=-7)
+    RecurrenceSpec.symbolic(2).window().extend(new_lo=-7)  # an equal spec certifies anew
+    assert len(certificate_runs) == len(calls) == 2
+
+
+def test_re_extended_generic_window_equals_one_shot_and_step_only_builds(certificate_runs):
+    spec = RecurrenceSpec.symbolic(3)
+    twice = spec.window().extend(-8, 22).extend(-9, 22)
+    once = RecurrenceSpec.symbolic(3).window().extend(-9, 22)
+    ref = _generic_step_only(3)
+    assert [str(v) for v in twice.values] == [str(v) for v in once.values]
+    assert [str(v) for v in twice.values] == [str(ref[n]) for n in range(-9, 23)]
+    assert len(certificate_runs) == 2  # one per spec instance
 
 
 def test_corrupted_pullback_fails_certificate_piece_a(monkeypatch):

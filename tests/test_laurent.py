@@ -233,6 +233,17 @@ def test_rational_function_field_ops(gens):
         s.as_laurent()
 
 
+def test_rational_function_of_a_laurent_polynomial_divides_nothing(gens, monkeypatch):
+    x0, x1, x2, a = gens
+    p = 2 * x0 ** -2 * x1 + a * x2 ** -1 - 3
+    calls = []
+    exact_div = LaurentPolynomial.exact_div
+    monkeypatch.setattr(LaurentPolynomial, "exact_div",
+                        lambda self, d: calls.append(d) or exact_div(self, d))
+    r = RationalFunction(p)
+    assert (calls, r.num, r.den) == ([], p, 1)
+
+
 def test_rational_function_zero_denominator(gens):
     x0 = gens[0]
     with pytest.raises(ZeroDivisionError):

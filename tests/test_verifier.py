@@ -1,24 +1,23 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-import hhrec.engine as engine
 import hhrec.invariants as invariants
 from hhrec.engine import RecurrenceSpec, SequenceWindow
-from hhrec.errors import InsufficientDataError, ZeroPivotError
+from hhrec.errors import HHRecError, InsufficientDataError, ZeroPivotError
 from hhrec.matrix import solve_exact
 from hhrec.rational import parse_rational
 from hhrec.verifier import (
     NUMERIC_CHECKS,
     SYMBOLIC_CHECKS,
-    _NUMERIC_FAULT_BLIND,
-    _SYMBOLIC_FAULT_BLIND,
     SplitMix64,
     TrialConfig,
     TrialContext,
+    _fault_blind,
     detect_linear_recurrence,
     expand_checks,
     poly_divides,
@@ -322,13 +321,24 @@ def test_certificate_failure_is_a_laurent_fail_record(piece, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_symbolic_k_ratio_reads_only_the_nonlinear_step(k, monkeypatch):
-    def refuse(w):
+    def refuse(spec):
         raise AssertionError("the certificate ran")
 
-    monkeypatch.setattr(engine, "_certify", refuse)
+    monkeypatch.setattr(RecurrenceSpec, "certified_block", property(refuse))
     ctx = TrialContext(TrialConfig(k=k, trials=1, symbolic=True), RecurrenceSpec.symbolic(k), 0)
     assert SYMBOLIC_CHECKS["k_ratio"](ctx).ok
     assert (ctx.window(0, 0).lo, ctx.window(0, 0).hi) == (-3 * k, 3 * k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symbolic_trial_certifies_once(k, certificate_runs, monkeypatch):
+    calls = []
+    honest = invariants.k_after_phi
+    monkeypatch.setattr(invariants, "k_after_phi", lambda spec: calls.append(1) or honest(spec))
+    report = run_campaign(TrialConfig(k=k, trials=1, symbolic=True))
+    assert report.counts["fail"] == 0
+    # the certificate's piece (a) and the first_integral check
+    assert (len(certificate_runs), len(calls)) == (1, 2)
 
 
 def test_symbolic_trials_share_one_window(monkeypatch):
@@ -388,6 +398,8 @@ FAULT_WITNESSES = {
                         "residual": "1929431/43740"},
     "sym:laurent": {"n": 0, "identity": "xi_n = 0 symbolically", "residual": "x0"},
     "sym:explicit": {"n": 3, "identity": "closed formula == symbolic iterate", "residual": "-1"},
+    "sym:k_ratio": {"n": -1,
+                    "identity": "(x[n+4k]-x[n-2k])/(x[n+2k]-x[n]) is a Laurent polynomial"},
 }
 
 
@@ -403,9 +415,73 @@ def test_fault_witness_pinned(target):
 
 
 def test_fault_witnesses_cover_every_fault_capable_check():
-    capable = {cid for cid in NUMERIC_CHECKS if cid not in _NUMERIC_FAULT_BLIND}
-    capable |= {f"sym:{cid}" for cid in SYMBOLIC_CHECKS if cid not in _SYMBOLIC_FAULT_BLIND}
+    capable = {cid for cid in NUMERIC_CHECKS if cid not in _fault_blind(1, False)}
+    capable |= {f"sym:{cid}" for cid in SYMBOLIC_CHECKS if cid not in _fault_blind(1, True)}
     assert capable == set(FAULT_WITNESSES)
+
+
+class _Reads(tuple):
+    """Window values that add the index of every value read to ``log``."""
+
+    def __new__(cls, values, lo, log):
+        self = super().__new__(cls, values)
+        self.lo, self.log = lo, log
+        return self
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]
+        self.log.update(self.lo + j for j in (picked if isinstance(i, slice) else [picked]))
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.log.update(range(self.lo, self.lo + len(self)))
+        return super().__iter__()
+
+
+def _clean_context(cfg: TrialConfig) -> TrialContext:
+    """The context of the first candidate spec on which every check passes."""
+    table = SYMBOLIC_CHECKS if cfg.symbolic else NUMERIC_CHECKS
+    for attempt in range(cfg.max_resamples + 1):
+        spec = RecurrenceSpec.symbolic(cfg.k) if cfg.symbolic else random_spec(cfg, 0, attempt)
+        ctx = TrialContext(cfg, spec, 0)
+        try:
+            if all(check(ctx).ok for check in table.values()):
+                return ctx
+        except HHRecError:
+            pass
+    raise AssertionError("no clean spec")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fault_refusals_match_the_indices_each_check_reads(k, monkeypatch):
+    """A check is accepted as a fault target exactly when, on its corrupted
+    windows, it reads x_{2k+1}, the iterate fault injection raises."""
+    reads = set()
+    with_value = SequenceWindow.with_value
+
+    def recorded(w, n, value):
+        corrupted = with_value(w, n, value)
+        return replace(corrupted, values=_Reads(corrupted.values, corrupted.lo, reads))
+
+    monkeypatch.setattr(SequenceWindow, "with_value", recorded)
+    reads_target, accepted = {}, {}
+    for symbolic, table in ((False, NUMERIC_CHECKS), (True, SYMBOLIC_CHECKS)):
+        ctx = _clean_context(TrialConfig(k=k, trials=1, symbolic=symbolic))
+        ctx.corrupt = True
+        for cid, check in table.items():
+            reads.clear()
+            try:
+                check(ctx)
+            except HHRecError:
+                pass
+            reads_target[symbolic, cid] = 2 * k + 1 in reads
+            try:
+                TrialConfig(k=k, trials=1, symbolic=symbolic, checks=frozenset({cid}),
+                            inject_fault=cid)
+                accepted[symbolic, cid] = True
+            except ValueError:
+                accepted[symbolic, cid] = False
+    assert reads_target == accepted
 
 
 def test_fault_target_must_be_requested():
