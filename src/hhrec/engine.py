@@ -157,8 +157,9 @@ class SequenceWindow:
     def extend(self, new_lo: int | None = None, new_hi: int | None = None) -> "SequenceWindow":
         """Enlarge to [new_lo, new_hi] by forward and backward steps.
 
-        A window of the generic seed that leaves [-3k, 3k] continues the
-        spec's certified block.  Symbolic windows stop at |n| <= 6k + 6:
+        A window of the generic seed that leaves [-3k, 3k] continues itself,
+        filled out by the spec's certified block where it does not reach
+        that far.  Symbolic windows stop at |n| <= 6k + 6:
         their term counts grow steeply.
         """
         if self.raw:
@@ -172,8 +173,14 @@ class SequenceWindow:
             if new_lo < -cap or new_hi > cap:
                 raise ValueError(f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}")
         w, linear = self, not spec.symbolic_mode
-        if not linear and (new_lo < -3 * k or new_hi > 3 * k) and spec.certified_block is not None:
-            w, linear = spec.certified_block, True
+        if not linear and (new_lo < -3 * k or new_hi > 3 * k):
+            block = spec.certified_block  # certifies, or raises, before any value is built
+            if block is not None:
+                # both hold [0, 2k], so their union is one window of the solution
+                lo, hi = min(self.lo, block.lo), max(self.hi, block.hi)
+                w = SequenceWindow(spec, lo, tuple(self[n] if n in self else block[n]
+                                                   for n in range(lo, hi + 1)))
+                linear = True
         w = w._grown(new_lo, new_hi, linear)
         return SequenceWindow(spec, new_lo, w.values[new_lo - w.lo:new_hi - w.lo + 1])
 

@@ -7,7 +7,10 @@ Three independent determinant routines are provided:
 
 * Bareiss fraction-free elimination -- the production route behind
   ``matrix_det`` at every size; interior divisions are exact in the entry
-  ring by Sylvester's identity;
+  ring by Sylvester's identity.  A matrix of Fractions runs over the
+  integers, as Bareiss intended: each row is scaled by the lcm of its
+  denominators, the stages divide with exact ``//`` (no gcd), and the result
+  is ``Fraction(det, product of the row lcms)``;
 * cofactor expansion -- the brute-force oracle, any size;
 * Dodgson condensation -- repeated 2x2 condensation divided by the interior
   of the grandparent stage; fails when an interior entry vanishes.
@@ -18,6 +21,8 @@ route against them, and no production code calls them.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -66,8 +71,22 @@ def det_cofactor(rows: Sequence[Sequence]):
 
 
 def det_bareiss(rows: Sequence[Sequence]):
-    """Fraction-free Gaussian elimination; divisions are exact in the ring."""
+    """Fraction-free Gaussian elimination; divisions are exact in the ring.
+
+    A matrix of Fractions runs over the integers: each row is scaled by the
+    lcm of its denominators, every stage divides exactly with ``//``, and the
+    result is the integer determinant over the product of those lcms.
+    """
     a = _square_rows(rows)
+    if not all(isinstance(v, Fraction) for row in a for v in row):
+        return _eliminate(a, operator.truediv)
+    scales = [math.lcm(*(v.denominator for v in row)) for row in a]
+    a = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(a, scales)]
+    return Fraction(_eliminate(a, operator.floordiv), math.prod(scales))
+
+
+def _eliminate(a: list[list], div):
+    """Bareiss elimination in place on ``a``; ``div`` is the ring's exact division."""
     n = len(a)
     sign = 1
     prev = None  # pivot of the previous stage
@@ -83,9 +102,7 @@ def det_bareiss(rows: Sequence[Sequence]):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                if prev is not None:
-                    elt /= prev
-                a[i][j] = elt
+                a[i][j] = elt if prev is None else div(elt, prev)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det

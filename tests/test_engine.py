@@ -17,6 +17,7 @@ from hhrec.engine import (
     window_rows,
     xi_residual,
 )
+import hhrec.engine as engine
 import hhrec.invariants as invariants
 from hhrec.errors import (
     CertificateError,
@@ -497,6 +498,56 @@ def test_numeric_k_is_computed_once_per_spec(monkeypatch):
         w = w.extend(lo, hi)
     assert len(calls) == 1
     assert spec.K == honest(spec.init, spec.a).K
+
+
+def test_extending_a_window_that_covers_the_block_continues_it(certificate_runs):
+    spec = RecurrenceSpec.symbolic(3)
+    ref = _generic_step_only(3)
+    x23 = phi(tuple(ref[n] for n in range(16, 23)), spec.a, 3)[-1]  # one more nonlinear step
+    twice = spec.window().extend(-9, 22).extend(-9, 23)
+    once = RecurrenceSpec.symbolic(3).window().extend(-9, 23)
+    assert [str(v) for v in twice.values] == [str(v) for v in once.values]
+    assert [str(v) for v in twice.values] == [str(ref[n]) for n in range(-9, 23)] + [str(x23)]
+    assert len(certificate_runs) == 2  # one per spec instance
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_window_built_to_the_block_certifies_once_when_extended(k, certificate_runs):
+    spec = RecurrenceSpec.symbolic(k)
+    w = spec.window().extend(-3 * k, 3 * k)
+    assert certificate_runs == []
+    w = w.extend(new_hi=3 * k + 1).extend(new_hi=3 * k + 2)
+    assert certificate_runs == [spec]
+    ref = _generic_step_only(k)
+    assert [str(v) for v in w.values] == [str(ref[n]) for n in w.indices()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_failed_certificate_raises_before_the_relation_builds_a_value(k, monkeypatch):
+    honest = invariants.k_after_phi
+    monkeypatch.setattr(invariants, "k_after_phi", lambda spec: honest(spec) + 1)
+    w = RecurrenceSpec.symbolic(k).window().extend(-3 * k, 3 * k)
+    linear_builds = []
+    iterate = engine._iterate
+    monkeypatch.setattr(engine, "_iterate", lambda seq, spec, count, index, linear:
+                        linear_builds.append(count) if linear else iterate(seq, spec, count, index, linear))
+    for lo, hi in [(None, 3 * k + 1), (-3 * k - 1, None)]:
+        with pytest.raises(CertificateError, match=r"\(a\)"):
+            w.extend(lo, hi)
+    assert linear_builds == []
+
+
+def test_extends_within_the_window_and_the_block_build_no_value(monkeypatch):
+    spec = RecurrenceSpec.symbolic(3)
+    w = spec.window().extend(-8, 22)
+    block = spec.certified_block
+    built = []
+    iterate = engine._iterate
+    monkeypatch.setattr(engine, "_iterate", lambda seq, spec, count, index, linear:
+                        built.append(count) or iterate(seq, spec, count, index, linear))
+    assert w.extend(-8, 22).values == w.values
+    assert w.extend(-9, 22).values == (block[-9],) + w.values  # the rest comes from the block
+    assert sum(built) == 0
 
 
 # -- export formats --------------------------------------------------------------

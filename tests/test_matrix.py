@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhrec.laurent import variables
+from hhrec.laurent import LaurentPolynomial, variables
 from hhrec.matrix import (
     ZeroMinorError,
     det_bareiss,
@@ -20,9 +20,17 @@ def rationals():
                      st.integers(min_value=1, max_value=5))
 
 
-def square(n):
-    return st.lists(st.lists(rationals(), min_size=n, max_size=n),
+def square(n, entries=rationals):
+    return st.lists(st.lists(entries(), min_size=n, max_size=n),
                     min_size=n, max_size=n)
+
+
+def wide_rationals():
+    """Numerators past 2^64 and denominators up to 10^6, with zeros common
+    enough that elimination meets zero pivots."""
+    return st.one_of(st.just(Fraction(0)),
+                     st.builds(Fraction, st.integers(min_value=-2**80, max_value=2**80),
+                               st.integers(min_value=1, max_value=10**6)))
 
 
 def test_all_ones_3x3_is_singular():
@@ -124,6 +132,50 @@ def test_singular_bareiss_zero_column():
     z = Fraction(0)
     m = [(z, 1, 2), (z, 3, 4), (z, 5, 6)]
     assert det_bareiss(m) == 0 == det_cofactor(m)
+
+
+# -- the integer route: Fraction matrices are row-scaled to integers ------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: square(n, wide_rationals)))
+def test_integer_route_agrees_with_cofactor(m):
+    det = matrix_det(m)
+    assert type(det) is Fraction
+    assert det == det_cofactor(m)
+
+
+F = Fraction
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # rows (1, 2, 3)/2, (2, 4, 5)/3, (3, 7, 1): the second stage's pivot is 0,
+    # so the last two rows swap mid-elimination
+    ([(F(1, 2), 1, F(3, 2)), (F(2, 3), F(4, 3), F(5, 3)), (3, 7, 1)], F(1, 6)),
+    ([(F(1, 2), F(1, 3), F(1, 5)), (0, 0, 0), (F(2, 7), 1, F(9, 4))], 0),
+    # a zero column met at the second stage
+    ([(1, 0, F(2, 3)), (3, 0, 5), (F(1, 2), 0, 7)], 0),
+    # the third column is the sum of the first two; no entry is zero
+    ([(F(1, 2), F(1, 3), F(5, 6)), (2, 3, 5), (F(3, 7), 1, F(10, 7))], 0),
+    # integer-valued Fractions, one past 2^64
+    ([(F(4, 2), -1, 0), (-1, 2, -1), (0, -1, 2**70)], 3 * 2**70 - 2),
+], ids=["second-stage-swap", "zero-row", "zero-column", "singular-full-support", "integer-valued"])
+def test_integer_route_fixed_cases(rows, expected):
+    rows = [[F(v) for v in row] for row in rows]
+    det = matrix_det(rows)
+    assert type(det) is Fraction
+    assert det == det_cofactor(rows) == expected
+
+
+def test_any_laurent_entry_keeps_the_ring_route():
+    x0, x1 = variables(2)
+    c = lambda v: LaurentPolynomial.constant(2, v)
+    constants = [[c(2), c(-1), c(3)], [c(5), c(0), c(7)], [c(1), c(4), c(-6)]]
+    one_variable = [row[:] for row in constants]
+    one_variable[1][1] = x0 * x1 - 1
+    for m in (constants, one_variable):
+        det = matrix_det(m)
+        assert isinstance(det, LaurentPolynomial)
+        assert det == det_cofactor(m)
 
 
 def test_solve_exact_unique_and_inconsistent():
