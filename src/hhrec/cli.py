@@ -22,6 +22,7 @@ from . import invariants as inv
 from .engine import (
     RecurrenceSpec,
     contiguous_values,
+    export_window,
     parse_sequence,
     render_bfile,
     render_csv,
@@ -95,8 +96,9 @@ def _quotient_sum(lo: int, hi: int, m: int) -> int:
     return below(hi + 1) + below(-lo) - lo
 
 
-def _generated_rows(args) -> list:
-    """(n, x_n) for n in [--from, --to] of the numeric spec in the arguments."""
+def _generated_rows(args, printed: bool = False) -> list:
+    """(n, x_n) for n in [--from, --to] of the numeric spec in the arguments;
+    ``printed`` builds them by ``export_window``, so they may be Decimals."""
     spec = _numeric_spec(args)
     lo, hi = args.from_, args.to
     if lo > hi:
@@ -109,12 +111,12 @@ def _generated_rows(args) -> list:
         if estimate > GEN_BIT_BUDGET:
             raise UsageError(f"the window [{w_lo}, {w_hi}] needs about {estimate} bits of "
                              f"iterates, past the budget of {GEN_BIT_BUDGET}")
-    w = spec.window().extend(w_lo, w_hi)
+    w = export_window(spec, w_lo, w_hi) if printed else spec.window().extend(w_lo, w_hi)
     return window_rows(w, lo, hi)
 
 
 def cmd_gen(args) -> int:
-    rows = _generated_rows(args)
+    rows = _generated_rows(args, printed=True)
     if args.format == "csv":
         sys.stdout.write(render_csv(rows))
     elif args.format == "json":

@@ -27,6 +27,15 @@ with the same K by (a), so (b) gives the relation at every n; a failure
 raises :class:`CertificateError`.  Requests inside the block, and every
 other symbolic seed, use the nonlinear step throughout.
 
+``export_window`` builds the windows that ``gen`` prints.  When K and the
+6k values the relation starts from are integers, it runs the relation over
+``decimal.Decimal`` integers in an exact context instead of scaled ints:
+Decimal add, subtract and multiply by K take time linear in the digits, and
+so does ``str``, where CPython's int-to-str is quadratic.  Before the window
+is returned, every value is checked against the same relation run modulo
+the prime 2^61 - 1 from the same integers; a mismatch raises
+:class:`ResidueMismatchError`.
+
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
 and exists for fault injection and identities that hold for any sequence.
@@ -38,6 +47,17 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -47,10 +67,17 @@ from .errors import (
     LaurentViolationError,
     NonIntegerValueError,
     NotExactError,
+    ResidueMismatchError,
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, variables
 from .rational import format_rational, parse_rational, promote
+
+# Decimal arithmetic on integers that must never round: a lost digit raises
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation])
+# the modulus of export_window's check, a Mersenne prime
+GUARD_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -129,6 +156,8 @@ class SequenceWindow:
 
     A window that is not raw holds iterates of ``spec``'s own seed: ``extend``
     continues it with the linear relation whose K comes from ``spec.init``.
+    Numeric values are Fractions, or Decimal integers in a window from
+    ``export_window``; symbolic values are Laurent polynomials.
     """
 
     spec: RecurrenceSpec
@@ -188,10 +217,11 @@ class SequenceWindow:
         """The window over [min(lo, new_lo), max(hi, new_hi)]; ``linear`` as in ``_iterate``."""
         lo, hi = min(self.lo, new_lo), max(self.hi, new_hi)
         fwd = list(self.values)
-        _iterate(fwd, self.spec, hi - self.hi, lambda j: self.lo + j, linear)
-        # backward is the forward step on the reversed window
-        bwd = fwd[::-1]
-        _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
+        with localcontext(_EXACT):  # Decimal values never round
+            _iterate(fwd, self.spec, hi - self.hi, lambda j: self.lo + j, linear)
+            # backward is the forward step on the reversed window
+            bwd = fwd[::-1]
+            _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
         return SequenceWindow(self.spec, lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
 
     def with_value(self, n: int, value) -> "SequenceWindow":
@@ -230,17 +260,18 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     throughout unless ``linear`` is set.  Past that, the linear relation
     x[j] = K (x[j-2k] - x[j-4k]) + x[j-6k], which has this form in both
     stepping directions, continues from the last 6k values in ``seq``.  A
-    numeric window runs it over the integers y[j] = D Q^(j // 2k) x[j]; here
-    K = P/Q, j counts from the first of those 6k values, and D is the lcm of
-    their denominators:
+    window of Fractions runs it over the integers y[j] = D Q^(j // 2k) x[j];
+    here K = P/Q, j counts from the first of those 6k values, and D is the
+    lcm of their denominators:
 
         y[j] = P (y[j-2k] - Q y[j-4k]) + Q^3 y[j-6k]
 
     No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)).
     A symbolic window, whose K is a Laurent polynomial, runs the same lines
-    with P = K and Q = D = 1, so y is x itself.  Each step first tests the
-    value ``_step`` would divide by, so a zero pivot raises ZeroPivotError at
-    the same index on both routes.
+    with P = K and Q = D = 1, so y is x itself; so does a window of Decimal
+    integers, whose K is an integer (``_grown`` runs it where nothing rounds).
+    Each step first tests the value ``_step`` would divide by, so a zero
+    pivot raises ZeroPivotError at the same index on every route.
     """
     k, order = spec.k, spec.order
     end = len(seq) + count
@@ -253,8 +284,9 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     # so none is zero and the formula is defined
     K = spec.K
     start = seq[-6 * k:]
-    if spec.symbolic_mode:
-        p, q, scale = K, 1, 1
+    y_is_x = not isinstance(start[0], Fraction)
+    if y_is_x:
+        p, q, scale = (K if spec.symbolic_mode else K.numerator), 1, 1
         y = deque(start, maxlen=6 * k)
     else:
         p, q = K.numerator, K.denominator
@@ -268,10 +300,12 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
         # y holds the scaled x_{index(j-6k)}..x_{index(j-1)}
         if not y[6 * k - order]:
             raise ZeroPivotError(index(j - order))
-        y.append(p * (y[4 * k] - q * y[2 * k]) + q3 * y[0])
+        # with Q = 1 the products by Q would only copy y
+        y.append(p * (y[4 * k] - y[2 * k]) + y[0] if q == 1
+                 else p * (y[4 * k] - q * y[2 * k]) + q3 * y[0])
         if (j - first) % (2 * k) == 0:
             scale *= q
-        seq.append(y[-1] if spec.symbolic_mode else Fraction(y[-1], scale))
+        seq.append(y[-1] if y_is_x else Fraction(y[-1], scale))
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:
@@ -329,9 +363,49 @@ def check_reversibility(spec: RecurrenceSpec) -> bool:
 
 # -- sequence export / import -------------------------------------------------
 
+def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
+    """The window [lo, hi] of a numeric spec, lo <= 0 and hi >= 2k, to be printed.
+
+    Its values are those of ``spec.window().extend(lo, hi)``, built in the
+    same order, so a zero pivot raises at the same index.  When the window
+    leaves the 6k values the relation starts from, and K and those values
+    are integers, the relation runs over Decimal integers and the values are
+    Decimals; ``_check_residues`` checks each of them before it returns.
+    """
+    k = spec.k
+    block = spec.window().extend(max(lo, min(0, hi - 6 * k + 1)), min(hi, 6 * k - 1))
+    if (block.covers(lo, hi) or spec.K.denominator != 1
+            or any(v.denominator != 1 for v in block.values)):
+        return block.extend(lo, hi)
+    start = SequenceWindow(spec, block.lo, tuple(Decimal(v.numerator) for v in block.values))
+    w = start.extend(lo, hi)
+    _check_residues(w, block)
+    return w
+
+
+def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
+    """Raise ResidueMismatchError unless each value of ``w`` is, modulo
+    GUARD_PRIME, the linear relation run from the integers of ``block``.
+
+    A loop of its own over residues, apart from ``_iterate``, in time linear
+    in the digits: an independent check of the Decimal route.
+    """
+    k, p, K = w.spec.k, GUARD_PRIME, w.spec.K
+    K = K.numerator * pow(K.denominator, -1, p) % p
+    r = {n: int(block[n]) % p for n in block.indices()}
+    for n in range(block.hi + 1, w.hi + 1):
+        r[n] = (K * (r[n - 2 * k] - r[n - 4 * k]) + r[n - 6 * k]) % p
+    for n in range(block.lo - 1, w.lo - 1, -1):
+        r[n] = (K * (r[n + 2 * k] - r[n + 4 * k]) + r[n + 6 * k]) % p
+    with localcontext(_EXACT):
+        for n, v in zip(w.indices(), w.values):
+            if int(v % p) % p != r[n]:
+                raise ResidueMismatchError(n)
+
+
 def format_value(v) -> str:
     """Canonical text for any scalar this package produces."""
-    if isinstance(v, LaurentPolynomial):
+    if isinstance(v, (LaurentPolynomial, Decimal)):
         return str(v)
     return format_rational(v)
 
@@ -356,10 +430,11 @@ def render_bfile(rows: Sequence[tuple[int, object]]) -> str:
     """OEIS-style b-file ``n value``; every value must be an integer."""
     lines = []
     for n, v in rows:
-        f = Fraction(v) if not isinstance(v, LaurentPolynomial) else None
-        if f is None or f.denominator != 1:
+        integer = isinstance(v, Decimal) or (not isinstance(v, LaurentPolynomial)
+                                             and Fraction(v).denominator == 1)
+        if not integer:
             raise NonIntegerValueError(f"value at n={n} is not an integer: {format_value(v)}")
-        lines.append(f"{n} {format_rational(f)}")
+        lines.append(f"{n} {format_value(v)}")
     return "\n".join(lines) + "\n"
 
 

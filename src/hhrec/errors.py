@@ -54,6 +54,20 @@ class CertificateError(HHRecError):
         self.residual = residual
 
 
+class ResidueMismatchError(HHRecError):
+    """A value of a Decimal-route window differs, modulo the prime 2^61 - 1,
+    from the linear relation run over residues from the same integers.
+
+    The Decimal route or its arithmetic went wrong at x_n, so the window must
+    not be printed: a check failure, never a degeneracy.
+    """
+
+    def __init__(self, n: int):
+        super().__init__(f"x_{n} of the decimal route differs from the linear relation "
+                         "modulo 2^61 - 1")
+        self.n = n
+
+
 class NonIntegerValueError(HHRecError):
     """b-file export requires every value to be an integer."""
 

@@ -1,5 +1,8 @@
+from decimal import Decimal
+
 import pytest
 
+import hhrec.engine as engine
 import hhrec.invariants as invariants
 
 
@@ -20,3 +23,21 @@ def certificate_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(invariants, "linear_relation_residual", counted)
     return runs
+
+
+@pytest.fixture
+def corrupt_decimal_at(monkeypatch):
+    """Call with an index n: from then on, each Decimal x_n that the relation
+    builds is one too large, a fault the Decimal route's residue check must catch."""
+    iterate = engine._iterate
+
+    def arm(target: int) -> None:
+        def corrupted(seq, spec, count, index, linear):
+            first = len(seq)
+            iterate(seq, spec, count, index, linear)
+            for j in range(first, len(seq)):
+                if index(j) == target and isinstance(seq[j], Decimal):
+                    seq[j] += 1
+
+        monkeypatch.setattr(engine, "_iterate", corrupted)
+    return arm

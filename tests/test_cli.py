@@ -3,7 +3,9 @@ import json
 import pytest
 
 from hhrec import cli
+from hhrec import engine
 from hhrec.cli import main
+from hhrec.errors import ResidueMismatchError
 from hhrec.verifier import NUMERIC_CHECKS, SYMBOLIC_CHECKS
 
 
@@ -73,6 +75,56 @@ def test_gen_zero_pivot_exits_3(run):
 def test_gen_zero_pivot_names_its_index(run, init, window, pivot):
     code, out, err = run("gen", "--k", "1", "--a", "1", "--init", init, *window)
     assert (code, out, err) == (3, "", f"degenerate input: zero iterate x_{pivot} used as a divisor\n")
+
+
+# (k, a, init, --from, --to): windows whose K and 6k start values are integers
+DECIMAL_ROUTE = {
+    "two-sided": (1, "1", "1,1,1", -30, 40),
+    "forward": (2, "-2", "1,-1,1,1,-1", 0, 60),
+    "backward": (3, "3", "1,1,-1,1,1,1,-1", -70, 6),
+    "integer-seed": (1, "1", "3,7,31", -25, 25),           # x_3..x_5 of the all-ones seed
+    "zero-value": (1, "2", "-2,2,-1", -7, 5),              # x_-5 = 0
+    "shorter-than-6k": (3, "1", "1,1,1,1,1,1,1", -2, 10),
+    "from-100": (2, "1", "1,1,1,1,1", 100, 130),
+    "past-digit-limit": (1, "1000000", "1,1,1", -720, 720),
+}
+
+
+@pytest.mark.parametrize("form", ["csv", "json", "bfile"])
+@pytest.mark.parametrize("case", DECIMAL_ROUTE)
+def test_gen_decimal_route_prints_the_binary_window(run, case, form):
+    k, a, init, lo, hi = DECIMAL_ROUTE[case]
+    code, out, err = run("gen", "--k", str(k), f"--a={a}", f"--init={init}",
+                         f"--from={lo}", f"--to={hi}", "--format", form)
+    spec = engine.RecurrenceSpec.numeric(k, int(a), [int(v) for v in init.split(",")])
+    binary = spec.window().extend(min(lo, 0), max(hi, 2 * k))
+    render = {"csv": engine.render_csv, "json": engine.render_json, "bfile": engine.render_bfile}
+    assert (code, err) == (0, "")
+    assert out == render[form](engine.window_rows(binary, lo, hi))
+
+
+@pytest.mark.parametrize("k,a,init,window,pivot", [
+    (1, "2", "-3,2,-1", ("--from", "-3", "--to", "6"), 3),
+    (1, "2", "-2,2,-1", ("--from", "-8", "--to", "2"), -5),
+    (2, "1", "-2,1,1,1,2", ("--from", "-3", "--to", "14"), 9),
+    (2, "1", "-2,1,1,1,2", ("--from", "-6", "--to", "11"), -1),
+])
+def test_gen_zero_pivot_on_the_decimal_route_names_its_index(run, k, a, init, window, pivot):
+    code, out, err = run("gen", "--k", str(k), "--a", a, f"--init={init}", *window)
+    assert (code, out, err) == (3, "", f"degenerate input: zero iterate x_{pivot} used as a divisor\n")
+
+
+@pytest.mark.parametrize("n", [-30, 6, 40])
+def test_gen_corrupted_decimal_value_exits_1_and_prints_nothing(run, corrupt_decimal_at, n):
+    argv = ["gen", "--k", "1", "--init", "1,1,1", "--from", "-30", "--to", "40"]
+    corrupt_decimal_at(n)
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ResidueMismatchError) as exc:
+        cli.cmd_gen(args)
+    assert exc.value.n == n
+    code, out, err = run(*argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: x_{n} of the decimal route differs from the linear relation modulo 2^61 - 1\n"
 
 
 def test_gen_refuses_past_the_size_budget(run):

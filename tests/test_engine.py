@@ -1,12 +1,17 @@
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hhrec.engine import (
     RecurrenceSpec,
     apply_sigma,
     check_reversibility,
     contiguous_values,
+    export_window,
     parse_sequence,
     phi,
     phi_inverse,
@@ -23,6 +28,7 @@ from hhrec.errors import (
     CertificateError,
     LaurentViolationError,
     NonIntegerValueError,
+    ResidueMismatchError,
     ZeroPivotError,
 )
 from hhrec.laurent import variables
@@ -272,6 +278,9 @@ def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
     with pytest.raises(ZeroPivotError) as by_extend:
         spec.window().extend(new_lo=lo, new_hi=hi)
     assert by_extend.value.n == pivot
+    with pytest.raises(ZeroPivotError) as by_export:
+        export_window(spec, lo or 0, hi or 2)
+    assert by_export.value.n == pivot
     inverse = lo is not None
     # one step short of the failing one, both routes build the same window
     short = spec.window().extend(new_lo=lo and lo + 1, new_hi=hi and hi - 1)
@@ -283,6 +292,25 @@ def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
     with pytest.raises(ZeroPivotError) as by_map:
         (phi_inverse if inverse else phi)(point, spec.a, 1)
     assert (-steps if inverse else steps) + by_map.value.n == pivot
+
+
+@pytest.mark.parametrize("k,a,init,lo,hi,pivot", [
+    (1, 2, [-3, 2, -1], -3, 6, 3),         # x_3 = 0 divides the relation's step to x_6
+    (1, 2, [-2, 2, -1], -8, 2, -5),        # x_-5 = 0 comes from the relation, run backward
+    (2, 1, [-2, 1, 1, 1, 2], -3, 14, 9),   # x_9 = 0 comes from the relation
+    (2, 1, [-2, 1, 1, 1, 2], -6, 11, -1),
+])
+def test_zero_pivot_same_index_on_the_decimal_route(k, a, init, lo, hi, pivot):
+    # x_pivot divides the step to x_lo when pivot < 0, else the step to x_hi
+    spec = RecurrenceSpec.numeric(k, a, init)
+    for build in (spec.window().extend, lambda *window: export_window(spec, *window)):
+        with pytest.raises(ZeroPivotError) as exc:
+            build(lo, hi)
+        assert exc.value.n == pivot
+    # one step short of the failing one, the Decimal route builds the window
+    short = export_window(spec, lo + 1, hi) if pivot < 0 else export_window(spec, lo, hi - 1)
+    assert all(type(v) is Decimal for v in short.values)
+    assert tuple(map(Fraction, short.values)) == _step_only(spec, short.lo, short.hi)
 
 
 @pytest.mark.parametrize("seed,lo,hi,target", [
@@ -591,3 +619,102 @@ def test_symbolic_window_exports_canonical_text():
     w = RecurrenceSpec.symbolic(1).window().extend(new_hi=3)
     data = json.loads(render_json(window_rows(w, 3, 3)))
     assert data == [{"n": 3, "value": "x0^-1*x1*x2 + x0^-1*x1*a + x0^-1*x2*a"}]
+
+
+# -- the Decimal route of export_window ---------------------------------------------
+
+def _printed(w, lo, hi) -> list[str]:
+    rows = window_rows(w, lo, hi)
+    return [render(rows) for render in (render_csv, render_json, render_bfile)]
+
+
+@st.composite
+def integer_windows(draw):
+    """(spec, lo, hi): a unit seed (init in {1, -1}, a an integer), or the
+    integer seed 1..8k steps along one, and a range [lo, hi] to print."""
+    k = draw(st.integers(1, 3))
+    spec = RecurrenceSpec.numeric(k, draw(st.sampled_from([1, -1, 2, -2, 3, -3])),
+                                  draw(st.lists(st.sampled_from([1, -1]),
+                                                min_size=2 * k + 1, max_size=2 * k + 1)))
+    shift = draw(st.integers(0, 8 * k))
+    if shift:
+        try:
+            values = spec.window().extend(0, shift + 2 * k).values[shift:]
+        except ZeroPivotError:
+            values = (0,)
+        assume(all(values))
+        spec = RecurrenceSpec.numeric(k, spec.a, values)
+    m = draw(st.integers(1, 40 * k))
+    lo, hi = draw(st.sampled_from([
+        (-m, 2 * k + m),                       # two-sided
+        (0, 6 * k + m),                        # forward only
+        (-6 * k - m, 2 * k),                   # backward only
+        (-(m % (2 * k)), 4 * k - 1),           # shorter than 6k
+        (100, 100 + m),                        # starting past 6k
+    ]))
+    return spec, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_windows())
+def test_decimal_route_prints_the_binary_window(case):
+    spec, lo, hi = case
+    k = spec.k
+    w_lo, w_hi = min(lo, 0), max(hi, 2 * k)
+    try:
+        binary = spec.window().extend(w_lo, w_hi)
+    except ZeroPivotError as exc:
+        with pytest.raises(ZeroPivotError) as by_export:
+            export_window(spec, w_lo, w_hi)
+        assert by_export.value.n == exc.n
+        return
+    w = export_window(spec, w_lo, w_hi)
+    # the route is taken whenever the window leaves the 6k values it starts from
+    assert all(type(v) is Decimal for v in w.values) == (w_hi - w_lo + 1 > 6 * k)
+    assert _printed(w, lo, hi) == _printed(binary, lo, hi)
+
+
+def test_decimal_route_prints_values_past_the_digit_limit():
+    n = 720
+    spec = RecurrenceSpec.numeric(1, 10 ** 6, [1, 1, 1])  # K = 3000008000003
+    w = export_window(spec, -n, n)
+    assert type(w[n]) is Decimal and min(len(str(w[-n])), len(str(w[n]))) > 4300
+    assert _printed(w, -n, n) == _printed(spec.window().extend(-n, n), -n, n)
+
+
+def test_decimal_route_prints_a_zero_as_0():
+    spec = RecurrenceSpec.numeric(1, 2, [-2, 2, -1])
+    w = export_window(spec, -7, 5)
+    assert type(w[-5]) is Decimal and str(w[-5]) == "0"  # built by the relation, run backward
+    assert render_csv(window_rows(w, -5, -5)) == "n,value\n-5,0\n"
+
+
+def test_rational_and_non_integer_windows_keep_fractions():
+    for spec in (RecurrenceSpec.numeric(1, 1, [1, 2, 3]),            # K = 32/3
+                 RecurrenceSpec.numeric(1, 1, [1, -1, 2]),           # K integer, x_5 = -1/2
+                 RecurrenceSpec.numeric(1, 1, [-5, 3, 3]),           # x_0..x_5 integers, K = -10/9
+                 RecurrenceSpec.numeric(2, Fraction(1, 2), [1] * 5)):
+        w = export_window(spec, -4, 8)
+        assert all(type(v) is Fraction for v in w.values)
+        assert w == spec.window().extend(-4, 8)
+
+
+@pytest.mark.parametrize("n", [-20, -1, 6, 20])  # the values the relation builds
+def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, n):
+    corrupt_decimal_at(n)
+    with pytest.raises(ResidueMismatchError) as exc:
+        export_window(ones(1), -20, 20)
+    assert exc.value.n == n
+
+
+def test_decimal_route_leaves_the_callers_context_alone():
+    assert decimal.getcontext().prec == 28
+    w = export_window(ones(2), -40, 40)
+    assert decimal.getcontext().prec == 28
+    # a caller's low precision does not reach the route
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert export_window(ones(2), -40, 40) == w
+        assert ctx.prec == 5
+    assert all(type(v) is Decimal for v in w.values)
+    assert tuple(map(Fraction, w.values)) == ones(2).window().extend(-40, 40).values
