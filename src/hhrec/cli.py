@@ -24,9 +24,7 @@ from .engine import (
     contiguous_values,
     export_window,
     parse_sequence,
-    render_bfile,
-    render_csv,
-    render_json,
+    render_pieces,
     window_rows,
 )
 from .errors import (
@@ -116,13 +114,8 @@ def _generated_rows(args, printed: bool = False) -> list:
 
 
 def cmd_gen(args) -> int:
-    rows = _generated_rows(args, printed=True)
-    if args.format == "csv":
-        sys.stdout.write(render_csv(rows))
-    elif args.format == "json":
-        sys.stdout.write(render_json(rows))
-    else:
-        sys.stdout.write(render_bfile(rows))
+    # piece by piece, so the whole text is never held at once
+    sys.stdout.writelines(render_pieces(_generated_rows(args, printed=True), args.format))
     return EXIT_OK
 
 

@@ -56,11 +56,12 @@ from decimal import (
     Inexact,
     InvalidOperation,
     Rounded,
+    getcontext,
     localcontext,
 )
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CertificateError,
@@ -214,14 +215,15 @@ class SequenceWindow:
         return SequenceWindow(spec, new_lo, w.values[new_lo - w.lo:new_hi - w.lo + 1])
 
     def _grown(self, new_lo: int, new_hi: int, linear: bool) -> "SequenceWindow":
-        """The window over [min(lo, new_lo), max(hi, new_hi)]; ``linear`` as in ``_iterate``."""
+        """The window over [min(lo, new_lo), max(hi, new_hi)]; ``linear`` as in
+        ``_iterate``.  Decimal values take the caller's context, which must not
+        round: ``export_window`` builds them in ``_EXACT``."""
         lo, hi = min(self.lo, new_lo), max(self.hi, new_hi)
         fwd = list(self.values)
-        with localcontext(_EXACT):  # Decimal values never round
-            _iterate(fwd, self.spec, hi - self.hi, lambda j: self.lo + j, linear)
-            # backward is the forward step on the reversed window
-            bwd = fwd[::-1]
-            _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
+        _iterate(fwd, self.spec, hi - self.hi, lambda j: self.lo + j, linear)
+        # backward is the forward step on the reversed window
+        bwd = fwd[::-1]
+        _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
         return SequenceWindow(self.spec, lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
 
     def with_value(self, n: int, value) -> "SequenceWindow":
@@ -269,7 +271,8 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)).
     A symbolic window, whose K is a Laurent polynomial, runs the same lines
     with P = K and Q = D = 1, so y is x itself; so does a window of Decimal
-    integers, whose K is an integer (``_grown`` runs it where nothing rounds).
+    integers, whose K is an integer (``export_window`` runs it in a context
+    where nothing rounds; a context that may round raises ValueError).
     Each step first tests the value ``_step`` would divide by, so a zero
     pivot raises ZeroPivotError at the same index on every route.
     """
@@ -285,6 +288,8 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     K = spec.K
     start = seq[-6 * k:]
     y_is_x = not isinstance(start[0], Fraction)
+    if isinstance(start[0], Decimal) and not getcontext().traps[Inexact]:
+        raise ValueError("Decimal windows extend only where rounding raises, as in export_window")
     if y_is_x:
         p, q, scale = (K if spec.symbolic_mode else K.numerator), 1, 1
         y = deque(start, maxlen=6 * k)
@@ -354,11 +359,14 @@ def phi_inverse(point: Sequence, a, k: int) -> tuple:
 
 
 def check_reversibility(spec: RecurrenceSpec) -> bool:
-    """Exact test of the conjugacy: the map equals sigma o inverse o sigma."""
-    p = spec.init
-    lhs = phi(p, spec.a, spec.k)
-    rhs = phi_inverse(p[::-1], spec.a, spec.k)[::-1]
-    return all(l == r for l, r in zip(lhs, rhs))
+    """Exact test that the maps invert each other on the seed p:
+    phi_inverse(phi(p)) == p and phi(phi_inverse(p)) == p.
+
+    The round trips divide by x_{2k+1} and x_{-1}; where either is zero
+    they raise ZeroPivotError.
+    """
+    p, a, k = spec.init, spec.a, spec.k
+    return phi_inverse(phi(p, a, k), a, k) == p and phi(phi_inverse(p, a, k), a, k) == p
 
 
 # -- sequence export / import -------------------------------------------------
@@ -378,8 +386,9 @@ def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
             or any(v.denominator != 1 for v in block.values)):
         return block.extend(lo, hi)
     start = SequenceWindow(spec, block.lo, tuple(Decimal(v.numerator) for v in block.values))
-    w = start.extend(lo, hi)
-    _check_residues(w, block)
+    with localcontext(_EXACT):  # Decimal values never round
+        w = start.extend(lo, hi)
+        _check_residues(w, block)
     return w
 
 
@@ -388,7 +397,8 @@ def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
     GUARD_PRIME, the linear relation run from the integers of ``block``.
 
     A loop of its own over residues, apart from ``_iterate``, in time linear
-    in the digits: an independent check of the Decimal route.
+    in the digits: an independent check of the Decimal route.  Runs in
+    ``export_window``'s exact context, so each ``v % p`` is exact.
     """
     k, p, K = w.spec.k, GUARD_PRIME, w.spec.K
     K = K.numerator * pow(K.denominator, -1, p) % p
@@ -397,10 +407,9 @@ def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
         r[n] = (K * (r[n - 2 * k] - r[n - 4 * k]) + r[n - 6 * k]) % p
     for n in range(block.lo - 1, w.lo - 1, -1):
         r[n] = (K * (r[n + 2 * k] - r[n + 4 * k]) + r[n + 6 * k]) % p
-    with localcontext(_EXACT):
-        for n, v in zip(w.indices(), w.values):
-            if int(v % p) % p != r[n]:
-                raise ResidueMismatchError(n)
+    for n, v in zip(w.indices(), w.values):
+        if int(v % p) % p != r[n]:
+            raise ResidueMismatchError(n)
 
 
 def format_value(v) -> str:
@@ -416,26 +425,39 @@ def window_rows(w: SequenceWindow, lo: int | None = None, hi: int | None = None)
     return [(n, w[n]) for n in range(lo, hi + 1)]
 
 
+def render_pieces(rows: Sequence[tuple[int, object]], form: str) -> Iterator[str]:
+    """The text of ``render_<form>(rows)`` in pieces of at most 4,096 rows, so
+    that a writer holds one piece at a time.  For a b-file, every value is
+    checked to be an integer before the first piece."""
+    if form == "bfile":
+        for n, v in rows:
+            if not (isinstance(v, Decimal) or (not isinstance(v, LaurentPolynomial)
+                                               and Fraction(v).denominator == 1)):
+                raise NonIntegerValueError(f"value at n={n} is not an integer: {format_value(v)}")
+    yield {"csv": "n,value\n", "json": "[", "bfile": ""}[form]
+    for i in range(0, len(rows), 4096):
+        piece = rows[i:i + 4096]
+        if form == "json":  # one encoder call per piece, without its brackets
+            yield (", " if i else "") + json.dumps([{"n": n, "value": format_value(v)}
+                                                    for n, v in piece])[1:-1]
+        else:
+            sep = "," if form == "csv" else " "
+            yield "".join(f"{n}{sep}{format_value(v)}\n" for n, v in piece)
+    if form == "json":
+        yield "]\n"
+
+
 def render_csv(rows: Sequence[tuple[int, object]]) -> str:
-    lines = ["n,value"]
-    lines += [f"{n},{format_value(v)}" for n, v in rows]
-    return "\n".join(lines) + "\n"
+    return "".join(render_pieces(rows, "csv"))
 
 
 def render_json(rows: Sequence[tuple[int, object]]) -> str:
-    return json.dumps([{"n": n, "value": format_value(v)} for n, v in rows]) + "\n"
+    return "".join(render_pieces(rows, "json"))
 
 
 def render_bfile(rows: Sequence[tuple[int, object]]) -> str:
     """OEIS-style b-file ``n value``; every value must be an integer."""
-    lines = []
-    for n, v in rows:
-        integer = isinstance(v, Decimal) or (not isinstance(v, LaurentPolynomial)
-                                             and Fraction(v).denominator == 1)
-        if not integer:
-            raise NonIntegerValueError(f"value at n={n} is not an integer: {format_value(v)}")
-        lines.append(f"{n} {format_value(v)}")
-    return "\n".join(lines) + "\n"
+    return "".join(render_pieces(rows, "bfile"))
 
 
 def parse_sequence(text: str) -> list[tuple[int, Fraction]]:

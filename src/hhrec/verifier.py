@@ -3,7 +3,11 @@
 A campaign draws random rational seeds, runs every requested identity check
 on each trial, and aggregates a machine-readable report.  Failures are data,
 not exceptions: any fail record carries a witness and is reproducible from
-(check, seed, trial) alone.
+(check, seed, trial) alone.  A witness names the first index ``n`` where an
+identity fails, the ``identity``, and the nonzero ``residual`` it left; a
+failure that leaves no residual (no recurrence found, a non-integer or
+non-Laurent iterate, a failed reversibility round trip) has no ``residual``
+key.
 
 Randomness comes from SplitMix64, a tiny, exactly specified 64-bit generator
 (Steele, Lea & Flood's mixer), so reports are portable across platforms and
@@ -20,6 +24,7 @@ up to ``max_resamples`` times and, if the degeneracy persists, recorded as
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
@@ -219,9 +224,15 @@ def target_characteristic_poly(k: int, K: Fraction) -> list[Fraction]:
 
 @dataclass
 class CheckResult:
+    """A check's outcome; truthy iff it passed, so ``a and b`` is the first
+    failure of two results, and b is computed only when a passed."""
+
     ok: bool
     witness: dict | None = None
     detail: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 @dataclass
@@ -258,28 +269,23 @@ class TrialContext:
         return self.window(-2 * self.k - 2, 12 * self.k + 3)
 
 
-def _wit(n: int, what: str, value) -> dict:
-    """A failure witness; a tuple residual becomes a list of canonical strings."""
-    residual = ([format_value(v) for v in value] if isinstance(value, tuple)
-                else format_value(value))
-    return {"n": n, "identity": what, "residual": residual}
+def _wit(n: int, what: str, residual=None) -> dict:
+    """A failure witness; a tuple residual becomes a list of canonical strings,
+    and a failure that leaves no residual has no ``residual`` key."""
+    wit = {"n": n, "identity": what}
+    if residual is not None:
+        wit["residual"] = ([format_value(v) for v in residual] if isinstance(residual, tuple)
+                           else format_value(residual))
+    return wit
 
 
 def _sweep(ns: Iterable[int], residual: Callable, what: str) -> CheckResult:
-    """Pass iff residual(n) is zero at every n; else witness the first n where it is not."""
+    """Pass iff residual(n), or each entry of a tuple residual(n), is zero at
+    every n; else witness the first n where it is not."""
     for n in ns:
         r = residual(n)
-        if r:
+        if any(r) if isinstance(r, tuple) else r:
             return CheckResult(False, _wit(n, what, r))
-    return CheckResult(True)
-
-
-def _pair_sweep(pair: Callable, K, what: str) -> CheckResult:
-    """Both values of pair(n) equal K at n = 0 and 1; the witness keeps both residuals."""
-    for n in (0, 1):
-        k1, k2 = pair(n)
-        if k1 != K or k2 != K:
-            return CheckResult(False, _wit(n, what, (k1 - K, k2 - K)))
     return CheckResult(True)
 
 
@@ -291,12 +297,6 @@ def _xi_sweep(w: SequenceWindow, what: str) -> CheckResult:
 def _explicit_sweep(w: SequenceWindow, ex: inv.ExplicitIterates, what: str) -> CheckResult:
     """The closed formulas equal the iterates on [-2k, -1] and [2k+1, 4k]."""
     return _sweep(sorted(ex.values), lambda m: ex.values[m] - w[m], what)
-
-
-def _violation_witness(exc: LaurentViolationError | CertificateError) -> dict:
-    if isinstance(exc, LaurentViolationError):
-        return _wit(exc.n, "iterate stays a Laurent polynomial", 0)
-    return _wit(exc.n, f"linear-route certificate {exc.identity}", exc.residual)
 
 
 # each check: fn(ctx) -> CheckResult; DegenerateInputError triggers a resample
@@ -337,19 +337,19 @@ def _check_linear_route(ctx: TrialContext) -> CheckResult:
 def _check_k_ratio(ctx: TrialContext) -> CheckResult:
     K = ctx.spec.K
     value, form = inv.k_ratio_route(ctx.default_window())  # may raise -> resample
-    if value != K:
-        return CheckResult(False, _wit(0, f"ratio ({form}) == K", value - K))
-    return CheckResult(True, detail=f"form={form}")
+    return (_sweep((0,), lambda n: value - K, f"ratio ({form}) == K")
+            and CheckResult(True, detail=f"form={form}"))
 
 
 def _check_k_cramer(ctx: TrialContext) -> CheckResult:
-    w = ctx.default_window()
-    return _pair_sweep(lambda n: inv.k_cramer(w, n), ctx.spec.K, "Cramer pair == K")
+    w, K = ctx.default_window(), ctx.spec.K
+    return _sweep((0, 1), lambda n: tuple(v - K for v in inv.k_cramer(w, n)), "Cramer pair == K")
 
 
 def _check_k_monodromy(ctx: TrialContext) -> CheckResult:
-    pc = inv.periodic_coeffs(ctx.default_window())
-    return _pair_sweep(lambda n: inv.monodromy_k(pc, start=n), ctx.spec.K, "monodromy traces == K")
+    pc, K = inv.periodic_coeffs(ctx.default_window()), ctx.spec.K
+    return _sweep((0, 1), lambda n: tuple(v - K for v in inv.monodromy_k(pc, start=n)),
+                  "monodromy traces == K")
 
 
 def _check_delta_invariance(ctx: TrialContext) -> CheckResult:
@@ -368,22 +368,19 @@ def _check_abg_relation(ctx: TrialContext) -> CheckResult:
     k = ctx.k
     w = ctx.default_window()
     pc = inv.periodic_coeffs(w)
-    sweep = _sweep(range(0, 6 * k),
+
+    def periodicity(n):  # alpha has period k, beta and gamma period 2k
+        alpha = inv.abg_coeffs(w, n + k)[0] - pc.alpha_at(n + k)
+        _, beta, gamma = inv.abg_coeffs(w, n + 2 * k)
+        return alpha, beta - pc.beta_at(n), gamma - pc.gamma_at(n)
+
+    return (_sweep(range(0, 6 * k),
                    lambda n: (w[n + 3] - pc.gamma_at(n) * w[n + 2]
                               + pc.beta_at(n) * w[n + 1] - pc.alpha_at(n) * w[n]),
                    "3-term relation")
-    if not sweep.ok:
-        return sweep
-    for n in range(0, 2 * k):
-        if inv.abg_coeffs(w, n + k)[0] != pc.alpha_at(n + k):
-            return CheckResult(False, _wit(n, "alpha periodicity", 0))
-        trip = inv.abg_coeffs(w, n + 2 * k)
-        if trip[1] != pc.beta_at(n) or trip[2] != pc.gamma_at(n):
-            return CheckResult(False, _wit(n, "beta/gamma periodicity", 0))
-    prod = Fraction(1)
-    for j in range(1, k + 1):
-        prod *= inv.abg_coeffs(w, j)[0]
-    return _sweep((0,), lambda n: prod - 1, "product of alpha_1..alpha_k == 1")
+            and _sweep(range(0, 2 * k), periodicity, "alpha, beta, gamma periodicity")
+            and _sweep((0,), lambda n: math.prod(inv.abg_coeffs(w, j)[0] for j in range(1, k + 1)) - 1,
+                       "product of alpha_1..alpha_k == 1"))
 
 
 def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:
@@ -394,18 +391,19 @@ def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:
 def _check_inhom(ctx: TrialContext) -> CheckResult:
     k, K = ctx.k, ctx.spec.K
     w = ctx.default_window()
-    for n in range(0, 2 * k + 2):
-        if inv.nu_invariant(w, n + 2 * k, K) != inv.nu_invariant(w, n, K):
-            return CheckResult(False, _wit(n, "nu is a 2k-invariant", 0))
-    if inv.k_prime(w, 0, K) != inv.k_prime(w, 1, K):
-        return CheckResult(False, _wit(0, "K' conserved under shift", 0))
-    c0 = inv.inhom_coeffs(w, 0, K)
-    c2k = inv.inhom_coeffs(w, 2 * k, K)
-    if (c0.epsilon, c0.zeta, c0.eta) != (c2k.epsilon, c2k.zeta, c2k.eta):
-        return CheckResult(False, _wit(0, "epsilon/zeta/eta 2k-invariance", 0))
-    # the fourth bordered column satisfies the same relation
-    return _sweep((6 * k,), lambda m: w[m + 2] + c0.eta * w[m + 1] + c0.zeta * w[m] - c0.epsilon,
-                  "order-2 inhomogeneous relation")
+    invariants = (_sweep(range(0, 2 * k + 2),
+                         lambda n: inv.nu_invariant(w, n + 2 * k, K) - inv.nu_invariant(w, n, K),
+                         "nu is a 2k-invariant")
+                  and _sweep((0,), lambda n: inv.k_prime(w, n, K) - inv.k_prime(w, n + 1, K),
+                             "K' conserved under shift"))
+    if not invariants:
+        return invariants
+    c0, c2k = inv.inhom_coeffs(w, 0, K), inv.inhom_coeffs(w, 2 * k, K)
+    return (_sweep((0,), lambda n: (c2k.epsilon - c0.epsilon, c2k.zeta - c0.zeta, c2k.eta - c0.eta),
+                   "epsilon/zeta/eta 2k-invariance")
+            # the fourth bordered column satisfies the same relation
+            and _sweep((6 * k,), lambda m: w[m + 2] + c0.eta * w[m + 1] + c0.zeta * w[m] - c0.epsilon,
+                       "order-2 inhomogeneous relation"))
 
 
 def _check_closed_form(ctx: TrialContext) -> CheckResult:
@@ -421,9 +419,9 @@ def _check_detect(ctx: TrialContext) -> CheckResult:
     w = ctx.window(-2 * k - 2, 14 * k)
     found = detect_linear_recurrence([w[n] for n in range(0, 14 * k + 1)], 6 * k)
     if found is None:
-        return CheckResult(False, _wit(0, "a linear recurrence of order <= 6k exists", 0))
+        return CheckResult(False, _wit(0, "a linear recurrence of order <= 6k exists"))
     if not poly_divides(found, target_characteristic_poly(k, ctx.spec.K)):
-        return CheckResult(False, {"identity": "detected charpoly divides the factored one",
+        return CheckResult(False, {**_wit(0, "detected charpoly divides the factored one"),
                                    "charpoly": [format_rational(c) for c in found]})
     return CheckResult(True, detail=f"order={len(found) - 1}")
 
@@ -436,8 +434,8 @@ def _check_first_integral(ctx: TrialContext) -> CheckResult:
 
 
 def _check_reversibility(ctx: TrialContext) -> CheckResult:
-    if not check_reversibility(ctx.spec):
-        return CheckResult(False, {"identity": "map == sigma o inverse o sigma",
+    if not check_reversibility(ctx.spec):  # a zero x_{2k+1} or x_{-1} raises -> resample
+        return CheckResult(False, {**_wit(0, "phi_inverse(phi(p)) == p == phi(phi_inverse(p))"),
                                    "init": [format_rational(v) for v in ctx.spec.init]})
     return CheckResult(True)
 
@@ -446,11 +444,10 @@ def _check_sigma_roundtrip(ctx: TrialContext) -> CheckResult:
     k = ctx.k
     w = ctx.default_window()
     back = apply_sigma(apply_sigma(w))
-    if back.lo != w.lo or back.values != w.values:
-        return CheckResult(False, {"identity": "sigma is an involution"})
-    sweep = _xi_sweep(apply_sigma(w), "sigma image solves the recurrence")
-    if not sweep.ok:
-        return sweep
+    reversal = (_sweep(w.indices(), lambda n: back[n] - w[n], "sigma is an involution")
+                and _xi_sweep(apply_sigma(w), "sigma image solves the recurrence"))
+    if not reversal:
+        return reversal
     # forward-then-backward round trip from the top of the window
     top = RecurrenceSpec(k, ctx.spec.a, tuple(w[w.hi - 2 * k + j] for j in range(2 * k + 1)))
     redone = top.window().extend(new_lo=-(w.hi - 2 * k - w.lo))
@@ -483,7 +480,7 @@ def _check_sym_laurent(ctx: TrialContext) -> CheckResult:
     w = ctx.window(-2 * k - 2, 6 * k + 4)
     for n in w.indices():
         if not all(isinstance(c, int) for c in w[n].coefficients()):
-            return CheckResult(False, _wit(n, "integer coefficients", 0))
+            return CheckResult(False, _wit(n, "integer coefficients"))
     return _xi_sweep(w, "xi_n = 0 symbolically")
 
 
@@ -491,23 +488,16 @@ def _check_sym_explicit(ctx: TrialContext) -> CheckResult:
     k = ctx.k
     w = ctx.window(-2 * k, 4 * k)
     ex = inv.explicit_iterates(ctx.spec)
-    sweep = _explicit_sweep(w, ex, "closed formula == symbolic iterate")
-    if not sweep.ok:
-        return sweep
-    if ex.F1[2 * k]:
-        return CheckResult(False, _wit(2 * k, "first linear coefficient is zero", ex.F1[2 * k]))
-    for j in range(1, 2 * k + 1):
-        for name, family in (("linear", ex.F1), ("quadratic", ex.F2)):
-            r = family[-j] - family[2 * k + j].sigma_pullback()
-            if r:
-                return CheckResult(False, _wit(-j, f"backward {name} coeff is the reversal image", r))
-    return CheckResult(True)
+    return (_explicit_sweep(w, ex, "closed formula == symbolic iterate")
+            and _sweep((2 * k,), lambda n: ex.F1[n], "first linear coefficient is zero")
+            and _sweep(range(-1, -2 * k - 1, -1),
+                       lambda n: tuple(f[n] - f[2 * k - n].sigma_pullback() for f in (ex.F1, ex.F2)),
+                       "backward linear, quadratic coeffs are the reversal images"))
 
 
 def _check_sym_first_integral(ctx: TrialContext) -> CheckResult:
-    if inv.k_after_phi(ctx.spec) != ctx.spec.K:
-        return CheckResult(False, {"identity": "pullback of K equals K as Laurent polynomials"})
-    return CheckResult(True)
+    return _sweep((1,), lambda n: inv.k_after_phi(ctx.spec) - ctx.spec.K,
+                  "pullback of K equals K as Laurent polynomials")
 
 
 def _check_sym_k_ratio(ctx: TrialContext) -> CheckResult:
@@ -516,36 +506,25 @@ def _check_sym_k_ratio(ctx: TrialContext) -> CheckResult:
     try:
         ratio = inv.k_ratio(ctx.window(-3 * k, 3 * k), base=-k)
     except NotExactError:
-        return CheckResult(False, {"n": -k, "identity":
-                                   "(x[n+4k]-x[n-2k])/(x[n+2k]-x[n]) is a Laurent polynomial"})
-    if ratio != ctx.spec.K:
-        return CheckResult(False, {"identity": "ratio route == K symbolically"})
-    return CheckResult(True)
+        return CheckResult(False, _wit(-k, "(x[n+4k]-x[n-2k])/(x[n+2k]-x[n]) is a Laurent polynomial"))
+    return _sweep((-k,), lambda n: ratio - ctx.spec.K, "ratio route == K symbolically")
 
 
 def _check_sym_proof_identities(ctx: TrialContext) -> CheckResult:
-    i1, i2, i3 = inv.first_integral_proof_residuals(ctx.spec)
-    for order, r in ((1, i1), (2, i2), (3, i3)):
-        if r:
-            return CheckResult(False, {"identity": f"conservation proof identity at order {order}"})
-    return CheckResult(True)
+    residuals = inv.first_integral_proof_residuals(ctx.spec)
+    return _sweep((1, 2, 3), lambda n: residuals[n - 1], "conservation proof identity at order n")
 
 
 def _check_sym_reversal_covariance(ctx: TrialContext) -> CheckResult:
     K = ctx.spec.K
-    if K.sigma_pullback() != K:
-        return CheckResult(False, {"identity": "K is invariant under variable reversal"})
-    if ctx.spec.reversed_init().K != K:
-        return CheckResult(False, {"identity": "K of the reversed seed equals K"})
-    return CheckResult(True)
+    return (_sweep((0,), lambda n: K.sigma_pullback() - K, "K is invariant under variable reversal")
+            and _sweep((0,), lambda n: ctx.spec.reversed_init().K - K,
+                       "K of the reversed seed equals K"))
 
 
 def _check_sym_p_from_iterates(ctx: TrialContext) -> CheckResult:
-    r1, r2 = inv.p_vs_iterates_residuals(ctx.spec)
-    for j, r in ((1, r1), (2, r2)):
-        if r:
-            return CheckResult(False, {"identity": f"(x_2k - x_0) P{j} == F{j}[4k] - F{j}[-2k]"})
-    return CheckResult(True)
+    residuals = inv.p_vs_iterates_residuals(ctx.spec)
+    return _sweep((1, 2), lambda n: residuals[n - 1], "(x_2k - x_0) Pn == Fn[4k] - Fn[-2k]")
 
 
 NUMERIC_CHECKS: dict[str, Callable[[TrialContext], CheckResult]] = {
@@ -664,8 +643,8 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
     """Run every requested check on every trial; failures are report data.
 
     Each trial owns a deterministic spec stream; a check that raises a
-    degeneracy is retried on the next candidate spec (all checks of the
-    trial share candidates by attempt index, so windows are reused).
+    degeneracy is retried on the next candidate spec.  The checks of a
+    trial share one context per attempt index, so windows are reused.
     Symbolic trials draw nothing at random, so only trial 0 runs; the
     records of trials 1..n-1 are its copies, with ``elapsed`` 0.0.
     """
@@ -673,38 +652,36 @@ def run_campaign(cfg: TrialConfig) -> VerificationReport:
     table = SYMBOLIC_CHECKS if cfg.symbolic else NUMERIC_CHECKS
     report = VerificationReport(cfg)
     for trial in range(1 if cfg.symbolic else cfg.trials):
-        pending = list(check_ids)
-        done: dict[str, CheckRecord] = {}
-        notes: dict[str, list[str]] = {cid: [] for cid in check_ids}
-        for attempt in range(cfg.max_resamples + 1):
-            spec = RecurrenceSpec.symbolic(cfg.k) if cfg.symbolic else random_spec(cfg, trial, attempt)
-            ctx = TrialContext(cfg, spec, trial)
-            still: list[str] = []
-            for cid in pending:
+        contexts: list[TrialContext] = []  # the context of each attempt so far
+        for cid in check_ids:
+            notes = []
+            for attempt in range(cfg.max_resamples + 1):
+                if attempt == len(contexts):
+                    spec = (RecurrenceSpec.symbolic(cfg.k) if cfg.symbolic
+                            else random_spec(cfg, trial, attempt))
+                    contexts.append(TrialContext(cfg, spec, trial))
+                ctx = contexts[attempt]
                 ctx.corrupt = cid == cfg.fault_target
                 t0 = time.perf_counter()
                 try:
                     result = table[cid](ctx)
                 except DegenerateInputError as exc:
-                    notes[cid].append(f"attempt {attempt}: {exc}")
-                    still.append(cid)
+                    notes.append(f"attempt {attempt}: {exc}")
                     continue
-                except (LaurentViolationError, CertificateError) as exc:
-                    # a window build that would disprove the theorem: data, not a crash
-                    result = CheckResult(False, _violation_witness(exc))
-                elapsed = time.perf_counter() - t0
-                done[cid] = CheckRecord(
-                    cid, cfg.k, cfg.seed, trial,
-                    "pass" if result.ok else "fail",
-                    result.witness, result.detail, attempt, elapsed)
-            pending = still
-            if not pending:
+                # a window build that would disprove the theorem: data, not a crash
+                except LaurentViolationError as exc:
+                    result = CheckResult(False, _wit(exc.n, "iterate stays a Laurent polynomial"))
+                except CertificateError as exc:
+                    result = CheckResult(False, _wit(exc.n, f"linear-route certificate {exc.identity}",
+                                                     exc.residual))
+                report.records.append(CheckRecord(
+                    cid, cfg.k, cfg.seed, trial, "pass" if result.ok else "fail",
+                    result.witness, result.detail, attempt, time.perf_counter() - t0))
                 break
-        for cid in pending:
-            done[cid] = CheckRecord(
-                cid, cfg.k, cfg.seed, trial, "skipped-degenerate",
-                {"degeneracies": notes[cid]}, None, cfg.max_resamples, 0.0)
-        report.records.extend(done[cid] for cid in check_ids)
+            else:
+                report.records.append(CheckRecord(
+                    cid, cfg.k, cfg.seed, trial, "skipped-degenerate",
+                    {"degeneracies": notes}, None, cfg.max_resamples, 0.0))
     if cfg.symbolic:
         first = list(report.records)
         report.records.extend(replace(r, trial=t, elapsed=0.0)

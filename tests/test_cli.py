@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -151,6 +152,40 @@ def test_gen_bfile_non_integer_exits_3(run):
     code, _, err = run("gen", "--k", "1", "--a", "1", "--init", "1,2,3",
                        "--to", "6", "--format", "bfile")
     assert code == 3
+
+
+def test_gen_bfile_checks_every_value_before_the_first_piece(run, monkeypatch):
+    # the one non-integer value comes after the first piece of 4,096 rows
+    rows = [(n, Fraction(n)) for n in range(5000)] + [(5000, Fraction(1, 2))]
+    monkeypatch.setattr(cli, "_generated_rows", lambda args, printed=False: rows)
+    code, out, err = run("gen", "--k", "1", "--init", "1,1,1", "--to", "5000", "--format", "bfile")
+    assert (code, out) == (3, "") and "n=5000" in err
+
+
+def _one_piece(rows, form: str) -> str:
+    """The whole text rendered at once, as gen rendered it before it wrote in pieces."""
+    if form == "json":
+        return json.dumps([{"n": n, "value": engine.format_value(v)} for n, v in rows]) + "\n"
+    sep = "," if form == "csv" else " "
+    lines = [f"{n}{sep}{engine.format_value(v)}" for n, v in rows]
+    return "\n".join((["n,value"] if form == "csv" else []) + lines) + "\n"
+
+
+# the Decimal route over 6,001 rows, and the Fraction route, whose values are
+# no integers and so have no b-file, over 4,201 rows
+@pytest.mark.parametrize("k,a,init,lo,hi,form", [
+    *((3, 1, "1,1,1,1,1,1,1", -3000, 3000, form) for form in ("csv", "json", "bfile")),
+    *((2, 1, "2,-3,5,7,1", -2100, 2100, form) for form in ("csv", "json")),
+])
+def test_gen_writes_the_one_piece_text_in_pieces(run, k, a, init, lo, hi, form):
+    code, out, err = run("gen", "--k", str(k), f"--a={a}", f"--init={init}",
+                         f"--from={lo}", f"--to={hi}", "--format", form)
+    spec = engine.RecurrenceSpec.numeric(k, a, [int(v) for v in init.split(",")])
+    rows = engine.window_rows(spec.window().extend(lo, hi))
+    assert (code, err) == (0, "")
+    same = out == _one_piece(rows, form)  # a bool: pytest's diff of megabytes takes minutes
+    assert same
+    assert len(list(engine.render_pieces(rows, form))) >= 3  # a head and two pieces at least
 
 
 # -- invariant ----------------------------------------------------------------------

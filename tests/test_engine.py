@@ -156,6 +156,27 @@ def test_reversibility_random_k2():
         assert check_reversibility(RecurrenceSpec(2, a, tuple(init)))
 
 
+@pytest.mark.parametrize("spec", [
+    RecurrenceSpec.numeric(1, 5, [1, 2, 3]),
+    RecurrenceSpec.numeric(2, Fraction(7, 3), [2, -3, Fraction(1, 2), 5, -1]),
+])
+def test_reversibility_fails_on_a_broken_step(spec, monkeypatch):
+    """phi and phi_inverse share _step, so a step that reads x_{n+k-1} for
+    x_{n+k+1} keeps phi == sigma o phi_inverse o sigma; the round trips see it."""
+    def broken(block, a, pivot, target):
+        k = len(block) // 2
+        return (block[2 * k] * block[1] + a * (block[k - 1] + block[k])) / block[0]
+
+    monkeypatch.setattr(engine, "_step", broken)
+    assert check_reversibility(spec) is False
+
+
+def test_reversibility_raises_on_a_zero_round_trip_pivot():
+    # x_3 = (x_2 x_1 + a (x_1 + x_2)) / x_0 = 0, and phi_inverse divides by it
+    with pytest.raises(ZeroPivotError):
+        check_reversibility(RecurrenceSpec.numeric(1, 1, [1, 1, Fraction(-1, 2)]))
+
+
 def test_phi_inverse_is_inverse():
     spec = RecurrenceSpec.numeric(2, Fraction(1, 2), [1, 2, 3, 4, 5])
     p = spec.init
@@ -705,6 +726,14 @@ def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, n
     with pytest.raises(ResidueMismatchError) as exc:
         export_window(ones(1), -20, 20)
     assert exc.value.n == n
+
+
+def test_an_exported_window_extends_only_where_rounding_raises():
+    w = export_window(ones(1), 0, 100)
+    with pytest.raises(ValueError):  # the default context would round x_200 silently
+        w.extend(0, 200)
+    with decimal.localcontext(engine._EXACT):
+        assert tuple(map(Fraction, w.extend(0, 200).values)) == ones(1).window().extend(0, 200).values
 
 
 def test_decimal_route_leaves_the_callers_context_alone():

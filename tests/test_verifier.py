@@ -8,7 +8,7 @@ import pytest
 
 import hhrec.invariants as invariants
 from hhrec.engine import RecurrenceSpec, SequenceWindow
-from hhrec.errors import HHRecError, InsufficientDataError, ZeroPivotError
+from hhrec.errors import HHRecError, InsufficientDataError, LaurentViolationError, ZeroPivotError
 from hhrec.matrix import solve_exact
 from hhrec.rational import parse_rational
 from hhrec.verifier import (
@@ -18,6 +18,7 @@ from hhrec.verifier import (
     TrialConfig,
     TrialContext,
     _fault_blind,
+    _sweep,
     detect_linear_recurrence,
     expand_checks,
     poly_divides,
@@ -282,6 +283,13 @@ def test_fault_injection_wronskian_witness():
     assert corrupted in touched
 
 
+def test_a_tuple_residual_fails_when_any_entry_is_nonzero():
+    result = _sweep((0, 1), lambda n: (Fraction(0), Fraction(n - 1, 2)), "second entry == n/2")
+    assert not result.ok
+    assert result.witness == {"n": 0, "identity": "second entry == n/2", "residual": ["0", "-1/2"]}
+    assert _sweep((1,), lambda n: (Fraction(0), Fraction(0)), "both zero").ok
+
+
 @pytest.mark.parametrize("check", ["k_cramer", "k_monodromy"])
 def test_pair_residual_witness_is_a_list_of_canonical_rationals(check):
     report = run_campaign(TrialConfig(k=2, trials=1, checks=frozenset({check}),
@@ -317,6 +325,17 @@ def test_certificate_failure_is_a_laurent_fail_record(piece, monkeypatch):
     assert record.status == "fail"
     assert record.witness["identity"].startswith(f"linear-route certificate ({piece})")
     assert (record.witness["n"], record.witness["residual"]) == (n, residual)
+
+
+def test_a_laurent_violation_is_a_fail_record_with_no_residual(monkeypatch):
+    def violated(ctx):
+        raise LaurentViolationError(5)
+
+    monkeypatch.setitem(SYMBOLIC_CHECKS, "laurent", violated)
+    [record] = run_campaign(TrialConfig(k=1, trials=1, symbolic=True,
+                                        checks=frozenset({"laurent"}))).records
+    assert (record.status, record.witness) == (
+        "fail", {"n": 5, "identity": "iterate stays a Laurent polynomial"})
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -390,9 +409,9 @@ FAULT_WITNESSES = {
     "abg_relation": {"n": 1, "identity": "3-term relation",
                      "residual": "-64946476242919/350683638564"},
     "explicit_iterates": {"n": 3, "identity": "closed formula == iterate", "residual": "-1"},
-    "inhom": {"n": 1, "identity": "nu is a 2k-invariant", "residual": "0"},
+    "inhom": {"n": 1, "identity": "nu is a 2k-invariant", "residual": "-611/270"},
     "closed_form": {"n": -5, "identity": "closed form == iterate", "residual": "-611/270"},
-    "detect": {"n": 0, "identity": "a linear recurrence of order <= 6k exists", "residual": "0"},
+    "detect": {"n": 0, "identity": "a linear recurrence of order <= 6k exists"},
     "first_integral": {"n": 1, "identity": "K after one map step == K", "residual": "-2233/20115"},
     "sigma_roundtrip": {"n": -4, "identity": "sigma image solves the recurrence",
                         "residual": "1929431/43740"},
@@ -412,6 +431,21 @@ def test_fault_witness_pinned(target):
     [record] = report.records
     assert (record.status, record.resamples) == ("fail", 0)
     assert record.witness == FAULT_WITNESSES[target]
+
+
+@pytest.mark.parametrize("target", FAULT_WITNESSES)
+def test_fail_witnesses_name_n_and_a_nonzero_residual(target):
+    """Every fail witness has ``n`` and ``identity``; a ``residual``, where
+    the failure leaves one, is never zero."""
+    symbolic = target.startswith("sym:")
+    cid = target.removeprefix("sym:")
+    report = run_campaign(TrialConfig(k=1, trials=4, seed=11, symbolic=symbolic,
+                                      checks=frozenset({cid}), inject_fault=cid))
+    assert report.failures
+    for record in report.failures:
+        assert {"n", "identity"} <= set(record.witness)
+        residual = record.witness.get("residual", [])
+        assert residual != "0" and (not isinstance(residual, list) or set(residual) != {"0"})
 
 
 def test_fault_witnesses_cover_every_fault_capable_check():
