@@ -515,11 +515,12 @@ def parse_laurent(text: str, nvars: int) -> LaurentPolynomial:
 
 class RationalFunction:
     """A quotient of Laurent polynomials, for the few places the ring is not
-    enough (pullbacks through the map, the alpha/beta/gamma coefficients).
+    enough (K after one map step, the alpha/beta/gamma coefficients).
 
-    Arithmetic is exact with cross-multiplication; reduction only strips a
-    common monomial factor and integer content, plus a full exact-division
-    attempt, which keeps intermediate sizes small without a multivariate gcd.
+    The pair is stored as given and never reduced: ``==`` cross-multiplies,
+    ``bool()`` reads the numerator, and ``as_laurent()`` divides once at the
+    end.  The Laurent ring is a UFD, so num/den is a Laurent polynomial
+    exactly when den divides num there, whatever factors the two share.
     """
 
     __slots__ = ("num", "den")
@@ -531,10 +532,6 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.nvars != den.nvars:
             raise ValueError("variable-count mismatch")
-        if num:
-            num, den = _reduce_pair(num, den)
-        else:
-            den = LaurentPolynomial.constant(num.nvars, 1)
         self.num = num
         self.den = den
 
@@ -611,35 +608,3 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
-
-
-def _reduce_pair(num: LaurentPolynomial, den: LaurentPolynomial):
-    from math import gcd
-
-    if den == 1:  # a Laurent polynomial is already reduced
-        return num, den
-    nv = num.nvars
-    # strip the common monomial factor: per-variable min exponent of both
-    # operands (the parameter's exponents are never negative)
-    common = [min(a, b) for a, b in zip(_exponent_box(num)[0], _exponent_box(den)[0])]
-    if any(common):
-        shift = LaurentPolynomial(nv, {tuple(common): 1})
-        num = num.exact_div(shift)
-        den = den.exact_div(shift)
-    # integer content
-    g = 0
-    for c in num.coefficients():
-        g = gcd(g, c)
-    for c in den.coefficients():
-        g = gcd(g, c)
-    if g > 1:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    if len(den) <= len(num):
-        try:
-            num = num.exact_div(den)
-            den = LaurentPolynomial.constant(nv, 1)
-        except NotExactError:
-            pass
-    return num, den
-

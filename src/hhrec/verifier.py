@@ -258,8 +258,7 @@ class TrialContext:
         if self._window is None:
             self._window = self.spec.window()
         if not self._window.covers(lo, hi):
-            self._window = self._window.extend(min(lo, self._window.lo),
-                                               max(hi, self._window.hi))
+            self._window = self._window.extend(lo, hi)
         if not self.corrupt:
             return self._window
         n = 2 * self.k + 1  # inside every window the checks ask for

@@ -404,6 +404,42 @@ def test_symbolic_identities_at_k3():
     assert k_after_phi(spec) == k_formula(spec).K
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_after_phi_matches_a_sympy_pullback(k):
+    # the slow route: K over sympy's rational function field, with the map
+    # image (x1, ..., x2k, (x2k x1 + a (xk + xk+1)) / x0, a) substituted
+    # term by term; sympy cancels each quotient with a full multivariate gcd
+    pytest.importorskip("sympy")
+    from sympy import ZZ
+    from sympy.polys.fields import field
+
+    spec = RecurrenceSpec.symbolic(k)
+    F, *g = field(",".join([f"x{i}" for i in range(2 * k + 1)] + ["a"]), ZZ)
+    x, a = g[:-1], g[-1]
+    image = x[1:] + [(x[2 * k] * x[1] + a * (x[k] + x[k + 1])) / x[0], a]
+
+    def at(p, point):
+        total = F(0)
+        for exp, c in p.terms().items():
+            term = F(c)
+            for v, e in zip(point, exp):
+                term *= v ** e
+            total += term
+        return total
+
+    pullback = at(spec.K, image)
+    assert pullback == at(spec.K, g)
+    fast = k_after_phi(spec)
+    assert at(fast, g) == pullback
+    assert at(fast + spec.init[0], g) != pullback  # negative control
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_symbolic_k_term_count(k):
+    # the regularity of K's support, 11 terms at k = 1 and 2k^2 + 8k + 4 after
+    assert len(RecurrenceSpec.symbolic(k).K) == (11 if k == 1 else 2 * k * k + 8 * k + 4)
+
+
 # -- window coverage ------------------------------------------------------------------
 
 _COVERAGE_SPEC = RecurrenceSpec.numeric(1, Fraction(1, 2), [2, 3, 5])

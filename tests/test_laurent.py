@@ -242,6 +242,19 @@ def test_rational_function_of_a_laurent_polynomial_divides_nothing(gens, monkeyp
                         lambda self, d: calls.append(d) or exact_div(self, d))
     r = RationalFunction(p)
     assert (calls, r.num, r.den) == ([], p, 1)
+    # nor does a quotient: the pair is kept as given, even when it shares a
+    # monomial or divides exactly, and is only divided on request
+    shared = RationalFunction(x0 * (x1 + a), x0)
+    coprime = RationalFunction(x0 + a, x1 + x2)
+    assert calls == []
+    assert (shared.num, shared.den) == (x0 * (x1 + a), x0)
+    assert (coprime.num, coprime.den) == (x0 + a, x1 + x2)
+    assert shared.as_laurent() == x1 + a
+    with pytest.raises(NotExactError):
+        coprime.as_laurent()
+    assert shared == RationalFunction(x1 + a) and shared == x1 + a
+    assert coprime != RationalFunction(x0 + a) and coprime * (x1 + x2) == x0 + a
+    assert shared and coprime and not shared - RationalFunction(x1 + a)
 
 
 def test_rational_function_zero_denominator(gens):
