@@ -76,7 +76,7 @@ def _numeric_spec(args) -> RecurrenceSpec:
         raise UsageError("--init is required in numeric mode")
     init = _parse_init(args.init, args.k)
     try:
-        a = parse_rational(args.a)
+        a = parse_rational("1" if args.a is None else args.a)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
@@ -125,6 +125,8 @@ def cmd_invariant(args) -> int:
             raise UsageError(f"--k must be >= 1, got {args.k}")
         if args.init is not None:
             raise UsageError("--symbolic computes the generic breakdown; drop --init")
+        if args.a is not None:
+            raise UsageError("--symbolic keeps a as a variable; drop --a")
         if args.all_routes:
             raise UsageError("--all-routes is numeric-only")
         spec = RecurrenceSpec.symbolic(args.k)
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_spec_args(p):
         p.add_argument("--k", type=int, required=True, help="order parameter (order is 2k+1)")
-        p.add_argument("--a", default="1", help="nonzero rational coefficient, p/q form")
+        p.add_argument("--a", default=None, help="nonzero rational coefficient, p/q form")
         p.add_argument("--init", default=None,
                        help="comma-separated 2k+1 rationals for x0..x2k")
 

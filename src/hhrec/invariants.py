@@ -196,8 +196,11 @@ class PeriodicCoeffs:
 
 
 def periodic_coeffs(w: SequenceWindow) -> PeriodicCoeffs:
-    """One full period of the 3-term relation coefficients, from base index 0."""
+    """One full period of the 3-term relation coefficients, from base index 0;
+    numeric windows only (over a symbolic window the monodromy products swell)."""
     k = w.spec.k
+    if w.spec.symbolic_mode:
+        raise ValueError("periodic coefficients are computed in numeric mode only")
     trips = [abg_coeffs(w, n) for n in range(0, 2 * k)]
     return PeriodicCoeffs(
         k,

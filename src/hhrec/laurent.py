@@ -40,7 +40,7 @@ import heapq
 import re
 import struct
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NotExactError, ZeroAtNegativeExponentError
@@ -141,6 +141,18 @@ def _checked(nvars: int, terms: dict[int, int]) -> "LaurentPolynomial":
     return _raw(nvars, terms)
 
 
+def _ring_op(method):
+    """A binary operator whose ``other`` is first lifted by ``self._coerce``;
+    an operand that cannot be lifted gives ``NotImplemented``."""
+    @wraps(method)
+    def op(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return method(self, other)
+    return op
+
+
 def _exponent_box(p: "LaurentPolynomial") -> tuple[list[int], list[int]]:
     """Per-variable minimum and maximum exponents of a nonzero polynomial."""
     columns = list(zip(*_unpack_all(p._terms, p.nvars)))
@@ -228,11 +240,8 @@ class LaurentPolynomial:
     def __neg__(self) -> "LaurentPolynomial":
         return _raw(self.nvars, {e: -c for e, c in self._terms.items()})
 
-    def _merge(self, other, sign: int) -> "LaurentPolynomial":
+    def _merge(self, other: "LaurentPolynomial", sign: int) -> "LaurentPolynomial":
         """self + sign * other, term by term."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + sign * c
@@ -242,24 +251,22 @@ class LaurentPolynomial:
                 del out[e]
         return _raw(self.nvars, out)
 
+    @_ring_op
     def __add__(self, other) -> "LaurentPolynomial":
         return self._merge(other, 1)
 
     __radd__ = __add__
 
+    @_ring_op
     def __sub__(self, other) -> "LaurentPolynomial":
         return self._merge(other, -1)
 
+    @_ring_op
     def __rsub__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
+    @_ring_op
     def __mul__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not self._terms or not other._terms:
             return LaurentPolynomial(self.nvars)
         # iterate the smaller operand on the outside
@@ -296,16 +303,12 @@ class LaurentPolynomial:
                 base = base * base
         return result
 
+    @_ring_op
     def __truediv__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self.exact_div(other)
 
+    @_ring_op
     def __rtruediv__(self, other) -> "LaurentPolynomial":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other.exact_div(self)
 
     # -- exact division ----------------------------------------------------
@@ -375,11 +378,9 @@ class LaurentPolynomial:
 
     def sigma_pullback(self) -> "LaurentPolynomial":
         """Reverse the x-variables (x_i -> x_{2k-i}); the parameter is fixed."""
+        # a permutation of the exponents keeps each of them and their sum in range
         nv = self.nvars
-        out = {}
-        for exp, coeff in self.terms().items():
-            out[_checked_key(exp[-2::-1] + exp[-1:], nv)] = coeff
-        return _raw(nv, out)
+        return _raw(nv, {_pack(exp[-2::-1] + exp[-1:], nv): c for exp, c in self.terms().items()})
 
     # -- text form -----------------------------------------------------------
 
@@ -551,10 +552,8 @@ class RationalFunction:
             return RationalFunction(other)
         return None
 
+    @_ring_op
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self.num * other.den == other.num * self.den
 
     __hash__ = None
@@ -562,46 +561,32 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
+    @_ring_op
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
+    @_ring_op
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_ring_op
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
+    @_ring_op
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
+    @_ring_op
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
+    @_ring_op
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
     def __str__(self):

@@ -378,7 +378,9 @@ def _check_abg_relation(ctx: TrialContext) -> CheckResult:
                               + pc.beta_at(n) * w[n + 1] - pc.alpha_at(n) * w[n]),
                    "3-term relation")
             and _sweep(range(0, 2 * k), periodicity, "alpha, beta, gamma periodicity")
-            and _sweep((0,), lambda n: math.prod(inv.abg_coeffs(w, j)[0] for j in range(1, k + 1)) - 1,
+            # abg_coeffs(w, j)[0] == pc.alpha_at(j) for j = 1..k: pc holds it for j < k,
+            # and the periodicity sweep proved it at j = k
+            and _sweep((0,), lambda n: math.prod(pc.alpha_at(j) for j in range(1, k + 1)) - 1,
                        "product of alpha_1..alpha_k == 1"))
 
 

@@ -225,6 +225,20 @@ def test_invariant_symbolic_k_below_1_exits_2(run, k):
     assert code == 2 and err.startswith("error: ") and out == ""
 
 
+@pytest.mark.parametrize("flag", [("--init", "1,1,1"), ("--a", "5"), ("--a", "1")])
+def test_invariant_symbolic_refuses_numeric_data(run, flag):
+    # the generic breakdown keeps the seed and a as variables: a value for
+    # either is refused, not silently ignored
+    code, out, err = run("invariant", "--k", "1", "--symbolic", *flag)
+    assert (code, out) == (2, "") and f"drop {flag[0]}" in err
+
+
+def test_invariant_numeric_a_defaults_to_1(run):
+    code, out, _ = run("invariant", "--k", "1", "--init", "1,1,1")
+    assert code == 0 and out == run("invariant", "--k", "1", "--a", "1", "--init", "1,1,1")[1]
+    assert json.loads(out)["a"] == "1"
+
+
 def test_invariant_zero_init_exits_3(run):
     code, _, err = run("invariant", "--k", "1", "--a", "1", "--init", "1,0,1")
     assert code == 3

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,16 @@ def test_monodromy_ones_and_123():
 def test_monodromy_start_invariance():
     pc = periodic_coeffs(ones_window(2, 0, 16))
     assert monodromy_k(pc, start=0) == monodromy_k(pc, start=1) == (28, 28)
+
+
+def test_periodic_coeffs_refuses_a_symbolic_window():
+    # over RationalFunction scalars the monodromy products swell: at k = 1
+    # monodromy_k took seconds and left traces of thousands of terms
+    w = RecurrenceSpec.symbolic(1).window().extend(-2, 8)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="numeric mode only"):
+        periodic_coeffs(w)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- explicit iterates -------------------------------------------------------------------

@@ -273,6 +273,94 @@ def test_rational_function_bool_is_false_exactly_for_zero(gens):
     assert r / RationalFunction(x0 + a)
 
 
+# -- operator table: the operand rule of both ring classes ------------------------------------
+#
+# Every binary operator lifts an int or a LaurentPolynomial operand into its
+# own class; a RationalFunction operand makes a LaurentPolynomial step aside,
+# so the quotient class answers; Fraction and float are no ring operands.
+
+OPS = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+       "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+POINT = (Fraction(2), Fraction(-3), Fraction(5, 7), Fraction(4))
+
+
+def _operand(kind):
+    x0, x1, x2, a = variables(NV)
+    # the polynomial is a monomial with coefficient 2, so that p / 2, 2 / p
+    # and p / p all divide exactly in the ring
+    return {"int": 2, "laurent": 2 * x0 * x1 ** -1,
+            "rational": RationalFunction(x2 + a, x0 - x1)}[kind]
+
+
+def _value(v):
+    if isinstance(v, RationalFunction):
+        return v.num.substitute(POINT) / v.den.substitute(POINT)
+    return v.substitute(POINT) if isinstance(v, LaurentPolynomial) else Fraction(v)
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("left, right", [
+    ("laurent", "int"), ("int", "laurent"), ("laurent", "laurent"),
+    ("rational", "int"), ("int", "rational"), ("rational", "laurent"),
+    ("laurent", "rational"), ("rational", "rational"),
+])
+def test_operator_table_ring_operands(op, left, right):
+    u, v = _operand(left), _operand(right)
+    result = OPS[op](u, v)
+    expected = RationalFunction if "rational" in (left, right) else LaurentPolynomial
+    assert type(result) is expected
+    assert _value(result) == OPS[op](_value(u), _value(v))
+
+
+@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("kind", ["laurent", "rational"])
+@pytest.mark.parametrize("scalar", [Fraction(1, 2), Fraction(2), 0.5])
+def test_operator_table_refuses_fraction_and_float(op, kind, scalar):
+    u = _operand(kind)
+    with pytest.raises(TypeError):
+        OPS[op](u, scalar)
+    with pytest.raises(TypeError):
+        OPS[op](scalar, u)
+
+
+def test_operator_table_equality(gens):
+    x0, x1, x2, a = gens
+    p, r = _operand("laurent"), _operand("rational")
+    two = LaurentPolynomial.constant(NV, 2)
+    equal = [(two, 2), (2, two), (p, p), (p, RationalFunction(p)), (RationalFunction(p), p),
+             (RationalFunction(p * x0, x0), p), (r, r), (RationalFunction(two), 2),
+             (2, RationalFunction(two)), (r, RationalFunction((x2 + a) * x1, (x0 - x1) * x1))]
+    unequal = [(p, 2), (2, p), (p, r), (r, p), (r, 2), (two, RationalFunction(two, x0))]
+    for u, v in equal:
+        assert u == v and not u != v, (u, v)
+    for u, v in unequal:
+        assert u != v and not u == v, (u, v)
+    # Fraction and float have no rule against either class: never equal, never raising
+    for u in (two, RationalFunction(two)):
+        for scalar in (Fraction(2), 2.0):
+            assert u != scalar and scalar != u and not u == scalar and not scalar == u
+
+
+def test_operator_table_division_by_zero(gens):
+    x0 = gens[0]
+    p, r = _operand("laurent"), _operand("rational")
+    zero_lp, zero_rf = LaurentPolynomial(NV), RationalFunction(LaurentPolynomial(NV), x0)
+    for u, v in [(p, 0), (p, zero_lp), (2, zero_lp), (zero_lp, zero_lp), (p, zero_rf),
+                 (r, 0), (r, zero_lp), (r, zero_rf), (2, zero_rf), (zero_lp, zero_rf)]:
+        with pytest.raises(ZeroDivisionError):
+            u / v
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_operator_table_variable_count_mismatch(op):
+    p, r = _operand("laurent"), _operand("rational")
+    other = LaurentPolynomial.variable(6, 0)
+    for u, v in [(p, other), (other, p), (r, other), (other, r)]:
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            OPS[op](u, v)
+    assert not p == other and p != other and not other == p
+
+
 def test_sigma_pullback_reverses_variables(gens):
     x0, x1, x2, a = gens
     p = x0 ** 2 * x2 ** -1 + a * x1
