@@ -96,7 +96,8 @@ def _quotient_sum(lo: int, hi: int, m: int) -> int:
 
 def _generated_rows(args, printed: bool = False) -> list:
     """(n, x_n) for n in [--from, --to] of the numeric spec in the arguments;
-    ``printed`` builds them by ``export_window``, so they may be Decimals."""
+    ``printed`` builds them by ``export_window``: Decimals print in linear
+    time but turn back into ints in quadratic time, so detect reads Fractions."""
     spec = _numeric_spec(args)
     lo, hi = args.from_, args.to
     if lo > hi:
@@ -184,7 +185,8 @@ def cmd_verify(args) -> int:
         report = run_campaign(cfg)
         sys.stdout.write(report.render_table())
         if report_file:
-            report_file.truncate(0)  # opened to append: an aborted run keeps the old report
+            if report_file.seekable():  # a pipe has no old report to drop
+                report_file.truncate(0)  # opened to append: an aborted run keeps the old report
             report_file.write(report.to_json())
     return EXIT_OK if not report.failures else EXIT_CHECK_FAILED
 

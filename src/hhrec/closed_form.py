@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .engine import SequenceWindow
 from .errors import DegenerateTError
+from .matrix import mat_mul
 from .rational import format_rational
 
 
@@ -44,20 +45,13 @@ def chebyshev_tu(t: Fraction, m: int) -> tuple[Fraction, Fraction]:
     power = ((1, 0), (0, 1))
     while e:
         if e & 1:
-            power = _mat2_mul(power, base)
+            power = mat_mul(power, base)
         e >>= 1
         if e:
-            base = _mat2_mul(base, base)
+            base = mat_mul(base, base)
     (u, _), (u_prev, _) = power  # q^|m| U_m and q^|m| U_{m-1}
     scale = q ** abs(m)
     return Fraction(q * u - p * u_prev, q * scale), Fraction(u, scale)
-
-
-def _mat2_mul(a, b):
-    (a00, a01), (a10, a11) = a
-    (b00, b01), (b10, b11) = b
-    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
-            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
 @dataclass(frozen=True)

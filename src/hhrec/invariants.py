@@ -35,7 +35,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, RationalFunction
-from .matrix import matrix_det, solve_exact
+from .matrix import mat_mul, matrix_det, solve_exact
 
 
 # -- the explicit formula ------------------------------------------------------
@@ -212,10 +212,6 @@ def periodic_coeffs(w: SequenceWindow) -> PeriodicCoeffs:
 
 # -- monodromy route ---------------------------------------------------------------
 
-def _mat3_mul(a, b):
-    return [[sum(a[i][t] * b[t][j] for t in range(3)) for j in range(3)] for i in range(3)]
-
-
 def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
     """(K1, K2) as traces of companion-matrix products over one period.
 
@@ -240,8 +236,8 @@ def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
 
     fwd = inv = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for m in range(start, start + 2 * k):
-        fwd = _mat3_mul(companion(m), fwd)
-        inv = _mat3_mul(inv, companion_inv(m))
+        fwd = mat_mul(companion(m), fwd)
+        inv = mat_mul(inv, companion_inv(m))
     k1 = fwd[0][0] + fwd[1][1] + fwd[2][2]
     k2 = inv[0][0] + inv[1][1] + inv[2][2]
     return k1, k2

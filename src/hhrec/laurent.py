@@ -267,8 +267,6 @@ class LaurentPolynomial:
 
     @_ring_op
     def __mul__(self, other) -> "LaurentPolynomial":
-        if not self._terms or not other._terms:
-            return LaurentPolynomial(self.nvars)
         # iterate the smaller operand on the outside
         a, b = self._terms, other._terms
         if len(a) > len(b):
@@ -328,19 +326,6 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPolynomial(self.nvars)
-        if len(divisor) == 1:
-            (dkey, dcoeff), = divisor._terms.items()
-            half = 1 << (_FIELD_BITS - 1)
-            out: dict[int, int] = {}
-            for e, c in self._terms.items():
-                q, r = divmod(c, dcoeff)
-                if r:
-                    raise NotExactError(f"coefficient {c} not divisible by {dcoeff}")
-                key = e - dkey
-                if not (key + half) & half:  # the lowest field, the parameter's, is negative
-                    raise NotExactError("the parameter variable does not divide every term")
-                out[key] = q
-            return _checked(self.nvars, out)
         nv = self.nvars
         nlo, nhi = _exponent_box(self)
         dlo, dhi = _exponent_box(divisor)
@@ -554,7 +539,8 @@ class RationalFunction:
 
     @_ring_op
     def __eq__(self, other) -> bool:
-        return self.num * other.den == other.num * self.den
+        return (self.num.nvars == other.num.nvars
+                and self.num * other.den == other.num * self.den)
 
     __hash__ = None
 

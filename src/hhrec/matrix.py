@@ -16,7 +16,8 @@ Three independent determinant routines are provided:
   of the grandparent stage; fails when an interior entry vanishes.
 
 Cofactor and Dodgson are reference routes: tests compare the production
-route against them, and no production code calls them.
+route against them, and no production code calls them.  ``mat_mul`` is
+the matrix product of the Chebyshev powers and the monodromy route.
 """
 
 from __future__ import annotations
@@ -139,6 +140,11 @@ def _condense(a, divisors):
 def matrix_det(rows: Sequence[Sequence]):
     """Exact determinant of a square list of rows, by Bareiss elimination."""
     return det_bareiss(rows)
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """The product of two matrices given as lists of rows, over any ring."""
+    return [[sum(map(operator.mul, row, col)) for col in zip(*b)] for row in a]
 
 
 def solve_exact(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction] | None:

@@ -186,15 +186,6 @@ def detect_linear_recurrence(values: Sequence[Fraction], max_order: int) -> list
     return conn
 
 
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    """Product of dense univariate polynomials (descending coefficients)."""
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 def poly_divides(d: Sequence[Fraction], p: Sequence[Fraction]) -> bool:
     """Whether d divides p exactly (both descending, d nonzero)."""
     r = [Fraction(v) for v in p]
@@ -214,10 +205,10 @@ def poly_divides(d: Sequence[Fraction], p: Sequence[Fraction]) -> bool:
 
 def target_characteristic_poly(k: int, K: Fraction) -> list[Fraction]:
     """(S^{2k} - 1) * (S^{4k} - (K-1) S^{2k} + 1), descending coefficients."""
-    left = [Fraction(1)] + [Fraction(0)] * (2 * k - 1) + [Fraction(-1)]
-    right = ([Fraction(1)] + [Fraction(0)] * (2 * k - 1) + [-(K - 1)]
-             + [Fraction(0)] * (2 * k - 1) + [Fraction(1)])
-    return poly_mul(left, right)
+    out = [Fraction(0)] * (6 * k + 1)
+    out[0], out[6 * k] = Fraction(1), Fraction(-1)
+    out[2 * k], out[4 * k] = -Fraction(K), Fraction(K)
+    return out
 
 
 # -- campaign machinery -----------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 from fractions import Fraction
 
 import pytest
@@ -313,6 +315,20 @@ def test_verify_json_report(run, tmp_path):
     assert data["summary"]["fail"] == 0 and data["summary"]["total"] == 4
 
 
+def test_verify_json_report_to_a_pipe(run, tmp_path):
+    fifo = tmp_path / "report"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, _, _ = run("verify", "--k", "1", "--trials", "1", "--checks", "k_ratio",
+                     "--json", str(fifo))
+    reader.join(timeout=60)
+    assert not reader.is_alive() and code == 0
+    summary = json.loads(received[0])["summary"]
+    assert (summary["pass"], summary["total"]) == (1, 1)
+
+
 def test_verify_json_unwritable_path_exits_2(run, tmp_path):
     code, out, err = run("verify", "--k", "1", "--trials", "1", "--checks", "k_ratio",
                          "--json", str(tmp_path))
@@ -444,6 +460,17 @@ def test_detect_reads_gen_output_past_the_digit_limit(run, tmp_path):
     code, from_file, _ = run("detect", "--input", str(path), "--max-order", "6")
     assert code == 0 and json.loads(from_file)["order"] == 6
     assert (code, from_file) == run("detect", "--gen", *spec, "--max-order", "6")[:2]
+
+
+def test_detect_gen_agrees_with_detect_on_the_printed_integer_window(run, tmp_path):
+    # [-20, 60] leaves the start block [0, 11], so gen prints it through the Decimal route
+    spec = ("--k", "2", "--init", "1,1,1,1,1", "--from", "-20", "--to", "60")
+    code, out, _ = run("gen", *spec, "--format", "bfile")
+    path = tmp_path / "seq.bfile"
+    path.write_text(out)
+    from_file = run("detect", "--input", str(path), "--max-order", "12")
+    assert code == 0 and from_file[0] == 0
+    assert from_file == run("detect", "--gen", *spec, "--max-order", "12")
 
 
 def test_detect_requires_a_source(run):

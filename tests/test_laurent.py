@@ -358,7 +358,8 @@ def test_operator_table_variable_count_mismatch(op):
     for u, v in [(p, other), (other, p), (r, other), (other, r)]:
         with pytest.raises(ValueError, match="variable-count mismatch"):
             OPS[op](u, v)
-    assert not p == other and p != other and not other == p
+    for u in (p, r):  # unequal in both orders, as no ring holds both
+        assert not u == other and u != other and not other == u and other != u
 
 
 def test_sigma_pullback_reverses_variables(gens):
@@ -515,10 +516,13 @@ def test_packed_exact_div_equals_reference(p, d, r):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys(6), monomials(), polys(2))
-def test_packed_monomial_div_equals_reference(p, m, r):
-    for num in (p * m, p * m + r, p):
+@given(polys(6), monomials(), polys(2), wide_polys())
+def test_packed_monomial_div_equals_reference(p, m, r, wide):
+    # a wide numerator puts quotient exponents at and past the bound
+    for num in (p * m, p * m + r, p, wide):
         expected = outcome(lambda: ref_exact_div(num.terms(), m.terms()))
+        if isinstance(expected, dict) and not in_range(expected):
+            expected = ValueError
         assert outcome(lambda: num.exact_div(m).terms()) == expected
 
 

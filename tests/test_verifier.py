@@ -203,6 +203,18 @@ def test_target_charpoly_factorization():
     assert target_characteristic_poly(1, Fraction(14)) == [1, 0, -14, 0, 14, 0, -1]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [Fraction(-2), Fraction(1), Fraction(3), Fraction(7, 2)])
+def test_target_charpoly_is_the_product_of_its_factors(k, K):
+    left = [1] + [0] * (2 * k - 1) + [-1]  # S^{2k} - 1
+    right = [1] + [0] * (2 * k - 1) + [1 - K] + [0] * (2 * k - 1) + [1]  # S^{4k} - (K-1) S^{2k} + 1
+    product = [0] * (len(left) + len(right) - 1)
+    for i, u in enumerate(left):
+        for j, v in enumerate(right):
+            product[i + j] += u * v
+    assert target_characteristic_poly(k, K) == product
+
+
 def test_poly_divides():
     assert poly_divides([1, -1], [1, 0, -1])            # S-1 | S^2-1
     assert not poly_divides([1, -2], [1, 0, -1])
