@@ -66,6 +66,8 @@ def _parse_init(text: str, k: int) -> tuple[Fraction, ...]:
         values = tuple(parse_rational(p) for p in parts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if k < 1:
+        raise UsageError("k must be >= 1")
     if len(values) != 2 * k + 1:
         raise UsageError(f"--init needs exactly 2k+1 = {2 * k + 1} values, got {len(values)}")
     return values

@@ -56,7 +56,6 @@ from decimal import (
     Inexact,
     InvalidOperation,
     Rounded,
-    getcontext,
     localcontext,
 )
 from fractions import Fraction
@@ -216,20 +215,20 @@ class SequenceWindow:
 
     def _grown(self, new_lo: int, new_hi: int, linear: bool) -> "SequenceWindow":
         """The window over [min(lo, new_lo), max(hi, new_hi)]; ``linear`` as in
-        ``_iterate``.  Decimal values take the caller's context, which must not
-        round: ``export_window`` builds them in ``_EXACT``."""
+        ``_iterate``.  Decimal values are built in ``_EXACT``, whatever the
+        caller's context."""
         lo, hi = min(self.lo, new_lo), max(self.hi, new_hi)
         fwd = list(self.values)
-        _iterate(fwd, self.spec, hi - self.hi, lambda j: self.lo + j, linear)
-        # backward is the forward step on the reversed window
-        bwd = fwd[::-1]
-        _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
+        with localcontext(_EXACT):
+            _iterate(fwd, self.spec, hi - self.hi, lambda j: self.lo + j, linear)
+            # backward is the forward step on the reversed window
+            bwd = fwd[::-1]
+            _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
         return SequenceWindow(self.spec, lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
 
     def with_value(self, n: int, value) -> "SequenceWindow":
         """A raw copy with one entry overwritten (for fault injection tests)."""
-        if n not in self:
-            raise IndexError(f"index {n} outside window [{self.lo}, {self.hi}]")
+        self[n]  # IndexError outside the window
         vals = list(self.values)
         vals[n - self.lo] = value
         return SequenceWindow(self.spec, self.lo, tuple(vals), raw=True)
@@ -271,8 +270,7 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)).
     A symbolic window, whose K is a Laurent polynomial, runs the same lines
     with P = K and Q = D = 1, so y is x itself; so does a window of Decimal
-    integers, whose K is an integer (``export_window`` runs it in a context
-    where nothing rounds; a context that may round raises ValueError).
+    integers, whose K is an integer (``_grown`` runs it in ``_EXACT``).
     Each step first tests the value ``_step`` would divide by, so a zero
     pivot raises ZeroPivotError at the same index on every route.
     """
@@ -288,8 +286,6 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     K = spec.K
     start = seq[-6 * k:]
     y_is_x = not isinstance(start[0], Fraction)
-    if isinstance(start[0], Decimal) and not getcontext().traps[Inexact]:
-        raise ValueError("Decimal windows extend only where rounding raises, as in export_window")
     if y_is_x:
         p, q, scale = (K if spec.symbolic_mode else K.numerator), 1, 1
         y = deque(start, maxlen=6 * k)
@@ -386,9 +382,8 @@ def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
             or any(v.denominator != 1 for v in block.values)):
         return block.extend(lo, hi)
     start = SequenceWindow(spec, block.lo, tuple(Decimal(v.numerator) for v in block.values))
-    with localcontext(_EXACT):  # Decimal values never round
-        w = start.extend(lo, hi)
-        _check_residues(w, block)
+    w = start.extend(lo, hi)
+    _check_residues(w, block)
     return w
 
 
@@ -397,8 +392,8 @@ def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
     GUARD_PRIME, the linear relation run from the integers of ``block``.
 
     A loop of its own over residues, apart from ``_iterate``, in time linear
-    in the digits: an independent check of the Decimal route.  Runs in
-    ``export_window``'s exact context, so each ``v % p`` is exact.
+    in the digits: an independent check of the Decimal route.  Each
+    ``v % p`` is taken in ``_EXACT``.
     """
     k, p, K = w.spec.k, GUARD_PRIME, w.spec.K
     K = K.numerator * pow(K.denominator, -1, p) % p
@@ -407,16 +402,10 @@ def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
         r[n] = (K * (r[n - 2 * k] - r[n - 4 * k]) + r[n - 6 * k]) % p
     for n in range(block.lo - 1, w.lo - 1, -1):
         r[n] = (K * (r[n + 2 * k] - r[n + 4 * k]) + r[n + 6 * k]) % p
-    for n, v in zip(w.indices(), w.values):
-        if int(v % p) % p != r[n]:
-            raise ResidueMismatchError(n)
-
-
-def format_value(v) -> str:
-    """Canonical text for any scalar this package produces."""
-    if isinstance(v, (LaurentPolynomial, Decimal)):
-        return str(v)
-    return format_rational(v)
+    with localcontext(_EXACT):
+        for n, v in zip(w.indices(), w.values):
+            if int(v % p) % p != r[n]:
+                raise ResidueMismatchError(n)
 
 
 def window_rows(w: SequenceWindow, lo: int | None = None, hi: int | None = None) -> list[tuple[int, object]]:
@@ -431,18 +420,18 @@ def render_pieces(rows: Sequence[tuple[int, object]], form: str) -> Iterator[str
     checked to be an integer before the first piece."""
     if form == "bfile":
         for n, v in rows:
-            if not (isinstance(v, Decimal) or (not isinstance(v, LaurentPolynomial)
-                                               and Fraction(v).denominator == 1)):
-                raise NonIntegerValueError(f"value at n={n} is not an integer: {format_value(v)}")
+            # Decimal values are integers by construction; a Laurent polynomial has no denominator
+            if not isinstance(v, Decimal) and getattr(v, "denominator", None) != 1:
+                raise NonIntegerValueError(f"value at n={n} is not an integer: {format_rational(v)}")
     yield {"csv": "n,value\n", "json": "[", "bfile": ""}[form]
     for i in range(0, len(rows), 4096):
         piece = rows[i:i + 4096]
         if form == "json":  # one encoder call per piece, without its brackets
-            yield (", " if i else "") + json.dumps([{"n": n, "value": format_value(v)}
+            yield (", " if i else "") + json.dumps([{"n": n, "value": format_rational(v)}
                                                     for n, v in piece])[1:-1]
         else:
             sep = "," if form == "csv" else " "
-            yield "".join(f"{n}{sep}{format_value(v)}\n" for n, v in piece)
+            yield "".join(f"{n}{sep}{format_rational(v)}\n" for n, v in piece)
     if form == "json":
         yield "]\n"
 

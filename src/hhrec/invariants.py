@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .engine import RecurrenceSpec, SequenceWindow, format_value, phi, raw_window, xi_residual
+from .engine import RecurrenceSpec, SequenceWindow, phi, raw_window, xi_residual
 from .errors import (
     DegenerateDenominatorError,
     SingularDeltaError,
@@ -36,6 +36,7 @@ from .errors import (
 )
 from .laurent import LaurentPolynomial, RationalFunction
 from .matrix import mat_mul, matrix_det, solve_exact
+from .rational import format_rational, promote
 
 
 # -- the explicit formula ------------------------------------------------------
@@ -50,7 +51,7 @@ class KBreakdown:
     K: object
 
     def to_json_dict(self) -> dict:
-        return {name: format_value(getattr(self, name)) for name in ("P0", "P1", "P2", "K")}
+        return {name: format_rational(getattr(self, name)) for name in ("P0", "P1", "P2", "K")}
 
 
 def k_breakdown(values: Sequence, a) -> KBreakdown:
@@ -59,12 +60,12 @@ def k_breakdown(values: Sequence, a) -> KBreakdown:
     ``values`` are the 2k+1 phase-space coordinates; every one is inverted,
     so in numeric mode they must all be nonzero.  Works over Fraction,
     LaurentPolynomial (divisions by single variables are exact) and
-    RationalFunction scalars alike.
+    RationalFunction scalars alike; ints are promoted to Fractions.
     """
     if len(values) % 2 == 0 or len(values) < 3:
         raise ValueError("need an odd number 2k+1 >= 3 of values")
     k = (len(values) - 1) // 2
-    x = list(values)
+    x, a = [promote(v) for v in values], promote(a)
     for j, v in enumerate(x):
         if not v:
             raise ZeroPivotError(j, what="initial value")
@@ -255,15 +256,9 @@ class ExplicitIterates:
     steps of either side, where the iterates are still linear in the parameter.
     """
 
-    spec: RecurrenceSpec
     values: dict
     F1: dict
     F2: dict
-
-    def value(self, m: int):
-        if m not in self.values:
-            raise IndexError(f"explicit formulas cover [-2k, -1] and [2k+1, 4k], not {m}")
-        return self.values[m]
 
 
 def _coefficient_families(values: Sequence, a):
@@ -312,7 +307,7 @@ def explicit_iterates(spec: RecurrenceSpec) -> ExplicitIterates:
         f1[-j], f2[-j] = g1[2 * k + j], g2[2 * k + j]
         lead = xr[j] * x[0] / x[2 * k]  # x_{2k-j} * x_0 / x_{2k}
         values[-j] = lead + a * f1[-j] + a * a * f2[-j]
-    return ExplicitIterates(spec, values, f1, f2)
+    return ExplicitIterates(values, f1, f2)
 
 
 # -- inhomogeneous relations -----------------------------------------------------

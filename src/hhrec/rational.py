@@ -37,9 +37,11 @@ def promote(value):
     return Fraction(value) if isinstance(value, int) else value
 
 
-def format_rational(value: Fraction) -> str:
-    """Render ``p/q``, or ``p`` when the denominator is 1, at any size."""
-    value = Fraction(value)
+def format_rational(value) -> str:
+    """Canonical text of any exact scalar, at any size: ``p/q``, or ``p`` when
+    q = 1, for a Fraction or an int; ``str`` of a Decimal integer, a Laurent
+    polynomial or a rational function."""
+    value = promote(value)
     try:
         return str(value)
     except ValueError:

@@ -37,7 +37,6 @@ from .engine import (
     SequenceWindow,
     apply_sigma,
     check_reversibility,
-    format_value,
     phi,
     phi_inverse,
     raw_window,
@@ -264,8 +263,8 @@ def _wit(n: int, what: str, residual=None) -> dict:
     and a failure that leaves no residual has no ``residual`` key."""
     wit = {"n": n, "identity": what}
     if residual is not None:
-        wit["residual"] = ([format_value(v) for v in residual] if isinstance(residual, tuple)
-                           else format_value(residual))
+        wit["residual"] = ([format_rational(v) for v in residual] if isinstance(residual, tuple)
+                           else format_rational(residual))
     return wit
 
 

@@ -134,7 +134,7 @@ def test_criterion_06_explicit_iterates():
         w = spec.window().extend(-2 * k, 4 * k)
         ex = explicit_iterates(spec)
         for m in list(range(-2 * k, 0)) + list(range(2 * k + 1, 4 * k + 1)):
-            if ex.value(m) != w[m]:
+            if ex.values[m] != w[m]:
                 failures.append((k, m, "formula vs iterate"))
         if ex.F1[2 * k]:
             failures.append((k, "F1[2k] nonzero"))

@@ -9,6 +9,7 @@ from hhrec import cli
 from hhrec import engine
 from hhrec.cli import main
 from hhrec.errors import ResidueMismatchError
+from hhrec.rational import format_rational
 from hhrec.verifier import NUMERIC_CHECKS, SYMBOLIC_CHECKS
 
 
@@ -167,9 +168,9 @@ def test_gen_bfile_checks_every_value_before_the_first_piece(run, monkeypatch):
 def _one_piece(rows, form: str) -> str:
     """The whole text rendered at once, as gen rendered it before it wrote in pieces."""
     if form == "json":
-        return json.dumps([{"n": n, "value": engine.format_value(v)} for n, v in rows]) + "\n"
+        return json.dumps([{"n": n, "value": format_rational(v)} for n, v in rows]) + "\n"
     sep = "," if form == "csv" else " "
-    lines = [f"{n}{sep}{engine.format_value(v)}" for n, v in rows]
+    lines = [f"{n}{sep}{format_rational(v)}" for n, v in rows]
     return "\n".join((["n,value"] if form == "csv" else []) + lines) + "\n"
 
 
@@ -481,6 +482,11 @@ def test_detect_requires_a_source(run):
 def test_gen_invalid_k_exits_2(run):
     code, _, err = run("gen", "--k", "0", "--a", "1", "--init", "1", "--to", "3")
     assert code == 2 and "k must be >= 1" in err
+    # a negative k is refused as such, not as a count of --init values
+    for command in (("gen", "--to", "3"), ("invariant",), ("closed-form", "--coeffs"),
+                    ("detect", "--gen", "--to", "3", "--max-order", "4")):
+        code, _, err = run(*command, "--k", "-1", "--init", "1")
+        assert code == 2 and "k must be >= 1" in err, command
 
 
 def test_gen_from_after_to_exits_2(run):

@@ -33,6 +33,7 @@ from hhrec.errors import (
 )
 from hhrec.laurent import variables
 from hhrec.matrix import matrix_det
+from hhrec.rational import format_rational
 from hhrec.verifier import SplitMix64, _map_orbit, random_rational
 
 
@@ -202,8 +203,10 @@ def test_int_scalars_never_make_floats():
     lambda: phi_inverse((1.0, 1, 1), 1, 1),
     lambda: raw_window(ones(1), 0, [1, 2.5, 3]),
     lambda: matrix_det([[1, 2], [3, 4.0]]),
+    lambda: invariants.k_breakdown([1, 0.5, 1], 1),
+    lambda: format_rational(0.5),
 ], ids=["spec_a", "spec_init", "phi_a", "phi_point", "phi_inverse_a", "phi_inverse_point",
-        "raw_window", "matrix_det"])
+        "raw_window", "matrix_det", "k_breakdown", "format_rational"])
 def test_floats_are_refused(make):
     with pytest.raises(TypeError):
         make()
@@ -728,12 +731,14 @@ def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, n
     assert exc.value.n == n
 
 
-def test_an_exported_window_extends_only_where_rounding_raises():
+def test_an_exported_window_extends_exactly_in_any_context():
+    # x_200 has 110 digits: a 28- or 5-digit context would round it
     w = export_window(ones(1), 0, 100)
-    with pytest.raises(ValueError):  # the default context would round x_200 silently
-        w.extend(0, 200)
-    with decimal.localcontext(engine._EXACT):
-        assert tuple(map(Fraction, w.extend(0, 200).values)) == ones(1).window().extend(0, 200).values
+    want = ones(1).window().extend(0, 200).values
+    assert tuple(map(Fraction, w.extend(0, 200).values)) == want
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        assert tuple(map(Fraction, w.extend(0, 200).values)) == want
 
 
 def test_decimal_route_leaves_the_callers_context_alone():

@@ -61,6 +61,14 @@ def test_k_formula_breakdown_123():
     assert (kb.P0, kb.P1, kb.P2, kb.K) == (Fraction(13, 3), Fraction(16, 3), 1, Fraction(32, 3))
 
 
+def test_k_breakdown_promotes_ints():
+    # int / int is a float: plain ints must give the Fraction pieces exactly
+    want = k_breakdown([Fraction(1), Fraction(2), Fraction(3)], Fraction(1))
+    got = k_breakdown([1, 2, 3], 1)
+    assert got == want and got.K == Fraction(32, 3)
+    assert all(type(getattr(got, name)) is Fraction for name in ("P0", "P1", "P2", "K"))
+
+
 def test_k_breakdown_at_zero_parameter():
     kb = k_breakdown([Fraction(2), Fraction(3), Fraction(5)], Fraction(0))
     assert kb.K == kb.P0 == 1 + Fraction(2, 5) + Fraction(5, 2)
@@ -210,7 +218,7 @@ def test_periodic_coeffs_refuses_a_symbolic_window():
 def test_explicit_iterates_symbolic_one_step():
     spec = RecurrenceSpec.symbolic(1)
     ex = explicit_iterates(spec)
-    assert ex.value(3) == spec.window().extend(new_hi=3)[3]
+    assert ex.values[3] == spec.window().extend(new_hi=3)[3]
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -219,7 +227,7 @@ def test_explicit_iterates_symbolic_all_positions(k):
     w = spec.window().extend(-2 * k, 4 * k)
     ex = explicit_iterates(spec)
     for m in list(range(-2 * k, 0)) + list(range(2 * k + 1, 4 * k + 1)):
-        assert ex.value(m) == w[m], m
+        assert ex.values[m] == w[m], m
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -236,9 +244,6 @@ def test_explicit_iterates_key_ranges(k):
     families = {*range(-2 * k, 0), *range(2 * k, 4 * k + 1)}
     assert set(ex.F1) == set(ex.F2) == families
     assert set(ex.values) == families - {2 * k}
-    for m in (0, 4 * k + 1):
-        with pytest.raises(IndexError, match=rf"\[2k\+1, 4k\], not {m}$"):
-            ex.value(m)
 
 
 def test_explicit_first_linear_coefficient_vanishes():
@@ -253,7 +258,7 @@ def test_explicit_iterates_numeric():
     w = spec.window().extend(-6, 12)
     ex = explicit_iterates(spec)
     for m in list(range(-6, 0)) + list(range(7, 13)):
-        assert ex.value(m) == w[m]
+        assert ex.values[m] == w[m]
 
 
 # -- inhomogeneous relations ----------------------------------------------------------
@@ -465,8 +470,9 @@ _COVERAGE_K = k_formula(_COVERAGE_SPEC).K
     (lambda w: xi_residual(w, 0), 0, 3),
     (lambda w: extract_coeffs(w, _COVERAGE_K), -2, 3),
     (lambda w: window_rows(w, -2, 5), -2, 5),
+    (lambda w: (w.with_value(-2, Fraction(0)), w.with_value(5, Fraction(0))), -2, 5),
 ], ids=["k_ratio", "wronskian4_det", "delta", "linear_relation_residual", "xi_residual",
-        "extract_coeffs", "window_rows"])
+        "extract_coeffs", "window_rows", "with_value"])
 def test_window_one_index_short_is_refused(read, lo, hi):
     # k = 1: each reader needs exactly [lo, hi]; a window one index short at
     # either end raises IndexError

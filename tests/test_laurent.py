@@ -121,7 +121,7 @@ def test_exact_div_iteration_numerator_matches_closed_formula(k):
     a = spec.a
     numerator = w[3 * k] * w[k + 1] + a * (w[2 * k] + w[2 * k + 1])
     quotient = numerator.exact_div(w[k])
-    assert quotient == explicit_iterates(spec).value(3 * k + 1)
+    assert quotient == explicit_iterates(spec).values[3 * k + 1]
 
 
 def test_substitute_matches_direct_iteration(gens):

@@ -1,7 +1,9 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from hhrec.laurent import RationalFunction, variables
 from hhrec.rational import format_rational, parse_rational
 
 
@@ -32,6 +34,24 @@ def test_format():
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(-66, 143)) == "-6/13"  # canonical form reduces
     assert format_rational(Fraction(14)) == "14"
+
+
+_DIGITS = "1" + "0" * 4999 + "1"  # 5001 digits, past the int-to-str limit of 4300
+_X0, _X1, _A = variables(3)
+
+
+@pytest.mark.parametrize("value,text", [
+    (Fraction(-66, 143), "-6/13"),
+    (-7, "-7"),
+    (Fraction(-int(Decimal(_DIGITS)), 3), f"-{_DIGITS}/3"),
+    (Decimal(-12345), "-12345"),
+    (Decimal(f"-{_DIGITS}"), f"-{_DIGITS}"),
+    (3 * _X0 * _A - _X1 ** -2 + 4, "3*x0*a + 4 - x1^-2"),
+    (RationalFunction(_X0 + 1, _X1 * _A), "(x0 + 1) / (x1*a)"),
+], ids=["fraction", "int", "fraction_past_limit", "decimal", "decimal_past_limit",
+        "laurent", "rational_function"])
+def test_one_formatter_for_every_exact_scalar(value, text):
+    assert format_rational(value) == text
 
 
 def test_canonical_form_after_operations():
