@@ -39,6 +39,8 @@ the prime 2^61 - 1 from the same integers; a mismatch raises
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
 and exists for fault injection and identities that hold for any sequence.
+A window caches the integer-scaled rows of its numeric Wronskian
+determinants (``SequenceWindow.scaled_row``); a copy starts with none.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, variables
+from .matrix import scale_row
 from .rational import format_rational, parse_rational, promote
 
 # Decimal arithmetic on integers that must never round: a lost digit raises
@@ -225,6 +228,22 @@ class SequenceWindow:
             bwd = fwd[::-1]
             _iterate(bwd, self.spec, self.lo - lo, lambda j: hi - j, linear)
         return SequenceWindow(self.spec, lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
+
+    @cached_property
+    def _scaled_rows(self) -> dict:
+        """The rows ``scaled_row`` has built, keyed by (m, shifts); filled lazily."""
+        return {}
+
+    def scaled_row(self, m: int, shifts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """``scale_row`` of the Wronskian row (x_{m+2kj} for j in shifts), built
+        once per window: block n's row i is block n+1's row i-1, so a sweep of
+        overlapping blocks scales each row once.  A row of Fractions only; a
+        Decimal or a Laurent polynomial raises TypeError."""
+        row = self._scaled_rows.get((m, shifts))
+        if row is None:
+            step = 2 * self.spec.k
+            row = self._scaled_rows[m, shifts] = scale_row([self[m + step * j] for j in shifts])
+        return row
 
     def with_value(self, n: int, value) -> "SequenceWindow":
         """A raw copy with one entry overwritten (for fault injection tests)."""

@@ -35,7 +35,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, RationalFunction
-from .matrix import mat_mul, matrix_det, solve_exact
+from .matrix import det_scaled, mat_mul, matrix_det, solve_exact
 from .rational import format_rational, promote
 
 
@@ -117,12 +117,27 @@ def k_ratio_route(w: SequenceWindow):
 
 
 # -- discrete Wronskians -------------------------------------------------------
+#
+# Every Wronskian determinant below is one of x_{n + offsets[i] + 2k shifts[j]}.
+# On a numeric window it comes from the window's cached integer rows
+# (``SequenceWindow.scaled_row``: each row scaled once by the lcm of its
+# denominators, ``matrix.scale_row``) through ``matrix.det_scaled``, so the
+# overlapping blocks of a sweep share their rows; a symbolic window takes
+# ``matrix_det`` of the block over the Laurent ring.
 
 def _wronskian_block(w: SequenceWindow, n: int, offsets: Sequence[int],
                      shifts: Sequence[int]) -> list[list]:
     """The rows of the matrix with entry (i, j) = x_{n + offsets[i] + 2k shifts[j]}."""
     k = w.spec.k
     return [[w[n + i + 2 * k * j] for j in shifts] for i in offsets]
+
+
+def _wronskian_det(w: SequenceWindow, n: int, offsets: tuple[int, ...],
+                   shifts: tuple[int, ...]):
+    """det of ``_wronskian_block(w, n, offsets, shifts)``."""
+    if w.spec.symbolic_mode:
+        return matrix_det(_wronskian_block(w, n, offsets, shifts))
+    return det_scaled([w.scaled_row(n + i, shifts) for i in offsets])
 
 
 def wronskian3(w: SequenceWindow, n: int) -> list[list]:
@@ -132,12 +147,12 @@ def wronskian3(w: SequenceWindow, n: int) -> list[list]:
 
 def delta(w: SequenceWindow, n: int):
     """det of the 3x3 discrete Wronskian; a k-invariant on solutions."""
-    return matrix_det(wronskian3(w, n))
+    return _wronskian_det(w, n, (0, 1, 2), (0, 1, 2))
 
 
 def wronskian4_det(w: SequenceWindow, n: int):
     """det of the 4x4 discrete Wronskian; exactly 0 on solution windows."""
-    return matrix_det(_wronskian_block(w, n, (0, 1, 2, 3), (0, 1, 2, 3)))
+    return _wronskian_det(w, n, (0, 1, 2, 3), (0, 1, 2, 3))
 
 
 # -- Cramer route ----------------------------------------------------------------
@@ -149,12 +164,12 @@ def k_cramer(w: SequenceWindow, n: int = 0):
     second; both are independent of n and swap into each other under the
     reversal symmetry.
     """
-    m1 = _wronskian_block(w, n, (0, 1, 2), (0, 1, 3))
-    m2 = _wronskian_block(w, n, (0, 1, 2), (0, 2, 3))
+    d1 = _wronskian_det(w, n, (0, 1, 2), (0, 1, 3))
+    d2 = _wronskian_det(w, n, (0, 1, 2), (0, 2, 3))
     d = delta(w, n)
     if not d:
         raise SingularDeltaError(n)
-    return matrix_det(m1) / d, matrix_det(m2) / d
+    return d1 / d, d2 / d
 
 
 # -- 3-term relation coefficients -------------------------------------------------
@@ -165,9 +180,10 @@ def abg_coeffs(w: SequenceWindow, n: int):
     These are ratios of 3x3 determinants over delta_n and are genuinely
     rational functions, not Laurent polynomials: on a symbolic window the
     four determinants are taken in the Laurent ring and lifted into
-    RationalFunction scalars for the ratios.
+    RationalFunction scalars for the ratios.  The four blocks read the rows
+    of delta_n and delta_{n+1}.
     """
-    dets = [matrix_det(_wronskian_block(w, n + s, offsets, (0, 1, 2)))
+    dets = [_wronskian_det(w, n + s, offsets, (0, 1, 2))
             for s, offsets in ((0, (0, 1, 2)), (1, (0, 1, 2)), (0, (0, 2, 3)), (0, (0, 1, 3)))]
     if w.spec.symbolic_mode:
         dets = [RationalFunction(v) for v in dets]

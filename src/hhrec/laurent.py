@@ -44,6 +44,7 @@ from functools import lru_cache, wraps
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import NotExactError, ZeroAtNegativeExponentError
+from .rational import format_int
 
 ExponentVector = tuple[int, ...]
 
@@ -446,9 +447,9 @@ def format_laurent(p: LaurentPolynomial) -> str:
             factors.append(name if e == 1 else f"{name}^{e}")
         mag = abs(coeff)
         if factors:
-            body = "*".join(factors) if mag == 1 else f"{mag}*" + "*".join(factors)
+            body = "*".join(factors) if mag == 1 else f"{format_int(mag)}*" + "*".join(factors)
         else:
-            body = str(mag)
+            body = format_int(mag)
         if i == 0:
             chunks.append(body if coeff > 0 else f"-{body}")
         else:

@@ -2,15 +2,19 @@
 
 Entries are any exact scalar with ring arithmetic, exact ``/`` and a
 ``bool()`` zero test (Fraction, LaurentPolynomial or RationalFunction); plain
-ints are promoted to Fraction, since int / int is a float, and floats refused.
+ints are promoted to Fraction, since int / int is a float, and floats and
+Decimals are refused with TypeError (a Decimal would round in its context).
 Three independent determinant routines are provided:
 
 * Bareiss fraction-free elimination -- the production route behind
   ``matrix_det`` at every size; interior divisions are exact in the entry
   ring by Sylvester's identity.  A matrix of Fractions runs over the
-  integers, as Bareiss intended: each row is scaled by the lcm of its
-  denominators, the stages divide with exact ``//`` (no gcd), and the result
-  is ``Fraction(det, product of the row lcms)``;
+  integers, as Bareiss intended, in two steps: ``scale_row`` gives a row's
+  scale s, the lcm of its denominators, and the integers s*x; ``det_scaled``
+  eliminates the integer rows, every stage dividing with exact ``//`` (no
+  gcd), and returns ``Fraction(det, product of the scales)``.  A caller that
+  takes many determinants over overlapping rows scales each row once and
+  hands the pairs to ``det_scaled``, as the numeric Wronskians do;
 * cofactor expansion -- the brute-force oracle, any size;
 * Dodgson condensation -- repeated 2x2 condensation divided by the interior
   of the grandparent stage; fails when an interior entry vanishes.
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,7 +42,8 @@ class ZeroMinorError(Exception):
 def _square_rows(rows: Sequence[Sequence]) -> list[list]:
     """A fresh copy of a square matrix's rows, plain ints promoted to Fraction.
 
-    Refuses an empty, ragged or non-square input with ValueError.
+    Refuses an empty, ragged or non-square input with ValueError, and a float
+    or Decimal entry with TypeError.
     """
     n = len(rows)
     if n == 0:
@@ -47,7 +53,10 @@ def _square_rows(rows: Sequence[Sequence]) -> list[list]:
         raise ValueError("ragged rows")
     if widths != {n}:
         raise ValueError(f"determinant of a non-square {n}x{widths.pop()} matrix")
-    return [[promote(v) for v in r] for r in rows]
+    a = [[promote(v) for v in r] for r in rows]
+    if any(isinstance(v, Decimal) for r in a for v in r):
+        raise TypeError("Decimal entries would round in the decimal context")
+    return a
 
 
 def det_cofactor(rows: Sequence[Sequence]):
@@ -74,16 +83,31 @@ def det_cofactor(rows: Sequence[Sequence]):
 def det_bareiss(rows: Sequence[Sequence]):
     """Fraction-free Gaussian elimination; divisions are exact in the ring.
 
-    A matrix of Fractions runs over the integers: each row is scaled by the
-    lcm of its denominators, every stage divides exactly with ``//``, and the
-    result is the integer determinant over the product of those lcms.
+    A matrix of Fractions runs over the integers, by ``det_scaled`` of its
+    ``scale_row`` pairs.
     """
     a = _square_rows(rows)
     if not all(isinstance(v, Fraction) for row in a for v in row):
         return _eliminate(a, operator.truediv)
-    scales = [math.lcm(*(v.denominator for v in row)) for row in a]
-    a = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(a, scales)]
-    return Fraction(_eliminate(a, operator.floordiv), math.prod(scales))
+    return det_scaled([scale_row(r) for r in a])
+
+
+def scale_row(row: Sequence) -> tuple[int, tuple[int, ...]]:
+    """(s, ints): s the lcm of the denominators of a row of Fractions or ints,
+    and ints the row times s.  Refuses any other entry with TypeError."""
+    for v in row:
+        if not isinstance(v, (Fraction, int)):
+            raise TypeError(f"a {type(v).__name__} entry is not a Fraction or int")
+    s = math.lcm(*(v.denominator for v in row))
+    return s, tuple(v.numerator * (s // v.denominator) for v in row)
+
+
+def det_scaled(rows: Sequence[tuple[int, Sequence[int]]]):
+    """The determinant of the rows ints/s, given as ``scale_row`` pairs (s, ints):
+    the integer determinant, every stage dividing with exact ``//``, over the
+    product of the scales.  The pairs are left as they are."""
+    det = _eliminate([list(ints) for _, ints in rows], operator.floordiv)
+    return Fraction(det, math.prod(s for s, _ in rows))
 
 
 def _eliminate(a: list[list], div):

@@ -44,8 +44,16 @@ def format_rational(value) -> str:
     value = promote(value)
     try:
         return str(value)
+    except ValueError:  # a Fraction past the int-to-str digit limit
+        num = format_int(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{format_int(value.denominator)}"
+
+
+def format_int(n: int) -> str:
+    """Decimal text of an int at any size.  Past Python's int-to-str digit
+    limit, which stays in force to guard the parsing of outside input, the
+    text comes from a Decimal, which converts ints exactly."""
+    try:
+        return str(n)
     except ValueError:
-        # past Python's int-to-str digit limit, which stays in force to guard
-        # the parsing of outside input; Decimal converts ints exactly
-        num = str(Decimal(value.numerator))
-        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
+        return str(Decimal(n))

@@ -4,13 +4,21 @@ from fractions import Fraction
 import pytest
 
 from hhrec.closed_form import extract_coeffs
-from hhrec.engine import RecurrenceSpec, SequenceWindow, raw_window, window_rows, xi_residual
+from hhrec.engine import (
+    RecurrenceSpec,
+    SequenceWindow,
+    export_window,
+    raw_window,
+    window_rows,
+    xi_residual,
+)
 from hhrec.errors import (
     DegenerateDenominatorError,
     SingularDeltaError,
     ZeroPivotError,
 )
 from hhrec.invariants import (
+    _wronskian_block,
     abg_coeffs,
     delta,
     explicit_iterates,
@@ -31,6 +39,7 @@ from hhrec.invariants import (
     wronskian4_det,
 )
 from hhrec.laurent import variables
+from hhrec.matrix import det_cofactor
 from hhrec.verifier import SplitMix64, random_rational
 
 
@@ -163,6 +172,67 @@ def test_k_cramer_singular_delta():
     w = raw_window(ones(1), 0, [5] * 10)
     with pytest.raises(SingularDeltaError):
         k_cramer(w, 0)
+
+
+# -- the numeric route against the cofactor oracle ---------------------------------------
+
+def _family(kind, k):
+    init = {"unit": [1] * (2 * k + 1),
+            "integer": [j + 1 for j in range(2 * k + 1)],
+            "rational": [Fraction((-1) ** j * (j + 2), j + 3) for j in range(2 * k + 1)]}[kind]
+    return RecurrenceSpec.numeric(k, {"unit": 1, "integer": 2, "rational": Fraction(3, 2)}[kind], init)
+
+
+@pytest.mark.parametrize("kind, k, lo, hi", [
+    *((kind, k, -2 * k - 2, 12 * k + 3) for kind in ("unit", "integer", "rational")
+      for k in (1, 2, 3)),
+    ("rational", 2, -100, 300),
+])
+def test_wronskian_routes_match_cofactor_of_fraction_blocks(kind, k, lo, hi):
+    w = _family(kind, k).window().extend(lo, hi)
+
+    def cof(n, offsets, shifts):
+        return det_cofactor(_wronskian_block(w, n, offsets, shifts))
+
+    for n in range(lo, hi - 6 * k - 3 + 1):
+        assert wronskian4_det(w, n) == cof(n, (0, 1, 2, 3), (0, 1, 2, 3)) == 0
+    for n in range(lo, hi - 6 * k - 2 + 1):
+        d = cof(n, (0, 1, 2), (0, 1, 2))
+        assert delta(w, n) == d != 0
+        assert k_cramer(w, n) == (cof(n, (0, 1, 2), (0, 1, 3)) / d,
+                                  cof(n, (0, 1, 2), (0, 2, 3)) / d)
+        assert abg_coeffs(w, n) == (cof(n + 1, (0, 1, 2), (0, 1, 2)) / d,
+                                    cof(n, (0, 2, 3), (0, 1, 2)) / d,
+                                    cof(n, (0, 1, 3), (0, 1, 2)) / d)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_corrupted_copy_does_not_read_the_clean_windows_rows(k):
+    # the clean window caches its scaled rows first; the corrupted copy must
+    # build its own, and fail at exactly the blocks that read x_{2k+1}
+    clean = _family("rational", k).window().extend(-2 * k - 2, 12 * k + 3)
+    sweep = range(clean.lo, clean.hi - 6 * k - 3 + 1)
+    assert all(wronskian4_det(clean, n) == 0 for n in sweep)
+    bad = clean.with_value(2 * k + 1, clean[2 * k + 1] + 1)
+    hit = {n for n in sweep if any(n + i + 2 * k * j == 2 * k + 1
+                                   for i in range(4) for j in range(4))}
+    assert hit and {n for n in sweep if wronskian4_det(bad, n)} == hit
+    assert all(wronskian4_det(clean, n) == 0 for n in sweep)
+
+
+@pytest.mark.parametrize("read", [
+    lambda w: delta(w, 100),
+    lambda w: wronskian4_det(w, 120),
+    lambda w: k_cramer(w, 100),
+    lambda w: abg_coeffs(w, 100),
+], ids=["delta", "wronskian4_det", "k_cramer", "abg_coeffs"])
+def test_determinants_refuse_an_exported_decimal_window(read):
+    # a Decimal determinant would round in the 28-digit default context, where
+    # the Fraction window's delta is exactly 12
+    w = export_window(ones(1), 0, 200)
+    assert delta(ones_window(1, 0, 200), 100) == 12
+    with pytest.raises(TypeError):
+        read(w)
 
 
 # -- 3-term relation and monodromy -----------------------------------------------------

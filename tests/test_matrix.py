@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from hhrec.matrix import (
     det_bareiss,
     det_cofactor,
     det_dodgson,
+    det_scaled,
     matrix_det,
+    scale_row,
     solve_exact,
 )
 
@@ -164,6 +167,36 @@ def test_integer_route_fixed_cases(rows, expected):
     det = matrix_det(rows)
     assert type(det) is Fraction
     assert det == det_cofactor(rows) == expected
+
+
+def test_scale_row_takes_the_lcm_of_its_denominators():
+    assert scale_row([F(1, 2), F(-1, 3), 4, F(0)]) == (6, (3, -2, 24, 0))
+    assert scale_row([F(5), 7]) == (1, (5, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: square(n, wide_rationals)))
+def test_det_scaled_of_scaled_rows_agrees_with_cofactor(m):
+    rows = [scale_row(r) for r in m]
+    kept = [(s, tuple(ints)) for s, ints in rows]
+    det = det_scaled(rows)
+    assert type(det) is Fraction
+    assert det == det_cofactor(m)
+    assert rows == kept  # the elimination works on copies: cached rows stay intact
+
+
+@pytest.mark.parametrize("det", [det_bareiss, det_cofactor, det_dodgson, matrix_det])
+def test_determinants_refuse_a_decimal_entry(det):
+    # a Decimal would round in the default 28-digit context
+    with pytest.raises(TypeError):
+        det([[Decimal(10) ** 40, 1], [1, Decimal(10) ** 40 + 1]])
+
+
+@pytest.mark.parametrize("row", [[F(1), Decimal(2)], [F(1), 0.5], [F(1), variables(2)[0]]],
+                         ids=["decimal", "float", "laurent"])
+def test_scale_row_refuses_what_is_not_a_fraction_or_int(row):
+    with pytest.raises(TypeError):
+        scale_row(row)
 
 
 def test_any_laurent_entry_keeps_the_ring_route():

@@ -48,8 +48,12 @@ _X0, _X1, _A = variables(3)
     (Decimal(f"-{_DIGITS}"), f"-{_DIGITS}"),
     (3 * _X0 * _A - _X1 ** -2 + 4, "3*x0*a + 4 - x1^-2"),
     (RationalFunction(_X0 + 1, _X1 * _A), "(x0 + 1) / (x1*a)"),
+    (10 ** 5000 * _X0, "1" + "0" * 5000 + "*x0"),
+    (_X1 - int(Decimal(_DIGITS)), f"x1 - {_DIGITS}"),
+    (RationalFunction(_X0, 10 ** 5000 * _A), "(x0) / (1" + "0" * 5000 + "*a)"),
 ], ids=["fraction", "int", "fraction_past_limit", "decimal", "decimal_past_limit",
-        "laurent", "rational_function"])
+        "laurent", "rational_function", "laurent_past_limit", "laurent_constant_past_limit",
+        "rational_function_past_limit"])
 def test_one_formatter_for_every_exact_scalar(value, text):
     assert format_rational(value) == text
 
