@@ -49,6 +49,7 @@ from .errors import (
     LaurentViolationError,
     NotExactError,
 )
+from .matrix import scale_row
 from .rational import format_rational
 
 _MASK64 = (1 << 64) - 1
@@ -145,43 +146,66 @@ def random_spec(cfg: TrialConfig, trial: int, attempt: int = 0) -> RecurrenceSpe
 def detect_linear_recurrence(values: Sequence[Fraction], max_order: int) -> list[Fraction] | None:
     """Monic characteristic polynomial of the minimal linear recurrence.
 
-    Berlekamp-Massey over Q (Massey, IEEE Trans. Inf. Theory 15, 1969) finds
-    the shortest recurrence x[n+L] = c1 x[n+L-1] + ... + cL x[n] that holds
-    over ALL supplied terms; with at least 2*max_order + 2 terms it is unique
-    whenever L <= max_order.  The result is checked against every term before
-    it is returned.  Returns the coefficients [1, -c1, ..., -cL] (descending
-    powers), [1] for an all-zero input, or None when L > max_order.
+    Berlekamp-Massey (Massey, IEEE Trans. Inf. Theory 15, 1969) finds the
+    shortest recurrence x[n+L] = c1 x[n+L-1] + ... + cL x[n] that holds over
+    ALL supplied terms; with at least 2*max_order + 2 terms it is unique
+    whenever L <= max_order.  It runs over the integers s*x_n, s the lcm of
+    the denominators (a recurrence with constant coefficients survives the
+    scaling), and the result is checked against every term before it is
+    returned.  Returns the coefficients [1, -c1, ..., -cL] (descending
+    powers), [1] for an all-zero input, or None when L > max_order.  A value
+    that is not a Fraction or an int raises TypeError; a Decimal, as
+    ``export_window`` gives, would read back in time quadratic in its digits.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    values = [Fraction(v) for v in values]
-    if len(values) < 2 * max_order + 2:
+    try:
+        _, ys = scale_row(values)
+    except TypeError as exc:
+        raise TypeError(f"{exc}: take the values from the Fraction window "
+                        "of spec.window().extend(lo, hi)") from None
+    if len(ys) < 2 * max_order + 2:
         raise InsufficientDataError(
-            f"need at least 2*max_order+2 = {2 * max_order + 2} terms, got {len(values)}")
-    # conn = [1, -c1, ..., -cL] annihilates every term so far; prev is conn
-    # before the last change of order, with discrepancy prev_disc, shift steps ago
-    def residual(conn, n):
-        return sum(c * values[n - i] for i, c in enumerate(conn))
+            f"need at least 2*max_order+2 = {2 * max_order + 2} terms, got {len(ys)}")
+    conn = _integer_massey(ys, max_order)
+    # the detector is an oracle and must not trust its algorithm
+    if conn is None or any(_residual(conn, ys, n) for n in range(len(conn) - 1, len(ys))):
+        return None
+    return [Fraction(c, conn[0]) for c in conn]
 
-    conn, prev = [Fraction(1)], [Fraction(1)]
-    order, shift, prev_disc = 0, 1, Fraction(1)
-    for n in range(len(values)):
-        disc = residual(conn, n)
+
+def _residual(conn: Sequence[int], ys: Sequence[int], n: int) -> int:
+    # a zero term still costs a copy of a big integer in the sum
+    return sum(c * ys[n - i] for i, c in enumerate(conn) if c)
+
+
+def _integer_massey(ys: Sequence[int], max_order: int) -> list[int] | None:
+    """Fraction-free Berlekamp-Massey: the primitive integer connection
+    polynomial [c0, ..., cL] of ys, or None once L passes max_order.
+
+    conn annihilates every term so far; prev is conn before its last change
+    of order, which left the discrepancy prev_disc, shift steps ago.  The
+    update prev_disc*conn - disc*S^shift*prev is a nonzero multiple of the
+    rational one; dividing out its content (a positive gcd, so signs stay)
+    keeps the integers small.
+    """
+    conn, prev = [1], [1]
+    order, shift, prev_disc = 0, 1, 1
+    for n in range(len(ys)):
+        disc = _residual(conn, ys, n)
         if disc:
             new_order = max(order, n + 1 - order)
-            updated = conn + [Fraction(0)] * (new_order - order)
-            scale = disc / prev_disc
-            for i, c in enumerate(prev):
-                updated[i + shift] -= scale * c
+            updated = [prev_disc * c for c in conn] + [0] * (new_order - order)
+            for i, c in enumerate(prev, start=shift):
+                updated[i] -= disc * c
+            content = math.gcd(*updated)
+            updated = [c // content for c in updated]
             if new_order > order:
                 if new_order > max_order:  # the order never decreases
                     return None
                 prev, prev_disc, shift = conn, disc, 0
             order, conn = new_order, updated
         shift += 1
-    # the detector is an oracle and must not trust its algorithm
-    if any(residual(conn, n) for n in range(order, len(values))):
-        return None
     return conn
 
 

@@ -2,14 +2,19 @@ import json
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import hhrec.invariants as invariants
-from hhrec.engine import RecurrenceSpec, SequenceWindow
+import hhrec.verifier as verifier
+from hhrec.engine import RecurrenceSpec, SequenceWindow, export_window
 from hhrec.errors import HHRecError, InsufficientDataError, LaurentViolationError, ZeroPivotError
-from hhrec.matrix import solve_exact
+from hhrec.matrix import scale_row, solve_exact
 from hhrec.rational import parse_rational
 from hhrec.verifier import (
     NUMERIC_CHECKS,
@@ -18,6 +23,7 @@ from hhrec.verifier import (
     TrialConfig,
     TrialContext,
     _fault_blind,
+    _integer_massey,
     _sweep,
     detect_linear_recurrence,
     expand_checks,
@@ -197,6 +203,160 @@ def test_detect_agrees_with_per_order_solve_on_verifier_windows():
                 continue
             values = [w[n] for n in range(0, 14 * k + 1)]
             assert detect_linear_recurrence(values, 6 * k) == _reference_detect(values, 6 * k)
+
+
+# -- the integer route against the Fraction route -----------------------------------
+
+def fraction_detect(values: Sequence[Fraction], max_order: int) -> list[Fraction] | None:
+    """Berlekamp-Massey over Q, a gcd on every operation: the detector's
+    route before it ran over the integers, kept as its slow reference."""
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    values = [Fraction(v) for v in values]
+    if len(values) < 2 * max_order + 2:
+        raise InsufficientDataError(
+            f"need at least 2*max_order+2 = {2 * max_order + 2} terms, got {len(values)}")
+    # conn = [1, -c1, ..., -cL] annihilates every term so far; prev is conn
+    # before the last change of order, with discrepancy prev_disc, shift steps ago
+    def residual(conn, n):
+        return sum(c * values[n - i] for i, c in enumerate(conn))
+
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    order, shift, prev_disc = 0, 1, Fraction(1)
+    for n in range(len(values)):
+        disc = residual(conn, n)
+        if disc:
+            new_order = max(order, n + 1 - order)
+            updated = conn + [Fraction(0)] * (new_order - order)
+            scale = disc / prev_disc
+            for i, c in enumerate(prev):
+                updated[i + shift] -= scale * c
+            if new_order > order:
+                if new_order > max_order:  # the order never decreases
+                    return None
+                prev, prev_disc, shift = conn, disc, 0
+            order, conn = new_order, updated
+        shift += 1
+    # the detector is an oracle and must not trust its algorithm
+    if any(residual(conn, n) for n in range(order, len(values))):
+        return None
+    return conn
+
+
+def _outcome(route, values, max_order):
+    """A route's return value, or the class and text of its usage error."""
+    try:
+        return route(values, max_order)
+    except (ValueError, InsufficientDataError) as exc:
+        return type(exc), str(exc)
+
+
+SMALL_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+SCALARS = st.one_of(SMALL_RATIONALS, st.integers(-10**6, 10**6),
+                    st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**9))
+SEED_FAMILIES = {"unit": (1, 1), "integer": (10, 1), "rational": (10, 10)}
+
+
+@st.composite
+def _recurrent_cases(draw, beyond_max_order=False):
+    """Terms of a random recurrence of order <= max_order, or of a higher one."""
+    max_order = draw(st.integers(1, 8))
+    low, high = (max_order + 1, max_order + 3) if beyond_max_order else (1, max_order)
+    order = draw(st.integers(low, high))
+    coeffs = draw(st.lists(SMALL_RATIONALS, min_size=order, max_size=order))
+    init = draw(st.lists(SMALL_RATIONALS, min_size=order, max_size=order))
+    count = 2 * max_order + 2 + draw(st.integers(0, 6))
+    return _recurrent(coeffs, init, count), max_order
+
+
+@st.composite
+def _nearly_zero_cases(draw):
+    """All zeros, or zeros with one or two nonzero terms anywhere."""
+    max_order = draw(st.integers(1, 6))
+    values = [0] * draw(st.integers(2 * max_order + 2, 2 * max_order + 8))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(SMALL_RATIONALS.filter(bool))
+    return values, max_order
+
+
+@st.composite
+def _trial_window_cases(draw):
+    """The window _check_detect reads, for a unit, integer or rational seed, k = 1..3."""
+    k = draw(st.integers(1, 3))
+    numerator_bound, denominator_bound = SEED_FAMILIES[draw(st.sampled_from(sorted(SEED_FAMILIES)))]
+    cfg = TrialConfig(k=k, seed=draw(st.integers(0, 2**64 - 1)),
+                      numerator_bound=numerator_bound, denominator_bound=denominator_bound)
+    try:
+        w = random_spec(cfg, 0).window().extend(0, 14 * k)
+    except ZeroPivotError:
+        reject()
+    return [w[n] for n in range(0, 14 * k + 1)], 6 * k
+
+
+DETECT_STRATEGIES = {
+    "random-rationals": st.tuples(st.lists(SCALARS, max_size=24), st.integers(-1, 10)),
+    "recurrent": _recurrent_cases(),
+    "beyond-max-order": _recurrent_cases(beyond_max_order=True),
+    "nearly-zero": _nearly_zero_cases(),
+    "trial-windows": _trial_window_cases(),
+}
+
+
+@pytest.mark.parametrize("kind", DETECT_STRATEGIES)
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_integer_route_agrees_with_fraction_route(kind, data):
+    values, max_order = data.draw(DETECT_STRATEGIES[kind])
+    assert _outcome(detect_linear_recurrence, values, max_order) == \
+        _outcome(fraction_detect, values, max_order)
+
+
+def test_k10_rational_window_matches_the_fraction_route():
+    k = 10
+    spec = random_spec(TrialConfig(k=k, seed=41), 0)
+    w = spec.window().extend(0, 14 * k)
+    values = [w[n] for n in range(0, 14 * k + 1)]
+    found = detect_linear_recurrence(values, 6 * k)
+    assert len(found) - 1 == 6 * k
+    assert found == fraction_detect(values, 6 * k)
+    assert poly_divides(found, target_characteristic_poly(k, spec.K))
+
+
+def test_massey_connection_polynomial_stays_primitive():
+    """Each update divides out the content, so the integers stay small."""
+    for k in (1, 2, 3):
+        for trial in range(3):
+            try:
+                w = random_spec(TrialConfig(k=k, seed=41), trial).window().extend(0, 14 * k)
+            except ZeroPivotError:
+                continue
+            _, ys = scale_row([w[n] for n in range(0, 14 * k + 1)])
+            conn = _integer_massey(ys, 6 * k)
+            assert len(conn) > 1 and math.gcd(*conn) == 1
+
+
+def test_detect_rejects_a_candidate_that_fails_the_residual_pass(monkeypatch):
+    fib = _recurrent([1, 1], [1, 1], 14)
+    found = _integer_massey(scale_row(fib)[1], 3)
+    assert found == [1, -1, -1]
+    monkeypatch.setattr(verifier, "_integer_massey", lambda ys, max_order: [1, -1, -2])
+    assert detect_linear_recurrence(fib, 3) is None
+
+
+@pytest.mark.parametrize("bad", [Decimal(2), 0.5, "1/2"])
+def test_detect_refuses_a_value_that_is_not_a_fraction_or_int(bad):
+    with pytest.raises(TypeError, match=r"Fraction window of spec\.window\(\)\.extend\(lo, hi\)"):
+        detect_linear_recurrence([Fraction(1)] * 5 + [bad], 2)
+
+
+def test_detect_refuses_an_exported_decimal_window():
+    spec = RecurrenceSpec.numeric(1, 1, [1, 1, 1])
+    exported = export_window(spec, 0, 40).values
+    assert all(isinstance(v, Decimal) for v in exported[6:])
+    with pytest.raises(TypeError, match="Decimal"):
+        detect_linear_recurrence(list(exported), 6)
+    assert detect_linear_recurrence(list(spec.window().extend(0, 40).values), 6) == \
+        [1, 0, -14, 0, 14, 0, -1]
 
 
 def test_target_charpoly_factorization():
