@@ -27,14 +27,17 @@ with the same K by (a), so (b) gives the relation at every n; a failure
 raises :class:`CertificateError`.  Requests inside the block, and every
 other symbolic seed, use the nonlinear step throughout.
 
-``export_window`` builds the windows that ``gen`` prints.  When K and the
-6k values the relation starts from are integers, it runs the relation over
-``decimal.Decimal`` integers in an exact context instead of scaled ints:
-Decimal add, subtract and multiply by K take time linear in the digits, and
-so does ``str``, where CPython's int-to-str is quadratic.  Before the window
-is returned, every value is checked against the same relation run modulo
-the prime 2^61 - 1 from the same integers; a mismatch raises
-:class:`ResidueMismatchError`.
+``export_window`` builds the windows that ``gen`` prints.  Past the 6k
+values the relation starts from, it runs the same scaled relation over
+``decimal.Decimal`` integers y in an exact context: Decimal add, subtract
+and multiply by K's numerator and denominator take time linear in the
+digits, and so does ``str``, where CPython's int-to-str is quadratic.  Each
+value y/s, s = D Q^e, is reduced without a big gcd, since every prime that
+y and s share divides D Q: the common factor comes out in gcds of ints
+below 10^19, each after one short division of y (``_reduced``).  An
+integer window has D = Q = 1 and skips the reduction.  Before the window is returned, every value is checked
+against the relation run modulo the prime 2^61 - 1 from the 6k values; a
+mismatch raises :class:`ResidueMismatchError`.
 
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
@@ -61,7 +64,7 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -159,8 +162,9 @@ class SequenceWindow:
 
     A window that is not raw holds iterates of ``spec``'s own seed: ``extend``
     continues it with the linear relation whose K comes from ``spec.init``.
-    Numeric values are Fractions, or Decimal integers in a window from
-    ``export_window``; symbolic values are Laurent polynomials.
+    Numeric values are Fractions, or, in a window from ``export_window``,
+    Decimal integers and reduced ``_Quotient`` pairs; symbolic values are
+    Laurent polynomials.
     """
 
     spec: RecurrenceSpec
@@ -287,9 +291,11 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
         y[j] = P (y[j-2k] - Q y[j-4k]) + Q^3 y[j-6k]
 
     No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)).
-    A symbolic window, whose K is a Laurent polynomial, runs the same lines
-    with P = K and Q = D = 1, so y is x itself; so does a window of Decimal
-    integers, whose K is an integer (``_grown`` runs it in ``_EXACT``).
+    A window from ``export_window``, of Decimal integers and ``_Quotient``
+    pairs, runs the same lines over Decimal integers (``_grown`` runs it in
+    ``_EXACT``), and each output is ``_reduced(y[j], D Q^(j // 2k))``, or
+    y[j] itself when D = Q = 1.  A symbolic window, whose K is a Laurent
+    polynomial, runs them with P = K and Q = D = 1, so y is x itself.
     Each step first tests the value ``_step`` would divide by, so a zero
     pivot raises ZeroPivotError at the same index on every route.
     """
@@ -304,15 +310,30 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     # so none is zero and the formula is defined
     K = spec.K
     start = seq[-6 * k:]
-    y_is_x = not isinstance(start[0], Fraction)
-    if y_is_x:
-        p, q, scale = (K if spec.symbolic_mode else K.numerator), 1, 1
+    if spec.symbolic_mode:
+        p, q, scale, emit = K, 1, 1, _identity
         y = deque(start, maxlen=6 * k)
     else:
         p, q = K.numerator, K.denominator
-        scale = math.lcm(*(v.denominator for v in start))
-        y = deque((v.numerator * (scale // v.denominator) * q ** (i // (2 * k))
-                   for i, v in enumerate(start)), maxlen=6 * k)
+        parts = [_parts(v) for v in start]
+        scale = math.lcm(*(int(den) for _, den in parts))
+        y = deque((num * (scale // int(den) * q ** (i // (2 * k)))
+                   for i, (num, den) in enumerate(parts)), maxlen=6 * k)
+        h = scale * q
+        if isinstance(start[0], Fraction):
+            emit = Fraction
+        elif h == 1:
+            emit = _identity
+        else:
+            # every prime that y and s = D Q^e share divides h = D Q; fill one
+            # word with powers of h, then of Q, which s gains as e grows
+            H = h
+            while H * h < 10 ** 19:
+                H *= h
+            while q > 1 and H * q < 10 ** 19:
+                H *= q
+            emit = partial(_reduced, H=H)
+            scale = Decimal(scale)
         scale *= q ** 2  # the scale of y[4k..6k-1]
     q3 = q ** 3
     first = len(seq)
@@ -325,7 +346,57 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
                  else p * (y[4 * k] - q * y[2 * k]) + q3 * y[0])
         if (j - first) % (2 * k) == 0:
             scale *= q
-        seq.append(y[-1] if y_is_x else Fraction(y[-1], scale))
+        seq.append(emit(y[-1], scale))
+
+
+def _identity(v, scale):
+    return v
+
+
+@dataclass(frozen=True, slots=True)
+class _Quotient:
+    """A value of a printed window that is no integer: numerator/denominator
+    in lowest terms, two Decimal integers with denominator > 1, so that
+    ``str`` takes time linear in the digits."""
+
+    numerator: Decimal
+    denominator: Decimal
+
+    def __str__(self) -> str:
+        return f"{self.numerator}/{self.denominator}"
+
+
+def _parts(v) -> tuple:
+    """(numerator, denominator) of a Fraction, a Decimal integer or a _Quotient."""
+    return (v, 1) if isinstance(v, Decimal) else (v.numerator, v.denominator)
+
+
+def _printable(v: Fraction) -> "Decimal | _Quotient":
+    """A Fraction as a value of a printed window."""
+    if v.denominator == 1:
+        return Decimal(v.numerator)
+    return _Quotient(Decimal(v.numerator), Decimal(v.denominator))
+
+
+def _reduced(y: Decimal, s: Decimal, H: int) -> "Decimal | _Quotient":
+    """y/s in lowest terms, for Decimal integers y and s > 0 and H > 1 such
+    that every prime dividing both y and s divides H.
+
+    The common factor is taken out in pieces g = gcd(y, s, H), each a gcd of
+    ints below H: ``y % H`` is a short division while H fits in one word.
+    A prime p of g can still divide both quotients only if g took all of
+    p's power in H; otherwise one piece is all of gcd(y, s).
+    """
+    g = math.gcd(int(y % H), int(s % H), H)
+    while g > 1:
+        y, s = y // g, s // g
+        left, rest = g, H // g
+        while (c := math.gcd(left, rest)) > 1:
+            left //= c
+        if left == 1:  # every prime of g keeps some power in H // g
+            break
+        g = math.gcd(int(y % H), int(s % H), H)
+    return y if s == 1 else _Quotient(y, s)
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:
@@ -391,39 +462,47 @@ def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
 
     Its values are those of ``spec.window().extend(lo, hi)``, built in the
     same order, so a zero pivot raises at the same index.  When the window
-    leaves the 6k values the relation starts from, and K and those values
-    are integers, the relation runs over Decimal integers and the values are
-    Decimals; ``_check_residues`` checks each of them before it returns.
+    leaves the 6k values the relation starts from, the relation runs over
+    Decimal integers y and each value is y/s reduced (``_reduced``): a
+    Decimal for an integer, else a ``_Quotient``.  ``_check_residues``
+    checks each value before it returns.  The check inverts K's denominator
+    and those of the 6k values modulo GUARD_PRIME, so where the prime
+    divides one, which needs an input that is a multiple of it, the window
+    is the Fraction window instead.
     """
     k = spec.k
     block = spec.window().extend(max(lo, min(0, hi - 6 * k + 1)), min(hi, 6 * k - 1))
-    if (block.covers(lo, hi) or spec.K.denominator != 1
-            or any(v.denominator != 1 for v in block.values)):
+    if block.covers(lo, hi) or any(v.denominator % GUARD_PRIME == 0
+                                   for v in (spec.K, *block.values)):
         return block.extend(lo, hi)
-    start = SequenceWindow(spec, block.lo, tuple(Decimal(v.numerator) for v in block.values))
-    w = start.extend(lo, hi)
+    w = SequenceWindow(spec, block.lo, tuple(map(_printable, block.values))).extend(lo, hi)
     _check_residues(w, block)
     return w
 
 
 def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
-    """Raise ResidueMismatchError unless each value of ``w`` is, modulo
-    GUARD_PRIME, the linear relation run from the integers of ``block``.
+    """Raise ResidueMismatchError unless each value num/den of ``w`` is,
+    modulo GUARD_PRIME, the linear relation run from the values of ``block``:
+    num = r_n den for the relation's residue r_n.
 
     A loop of its own over residues, apart from ``_iterate``, in time linear
-    in the digits: an independent check of the Decimal route.  Each
+    in the digits: an independent check of the Decimal route and of the
+    divisions of its reduction, though not that a pair is in lowest terms.
+    The only inverses are those of K's denominator and the block's.  Each
     ``v % p`` is taken in ``_EXACT``.
     """
     k, p, K = w.spec.k, GUARD_PRIME, w.spec.K
     K = K.numerator * pow(K.denominator, -1, p) % p
-    r = {n: int(block[n]) % p for n in block.indices()}
+    r = {n: v.numerator * pow(v.denominator, -1, p) % p
+         for n, v in zip(block.indices(), block.values)}
     for n in range(block.hi + 1, w.hi + 1):
         r[n] = (K * (r[n - 2 * k] - r[n - 4 * k]) + r[n - 6 * k]) % p
     for n in range(block.lo - 1, w.lo - 1, -1):
         r[n] = (K * (r[n + 2 * k] - r[n + 4 * k]) + r[n + 6 * k]) % p
     with localcontext(_EXACT):
         for n, v in zip(w.indices(), w.values):
-            if int(v % p) % p != r[n]:
+            num, den = _parts(v)
+            if int(num % p) % p != r[n] * int(den % p) % p:
                 raise ResidueMismatchError(n)
 
 

@@ -99,7 +99,9 @@ def scale_row(row: Sequence) -> tuple[int, tuple[int, ...]]:
         if not isinstance(v, (Fraction, int)):
             raise TypeError(f"a {type(v).__name__} entry is not a Fraction or int")
     s = math.lcm(*(v.denominator for v in row))
-    return s, tuple(v.numerator * (s // v.denominator) for v in row)
+    # a product by s // v.denominator = 1 would copy a big numerator
+    return s, tuple(v.numerator if v.denominator == s else v.numerator * (s // v.denominator)
+                    for v in row)
 
 
 def det_scaled(rows: Sequence[tuple[int, Sequence[int]]]):

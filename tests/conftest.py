@@ -1,3 +1,4 @@
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -27,8 +28,9 @@ def certificate_runs(monkeypatch) -> list:
 
 @pytest.fixture
 def corrupt_decimal_at(monkeypatch):
-    """Call with an index n: from then on, each Decimal x_n that the relation
-    builds is one too large, a fault the Decimal route's residue check must catch."""
+    """Call with an index n: from then on, each x_n that the relation builds
+    on the Decimal route, an integer or a reduced quotient, has a numerator
+    one too large, a fault the route's residue check must catch."""
     iterate = engine._iterate
 
     def arm(target: int) -> None:
@@ -36,8 +38,12 @@ def corrupt_decimal_at(monkeypatch):
             first = len(seq)
             iterate(seq, spec, count, index, linear)
             for j in range(first, len(seq)):
-                if index(j) == target and isinstance(seq[j], Decimal):
+                if index(j) != target:
+                    continue
+                if isinstance(seq[j], Decimal):
                     seq[j] += 1
+                elif isinstance(seq[j], engine._Quotient):
+                    seq[j] = replace(seq[j], numerator=seq[j].numerator + 1)
 
         monkeypatch.setattr(engine, "_iterate", corrupted)
     return arm

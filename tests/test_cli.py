@@ -118,9 +118,11 @@ def test_gen_zero_pivot_on_the_decimal_route_names_its_index(run, k, a, init, wi
     assert (code, out, err) == (3, "", f"degenerate input: zero iterate x_{pivot} used as a divisor\n")
 
 
-@pytest.mark.parametrize("n", [-30, 6, 40])
-def test_gen_corrupted_decimal_value_exits_1_and_prints_nothing(run, corrupt_decimal_at, n):
-    argv = ["gen", "--k", "1", "--init", "1,1,1", "--from", "-30", "--to", "40"]
+@pytest.mark.parametrize("init,n", [("1,1,1", n) for n in (-30, 6, 40)]
+                         + [("1,2,3", n) for n in (-30, 6, 40)],  # quotients, K = 32/3
+                         ids=["-30", "6", "40", "quotient--30", "quotient-6", "quotient-40"])
+def test_gen_corrupted_decimal_value_exits_1_and_prints_nothing(run, corrupt_decimal_at, init, n):
+    argv = ["gen", "--k", "1", "--init", init, "--from", "-30", "--to", "40"]
     corrupt_decimal_at(n)
     args = cli.build_parser().parse_args(argv)
     with pytest.raises(ResidueMismatchError) as exc:
@@ -174,8 +176,8 @@ def _one_piece(rows, form: str) -> str:
     return "\n".join((["n,value"] if form == "csv" else []) + lines) + "\n"
 
 
-# the Decimal route over 6,001 rows, and the Fraction route, whose values are
-# no integers and so have no b-file, over 4,201 rows
+# the Decimal route over 6,001 rows of integers, and over 4,201 rows whose
+# values are no integers and so have no b-file
 @pytest.mark.parametrize("k,a,init,lo,hi,form", [
     *((3, 1, "1,1,1,1,1,1,1", -3000, 3000, form) for form in ("csv", "json", "bfile")),
     *((2, 1, "2,-3,5,7,1", -2100, 2100, form) for form in ("csv", "json")),

@@ -33,7 +33,7 @@ from hhrec.errors import (
 )
 from hhrec.laurent import variables
 from hhrec.matrix import matrix_det
-from hhrec.rational import format_rational
+from hhrec.rational import format_int, format_rational
 from hhrec.verifier import SplitMix64, _map_orbit, random_rational
 
 
@@ -323,6 +323,10 @@ def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
     (1, 2, [-2, 2, -1], -8, 2, -5),        # x_-5 = 0 comes from the relation, run backward
     (2, 1, [-2, 1, 1, 1, 2], -3, 14, 9),   # x_9 = 0 comes from the relation
     (2, 1, [-2, 1, 1, 1, 2], -6, 11, -1),
+    # rational seeds, K = -1/2 and 3/4
+    (1, Fraction(-4, 3), [1, Fraction(-3, 2), Fraction(1, 2)], -10, 2, -7),
+    (1, Fraction(-4, 3), [Fraction(1, 2), Fraction(-3, 2), 1], 0, 12, 9),
+    (2, 1, [Fraction(-2, 3), 2, -2, -1, Fraction(2, 3)], -17, 4, -12),
 ])
 def test_zero_pivot_same_index_on_the_decimal_route(k, a, init, lo, hi, pivot):
     # x_pivot divides the step to x_lo when pivot < 0, else the step to x_hi
@@ -333,8 +337,8 @@ def test_zero_pivot_same_index_on_the_decimal_route(k, a, init, lo, hi, pivot):
         assert exc.value.n == pivot
     # one step short of the failing one, the Decimal route builds the window
     short = export_window(spec, lo + 1, hi) if pivot < 0 else export_window(spec, lo, hi - 1)
-    assert all(type(v) is Decimal for v in short.values)
-    assert tuple(map(Fraction, short.values)) == _step_only(spec, short.lo, short.hi)
+    assert all(isinstance(v, (Decimal, engine._Quotient)) for v in short.values)
+    assert [_pair(v) for v in short.values] == [_pair(v) for v in _step_only(spec, short.lo, short.hi)]
 
 
 @pytest.mark.parametrize("seed,lo,hi,target", [
@@ -648,8 +652,26 @@ def test_symbolic_window_exports_canonical_text():
 # -- the Decimal route of export_window ---------------------------------------------
 
 def _printed(w, lo, hi) -> list[str]:
+    """The csv, json and b-file text of [lo, hi], or the b-file's error text."""
     rows = window_rows(w, lo, hi)
-    return [render(rows) for render in (render_csv, render_json, render_bfile)]
+    texts = [render_csv(rows), render_json(rows)]
+    try:
+        texts.append(render_bfile(rows))
+    except NonIntegerValueError as exc:
+        texts.append(f"NonIntegerValueError: {exc}")
+    return texts
+
+
+def _print_range(draw, k: int) -> tuple[int, int]:
+    """A range [lo, hi] to print, of one of five shapes around the seed [0, 2k]."""
+    m = draw(st.integers(1, 40 * k))
+    return draw(st.sampled_from([
+        (-m, 2 * k + m),                       # two-sided
+        (0, 6 * k + m),                        # forward only
+        (-6 * k - m, 2 * k),                   # backward only
+        (-(m % (2 * k)), 4 * k - 1),           # shorter than 6k
+        (100, 100 + m),                        # starting past 6k
+    ]))
 
 
 @st.composite
@@ -668,34 +690,63 @@ def integer_windows(draw):
             values = (0,)
         assume(all(values))
         spec = RecurrenceSpec.numeric(k, spec.a, values)
-    m = draw(st.integers(1, 40 * k))
-    lo, hi = draw(st.sampled_from([
-        (-m, 2 * k + m),                       # two-sided
-        (0, 6 * k + m),                        # forward only
-        (-6 * k - m, 2 * k),                   # backward only
-        (-(m % (2 * k)), 4 * k - 1),           # shorter than 6k
-        (100, 100 + m),                        # starting past 6k
-    ]))
-    return spec, lo, hi
+    return (spec, *_print_range(draw, k))
 
 
-@settings(max_examples=150, deadline=None)
-@given(integer_windows())
-def test_decimal_route_prints_the_binary_window(case):
-    spec, lo, hi = case
-    k = spec.k
-    w_lo, w_hi = min(lo, 0), max(hi, 2 * k)
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@st.composite
+def rational_windows(draw):
+    """(spec, lo, hi): an ``integer`` seed (init in 1..9) or a ``rational``
+    one (init p/q), a = p/q, with |p|, q <= 9, and a range [lo, hi] to print."""
+    k = draw(st.integers(1, 3))
+    values = st.integers(1, 9) if draw(st.booleans()) else _SMALL_RATIONALS
+    spec = RecurrenceSpec.numeric(k, draw(_SMALL_RATIONALS),
+                                  draw(st.lists(values, min_size=2 * k + 1, max_size=2 * k + 1)))
+    return (spec, *_print_range(draw, k))
+
+
+def _prints_the_fraction_window(spec, lo, hi):
+    """export_window's text of [lo, hi], and any zero pivot's index, are those
+    of the Fraction window ``spec.window().extend``; returns the exported window."""
+    w_lo, w_hi = min(lo, 0), max(hi, 2 * spec.k)
     try:
         binary = spec.window().extend(w_lo, w_hi)
     except ZeroPivotError as exc:
         with pytest.raises(ZeroPivotError) as by_export:
             export_window(spec, w_lo, w_hi)
         assert by_export.value.n == exc.n
-        return
+        return None
     w = export_window(spec, w_lo, w_hi)
-    # the route is taken whenever the window leaves the 6k values it starts from
-    assert all(type(v) is Decimal for v in w.values) == (w_hi - w_lo + 1 > 6 * k)
     assert _printed(w, lo, hi) == _printed(binary, lo, hi)
+    return w
+
+
+def _pair(v) -> tuple[int, int]:
+    """(numerator, denominator) of an exported value, as ints."""
+    if isinstance(v, Decimal):
+        return int(v), 1
+    if isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    return int(v.numerator), int(v.denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_windows())
+def test_decimal_route_prints_the_binary_window(case):
+    spec, lo, hi = case
+    w = _prints_the_fraction_window(spec, lo, hi)
+    # on an integer window every value is a Decimal once the window leaves
+    # the 6k values it starts from
+    if w is not None:
+        assert all(type(v) is Decimal for v in w.values) == (len(w.values) > 6 * spec.k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_windows())
+def test_decimal_route_prints_the_fraction_window_of_a_rational_seed(case):
+    _prints_the_fraction_window(*case)
 
 
 def test_decimal_route_prints_values_past_the_digit_limit():
@@ -713,21 +764,54 @@ def test_decimal_route_prints_a_zero_as_0():
     assert render_csv(window_rows(w, -5, -5)) == "n,value\n-5,0\n"
 
 
-def test_rational_and_non_integer_windows_keep_fractions():
+def test_decimal_route_prints_rational_values_past_the_digit_limit():
+    n = 720
+    spec = RecurrenceSpec.numeric(1, Fraction(10 ** 6, 7), [1, 1, 1])
+    w = export_window(spec, -n, n)
+    binary = spec.window().extend(-n, n)
+    for m in (-n, n):
+        value = binary[m]
+        assert value.denominator > 1 and len(str(w[m].numerator)) > 4300
+        assert str(w[m]) == f"{format_int(value.numerator)}/{format_int(value.denominator)}"
+    assert _printed(w, -n, n) == _printed(binary, -n, n)
+
+
+def test_every_window_past_6k_takes_the_decimal_route():
     for spec in (RecurrenceSpec.numeric(1, 1, [1, 2, 3]),            # K = 32/3
                  RecurrenceSpec.numeric(1, 1, [1, -1, 2]),           # K integer, x_5 = -1/2
                  RecurrenceSpec.numeric(1, 1, [-5, 3, 3]),           # x_0..x_5 integers, K = -10/9
                  RecurrenceSpec.numeric(2, Fraction(1, 2), [1] * 5)):
         w = export_window(spec, -4, 8)
-        assert all(type(v) is Fraction for v in w.values)
-        assert w == spec.window().extend(-4, 8)
+        assert all(isinstance(v, (Decimal, engine._Quotient)) for v in w.values)
+        # reduced, with a denominator > 1 exactly where the value is no integer
+        assert [_pair(v) for v in w.values] == [_pair(v) for v in spec.window().extend(-4, 8).values]
+        assert all(type(v) is Decimal for v in w.values if _pair(v)[1] == 1)
 
 
-@pytest.mark.parametrize("n", [-20, -1, 6, 20])  # the values the relation builds
-def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, n):
+def test_a_multiple_of_the_guard_prime_in_a_denominator_keeps_the_fraction_window():
+    # x_3 = 3/p: the residue check cannot invert p modulo itself
+    spec = RecurrenceSpec.numeric(1, 1, [engine.GUARD_PRIME, 1, 1])
+    w = export_window(spec, -10, 20)
+    assert w == spec.window().extend(-10, 20)
+    assert all(type(v) is Fraction for v in w.values)
+
+
+_CORRUPTED = [-20, -1, 6, 20]  # values the relation builds
+
+
+@pytest.mark.parametrize("init,n", [
+    *(([1, 1, 1], n) for n in _CORRUPTED),
+    *(([1, 2, 3], n) for n in _CORRUPTED),
+    *(([Fraction(1, 2), Fraction(-4, 3), 5], n) for n in _CORRUPTED),
+], ids=[*map(str, _CORRUPTED), *(f"{family}-seed-{n}" for family in ("integer", "rational")
+                                 for n in _CORRUPTED)])
+def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, init, n):
+    spec = RecurrenceSpec.numeric(1, 1, init)
+    if init != [1, 1, 1]:  # the corrupted value is a quotient
+        assert type(export_window(spec, -20, 20)[n]) is engine._Quotient
     corrupt_decimal_at(n)
     with pytest.raises(ResidueMismatchError) as exc:
-        export_window(ones(1), -20, 20)
+        export_window(spec, -20, 20)
     assert exc.value.n == n
 
 

@@ -174,6 +174,17 @@ def test_scale_row_takes_the_lcm_of_its_denominators():
     assert scale_row([F(5), 7]) == (1, (5, 7))
 
 
+@pytest.mark.parametrize("row", [
+    [F(3) ** 3000, F(-7), 5, F(0)],                            # integers: s = 1
+    [F(1, 6), F(5 * 3 ** 3000 + 2, 6), F(5, 2), F(-4), F(7, 3)],  # mixed: s = 6
+], ids=["integer", "mixed"])
+def test_scale_row_takes_a_numerator_over_the_scale_as_it_is(row):
+    s, ints = scale_row(row)
+    assert ints == tuple(v.numerator * (s // v.denominator) for v in row)
+    # a numerator over s itself is the row's own int, not a copy made by * 1
+    assert all(n is v.numerator for n, v in zip(ints, row) if v.denominator == s)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=5).flatmap(lambda n: square(n, wide_rationals)))
 def test_det_scaled_of_scaled_rows_agrees_with_cofactor(m):
