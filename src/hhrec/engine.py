@@ -290,7 +290,8 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
 
         y[j] = P (y[j-2k] - Q y[j-4k]) + Q^3 y[j-6k]
 
-    No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)).
+    No step takes a gcd; each output is one Fraction(y[j], D Q^(j // 2k)), or
+    Fraction(y[j]) when D = Q = 1.
     A window from ``export_window``, of Decimal integers and ``_Quotient``
     pairs, runs the same lines over Decimal integers (``_grown`` runs it in
     ``_EXACT``), and each output is ``_reduced(y[j], D Q^(j // 2k))``, or
@@ -321,7 +322,8 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
                    for i, (num, den) in enumerate(parts)), maxlen=6 * k)
         h = scale * q
         if isinstance(start[0], Fraction):
-            emit = Fraction
+            # Fraction(y, 1) would pay a gcd and copy y
+            emit = Fraction if h != 1 else _whole
         elif h == 1:
             emit = _identity
         else:
@@ -351,6 +353,10 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
 
 def _identity(v, scale):
     return v
+
+
+def _whole(v, scale):
+    return Fraction(v)
 
 
 @dataclass(frozen=True, slots=True)

@@ -525,6 +525,10 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return bool(self.num)
 
+    def __len__(self) -> int:
+        """Terms of the numerator plus terms of the denominator."""
+        return len(self.num) + len(self.den)
+
     def as_laurent(self) -> LaurentPolynomial:
         """The value as a Laurent polynomial; raises NotExactError otherwise."""
         return self.num.exact_div(self.den)

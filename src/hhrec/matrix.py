@@ -1,8 +1,9 @@
 """Determinants of small exact square matrices, given as lists of rows.
 
 Entries are any exact scalar with ring arithmetic, exact ``/`` and a
-``bool()`` zero test (Fraction, LaurentPolynomial or RationalFunction); plain
-ints are promoted to Fraction, since int / int is a float, and floats and
+``bool()`` zero test (Fraction, LaurentPolynomial or RationalFunction), and
+outside Fractions a ``len()``, the entry's number of terms; plain ints are
+promoted to Fraction, since int / int is a float, and floats and
 Decimals are refused with TypeError (a Decimal would round in its context).
 Three independent determinant routines are provided:
 
@@ -14,7 +15,16 @@ Three independent determinant routines are provided:
   eliminates the integer rows, every stage dividing with exact ``//`` (no
   gcd), and returns ``Fraction(det, product of the scales)``.  A caller that
   takes many determinants over overlapping rows scales each row once and
-  hands the pairs to ``det_scaled``, as the numeric Wronskians do;
+  hands the pairs to ``det_scaled``, as the numeric Wronskians do.  Any
+  other matrix (Laurent polynomials or RationalFunctions) runs with the
+  ring's exact ``/`` and pivots, at each stage, on the nonzero entry of the
+  trailing block with the fewest terms, by ``len``: a Wronskian block often
+  has a one-term monomial two columns from an 80-term diagonal entry.
+  Bareiss is exact under any row and column permutation, and choosing the
+  pivots as the stages go is the same as permuting the matrix up front, so
+  every interior division stays exact; each swap flips the sign.  The
+  integer route keeps a search down the pivot's column only: pivoting its
+  small blocks on bit length cost more in the search than it saved;
 * cofactor expansion -- the brute-force oracle, any size;
 * Dodgson condensation -- repeated 2x2 condensation divided by the interior
   of the grandparent stage; fails when an interior entry vanishes.
@@ -84,11 +94,11 @@ def det_bareiss(rows: Sequence[Sequence]):
     """Fraction-free Gaussian elimination; divisions are exact in the ring.
 
     A matrix of Fractions runs over the integers, by ``det_scaled`` of its
-    ``scale_row`` pairs.
+    ``scale_row`` pairs; any other pivots on the entry with the fewest terms.
     """
     a = _square_rows(rows)
     if not all(isinstance(v, Fraction) for row in a for v in row):
-        return _eliminate(a, operator.truediv)
+        return _eliminate(a, operator.truediv, _fewest_terms)
     return det_scaled([scale_row(r) for r in a])
 
 
@@ -108,24 +118,51 @@ def det_scaled(rows: Sequence[tuple[int, Sequence[int]]]):
     """The determinant of the rows ints/s, given as ``scale_row`` pairs (s, ints):
     the integer determinant, every stage dividing with exact ``//``, over the
     product of the scales.  The pairs are left as they are."""
-    det = _eliminate([list(ints) for _, ints in rows], operator.floordiv)
+    det = _eliminate([list(ints) for _, ints in rows], operator.floordiv, _first_in_column)
     return Fraction(det, math.prod(s for s, _ in rows))
 
 
-def _eliminate(a: list[list], div):
-    """Bareiss elimination in place on ``a``; ``div`` is the ring's exact division."""
+def _first_in_column(a: list[list], k: int) -> int:
+    """Stage k's pivot search over the integers: keep a[k][k] if nonzero, else
+    swap in the first row below with a nonzero entry in column k.  The sign of
+    the swap, or 0 when the column is zero."""
+    if a[k][k]:
+        return 1
+    for i in range(k + 1, len(a)):
+        if a[i][k]:
+            a[k], a[i] = a[i], a[k]
+            return -1
+    return 0
+
+
+def _fewest_terms(a: list[list], k: int) -> int:
+    """Stage k's pivot search over a ring: swap the nonzero entry of the
+    trailing block (rows and columns k..) with the fewest terms, by ``len``,
+    into place, the first in row order on a tie.  The sign of the swaps, or 0
+    when the block is zero."""
+    n = len(a)
+    sizes = [(len(a[i][j]), i, j) for i in range(k, n) for j in range(k, n) if a[i][j]]
+    if not sizes:
+        return 0
+    _, i, j = min(sizes)
+    a[k], a[i] = a[i], a[k]
+    for row in a[k:]:
+        row[k], row[j] = row[j], row[k]
+    return -1 if (i == k) != (j == k) else 1
+
+
+def _eliminate(a: list[list], div, pivot):
+    """Bareiss elimination in place on ``a``; ``div`` is the ring's exact
+    division.  ``pivot(a, k)`` swaps stage k's pivot into a[k][k] and returns
+    the sign of its swaps, or 0 when the determinant is 0."""
     n = len(a)
     sign = 1
     prev = None  # pivot of the previous stage
     for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return a[k][k]  # a zero column: the determinant is this zero
+        flip = pivot(a, k)
+        if not flip:
+            return a[k][k]  # a zero column or block: the determinant is this zero
+        sign *= flip
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]

@@ -206,6 +206,37 @@ def test_wronskian_routes_match_cofactor_of_fraction_blocks(kind, k, lo, hi):
                                     cof(n, (0, 1, 3), (0, 1, 2)) / d)
 
 
+@pytest.mark.parametrize("k, lo, hi, w4_at, delta_at", [
+    (1, -12, 12, (-12, 0, 3), (-12, 0, 6)),
+    (2, -6, 16, (-6, -2, 1), (-6, 0, 6)),
+    (3, -8, 22, (-8, -3, 0), (-8, 0, 4)),
+])
+def test_symbolic_wronskian_blocks_match_cofactor(k, lo, hi, w4_at, delta_at):
+    # the ring route pivots on the entry with the fewest terms; the cofactor
+    # oracle takes no pivot at all.  The windows lie in the capped one,
+    # [-6k-6, 6k+6], where the blocks at its ends take the oracle minutes
+    w = RecurrenceSpec.symbolic(k).window().extend(lo, hi)
+    for n in w4_at:
+        assert wronskian4_det(w, n) == det_cofactor(_wronskian_block(w, n, range(4), range(4))) == 0
+    for n in delta_at:
+        assert delta(w, n) == det_cofactor(_wronskian_block(w, n, range(3), range(3)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_symbolic_k_cramer_equals_k(k):
+    w = RecurrenceSpec.symbolic(k).window().extend(-2 * k - 2, 6 * k + 4)
+    for n in (0, 1):
+        assert k_cramer(w, n) == (w.spec.K, w.spec.K)
+
+
+def test_symbolic_delta_is_k_invariant_at_k3():
+    k, lo, hi = 3, -8, 22
+    w = RecurrenceSpec.symbolic(k).window().extend(lo, hi)
+    d = [delta(w, n) for n in range(lo, hi - 4 * k - 2 + 1)]
+    assert all(d[i + k] == d[i] for i in range(len(d) - k))
+    assert len({str(v) for v in d}) == k  # one value per residue class
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_corrupted_copy_does_not_read_the_clean_windows_rows(k):
     # the clean window caches its scaled rows first; the corrupted copy must

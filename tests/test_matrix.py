@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhrec.laurent import LaurentPolynomial, variables
+from hhrec.laurent import LaurentPolynomial, RationalFunction, variables
 from hhrec.matrix import (
     ZeroMinorError,
+    _fewest_terms,
     det_bareiss,
     det_cofactor,
     det_dodgson,
@@ -135,6 +136,66 @@ def test_singular_bareiss_zero_column():
     z = Fraction(0)
     m = [(z, 1, 2), (z, 3, 4), (z, 5, 6)]
     assert det_bareiss(m) == 0 == det_cofactor(m)
+
+
+# -- the ring route: each stage pivots on the entry with the fewest terms ------
+
+def laurents():
+    """Laurent polynomials of up to four terms in x0, x1 and a, zero included."""
+    exponent = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 1))
+    return st.dictionaries(exponent, st.integers(-3, 3), max_size=4).map(
+        lambda terms: LaurentPolynomial(3, terms))
+
+
+@st.composite
+def laurent_matrices(draw):
+    """1x1 to 4x4 Laurent matrices, some with a zero row or column, some with
+    a row that is a Laurent combination of two others (rank-deficient)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(square(n, laurents))
+    zero = LaurentPolynomial(3)
+    shape = draw(st.sampled_from(["full", "zero-row", "zero-column", "rank-deficient"]))
+    i = draw(st.integers(0, n - 1))
+    if shape == "zero-row":
+        m[i] = [zero] * n
+    elif shape == "zero-column":
+        for row in m:
+            row[i] = zero
+    elif shape == "rank-deficient" and n >= 2:
+        others = [r for r in range(n) if r != i]
+        c, d = draw(laurents()), draw(laurents())
+        m[i] = [c * u + d * v for u, v in zip(m[others[0]], m[others[-1]])]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_matrices())
+def test_ring_route_agrees_with_cofactor(m):
+    det = det_bareiss(m)
+    assert isinstance(det, LaurentPolynomial)
+    assert det == det_cofactor(m)
+
+
+def test_fewest_terms_swaps_row_and_column_with_their_sign():
+    x0, x1, a = variables(3)
+    big = x0 + x1 + a + 1
+    # the monomial at (row, column) moves to (0, 0): one flip per swap
+    for (r, c), flip in {(0, 0): 1, (0, 2): -1, (2, 0): -1, (2, 1): 1}.items():
+        m = [[big + i + 3 * j for j in range(3)] for i in range(3)]
+        m[r][c] = x0 * x1
+        moved = [row[:] for row in m]
+        assert _fewest_terms(moved, 0) == flip and moved[0][0] == x0 * x1
+        assert det_bareiss(m) == det_cofactor(m)
+    zero = LaurentPolynomial(3)
+    assert _fewest_terms([[big, zero], [zero, zero]], 1) == 0
+
+
+def test_a_rational_function_counts_the_terms_of_both_parts():
+    x0, x1, a = variables(3)
+    r = RationalFunction(x0 + x1 + 1, x0 - a)
+    assert len(r) == 5 and len(RationalFunction(LaurentPolynomial(3))) == 1
+    m = [[r, x1], [RationalFunction(x0, x1 + a), x0 * x1 * a]]
+    assert det_bareiss(m) == det_cofactor(m)
 
 
 # -- the integer route: Fraction matrices are row-scaled to integers ------------
