@@ -11,7 +11,10 @@ computed by four independent routes that must agree exactly:
 * ``k_cramer``     -- 3x3 determinant ratios from the kernel of the 4x4
                       discrete Wronskian;
 * ``monodromy_k``  -- traces of ordered companion-matrix products over one
-                      period of the 3-term relation.
+                      period of the 3-term relation, run over the integers:
+                      each step's matrix is scaled by the lcm of its
+                      coefficients' denominators, and each trace is divided
+                      by the product of the scales once, at the end.
 
 Alongside: the 3x3 Wronskian determinant delta_n (a k-invariant), the 4x4
 Wronskian determinant (identically zero on solutions), the closed formulas
@@ -35,7 +38,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, RationalFunction
-from .matrix import det_scaled, mat_mul, matrix_det, solve_exact
+from .matrix import det_scaled, mat_mul, matrix_det, scale_row, solve_exact
 from .rational import format_rational, promote
 
 
@@ -234,30 +237,27 @@ def monodromy_k(coeffs: PeriodicCoeffs, start: int = 0):
 
     K1 multiplies L_{start+2k-1} ... L_{start}; K2 multiplies the displayed
     inverses L_{start}^{-1} ... L_{start+2k-1}^{-1}, which require every
-    alpha to be nonzero.  The traces do not depend on ``start``.
+    alpha to be nonzero (ZeroAlphaError at the first m with alpha_m = 0).
+    The traces do not depend on ``start``.
+
+    The products run over the integers: ``scale_row`` turns the step's
+    (alpha, beta, gamma) into d and the integers (A, B, G) = d (alpha, beta,
+    gamma), so d L_m and A L_m^{-1} are integer matrices, and each trace is
+    one Fraction over the product of its scales.  A coefficient that is not
+    a Fraction or an int raises TypeError.
     """
-    k = coeffs.k
-
-    def companion(n):
-        return [[0, 1, 0],
-                [0, 0, 1],
-                [coeffs.alpha_at(n), -coeffs.beta_at(n), coeffs.gamma_at(n)]]
-
-    def companion_inv(n):
-        al = coeffs.alpha_at(n)
-        if not al:
-            raise ZeroAlphaError(f"alpha_{n} = 0: companion matrix is singular")
-        return [[coeffs.beta_at(n) / al, -(coeffs.gamma_at(n) / al), 1 / al],
-                [1, 0, 0],
-                [0, 1, 0]]
-
     fwd = inv = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for m in range(start, start + 2 * k):
-        fwd = mat_mul(companion(m), fwd)
-        inv = mat_mul(inv, companion_inv(m))
-    k1 = fwd[0][0] + fwd[1][1] + fwd[2][2]
-    k2 = inv[0][0] + inv[1][1] + inv[2][2]
-    return k1, k2
+    fwd_scale = inv_scale = 1
+    for m in range(start, start + 2 * coeffs.k):
+        d, (A, B, G) = scale_row((coeffs.alpha_at(m), coeffs.beta_at(m), coeffs.gamma_at(m)))
+        if not A:
+            raise ZeroAlphaError(f"alpha_{m} = 0: companion matrix is singular")
+        fwd = mat_mul([[0, d, 0], [0, 0, d], [A, -B, G]], fwd)  # d L_m
+        inv = mat_mul(inv, [[B, -G, d], [A, 0, 0], [0, A, 0]])  # A L_m^{-1}
+        fwd_scale *= d
+        inv_scale *= A
+    return (Fraction(fwd[0][0] + fwd[1][1] + fwd[2][2], fwd_scale),
+            Fraction(inv[0][0] + inv[1][1] + inv[2][2], inv_scale))
 
 
 # -- explicit iterates -----------------------------------------------------------

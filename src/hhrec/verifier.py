@@ -366,9 +366,10 @@ def _check_k_monodromy(ctx: TrialContext) -> CheckResult:
 
 
 def _check_delta_invariance(ctx: TrialContext) -> CheckResult:
-    w = ctx.default_window()
-    return _sweep(range(w.lo, w.hi - 5 * ctx.k - 2 + 1),
-                  lambda n: inv.delta(w, n + ctx.k) - inv.delta(w, n), "delta[n+k] == delta[n]")
+    k, w = ctx.k, ctx.default_window()
+    deltas = [inv.delta(w, n) for n in range(w.lo, w.hi - 4 * k - 2 + 1)]  # each once
+    return _sweep(range(w.lo, w.hi - 5 * k - 2 + 1),
+                  lambda n: deltas[n + k - w.lo] - deltas[n - w.lo], "delta[n+k] == delta[n]")
 
 
 def _check_wronskian4(ctx: TrialContext) -> CheckResult:
@@ -637,7 +638,8 @@ class VerificationReport:
         counts = self.counts
         return json.dumps({
             "config": self.config.to_json_dict(),
-            "results": [asdict(r) for r in self.records],
+            # a record's fields in order; asdict would deep-copy every witness for the same text
+            "results": [vars(r) for r in self.records],
             "summary": {**counts, "total": len(self.records)},
         }, indent=2) + "\n"
 

@@ -1,7 +1,10 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhrec.closed_form import extract_coeffs
 from hhrec.engine import (
@@ -14,10 +17,13 @@ from hhrec.engine import (
 )
 from hhrec.errors import (
     DegenerateDenominatorError,
+    DegenerateInputError,
     SingularDeltaError,
+    ZeroAlphaError,
     ZeroPivotError,
 )
 from hhrec.invariants import (
+    PeriodicCoeffs,
     _wronskian_block,
     abg_coeffs,
     delta,
@@ -39,8 +45,8 @@ from hhrec.invariants import (
     wronskian4_det,
 )
 from hhrec.laurent import variables
-from hhrec.matrix import det_cofactor
-from hhrec.verifier import SplitMix64, random_rational
+from hhrec.matrix import det_cofactor, mat_mul
+from hhrec.verifier import SplitMix64, TrialConfig, random_rational, random_spec
 
 
 def ones(k, a=1):
@@ -302,6 +308,81 @@ def test_monodromy_ones_and_123():
 def test_monodromy_start_invariance():
     pc = periodic_coeffs(ones_window(2, 0, 16))
     assert monodromy_k(pc, start=0) == monodromy_k(pc, start=1) == (28, 28)
+
+
+def fraction_monodromy(coeffs: PeriodicCoeffs, start: int = 0):
+    """(K1, K2) from products of Fraction companion matrices, a gcd on every
+    entry operation: the monodromy route before it ran over the integers,
+    kept as its slow reference."""
+
+    def companion(n):
+        return [[0, 1, 0],
+                [0, 0, 1],
+                [coeffs.alpha_at(n), -coeffs.beta_at(n), coeffs.gamma_at(n)]]
+
+    def companion_inv(n):
+        al = coeffs.alpha_at(n)
+        if not al:
+            raise ZeroAlphaError(f"alpha_{n} = 0: companion matrix is singular")
+        return [[coeffs.beta_at(n) / al, -(coeffs.gamma_at(n) / al), 1 / al],
+                [1, 0, 0],
+                [0, 1, 0]]
+
+    fwd = inv = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for m in range(start, start + 2 * coeffs.k):
+        fwd = mat_mul(companion(m), fwd)
+        inv = mat_mul(inv, companion_inv(m))
+    return fwd[0][0] + fwd[1][1] + fwd[2][2], inv[0][0] + inv[1][1] + inv[2][2]
+
+
+@st.composite
+def periodic_cases(draw):
+    """(PeriodicCoeffs, start) for k = 1..5: numerators of either sign,
+    denominators up to 10^6, start in [-2k, 2k], and in about half the cases
+    one alpha residue class set to zero."""
+    k = draw(st.integers(1, 5))
+    value = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    alpha = draw(st.lists(value.filter(bool), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        alpha[draw(st.integers(0, k - 1))] = Fraction(0)
+    beta, gamma = (tuple(draw(st.lists(value, min_size=2 * k, max_size=2 * k))) for _ in "bg")
+    return PeriodicCoeffs(k, tuple(alpha), beta, gamma), draw(st.integers(-2 * k, 2 * k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_cases())
+def test_monodromy_k_equals_the_fraction_route(case):
+    pc, start = case
+    if 0 not in pc.alpha:
+        assert monodromy_k(pc, start) == fraction_monodromy(pc, start)
+        return
+    with pytest.raises(ZeroAlphaError) as slow:
+        fraction_monodromy(pc, start)
+    with pytest.raises(ZeroAlphaError) as fast:
+        monodromy_k(pc, start)
+    assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_both_monodromy_routes_give_k_on_campaign_windows(k):
+    cfg = TrialConfig(k=k, trials=4, seed=41)
+    for trial in range(cfg.trials):
+        for attempt in range(cfg.max_resamples + 1):  # resample a degenerate seed
+            spec = random_spec(cfg, trial, attempt)
+            try:
+                pc = periodic_coeffs(spec.window().extend(-2 * k - 2, 12 * k + 3))
+                break
+            except DegenerateInputError:
+                continue
+        for start in (0, 1):
+            assert monodromy_k(pc, start) == fraction_monodromy(pc, start) == (spec.K, spec.K)
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), variables(3)[0]])
+def test_monodromy_refuses_a_non_rational_coefficient(bad):
+    pc = PeriodicCoeffs(1, (Fraction(2),), (Fraction(1, 3), bad), (Fraction(-1), Fraction(5)))
+    with pytest.raises(TypeError, match="is not a Fraction or int"):
+        monodromy_k(pc, start=1)
 
 
 def test_periodic_coeffs_refuses_a_symbolic_window():

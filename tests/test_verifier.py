@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
@@ -730,6 +730,22 @@ def test_resampling_fires_and_is_reported():
                                        checks=frozenset({"k_ratio"}), max_resamples=0))
     skipped = [r for r in starved.records if r.status == "skipped-degenerate"]
     assert skipped and all(r.witness["degeneracies"] for r in skipped)
+
+
+def test_report_json_equals_the_asdict_text():
+    # unit bounds make degenerate seeds common, and with no resample budget
+    # they are recorded; the k_cramer fault leaves list residuals in its witnesses
+    cfg = TrialConfig(k=1, trials=10, seed=0, numerator_bound=1, denominator_bound=1,
+                      checks=frozenset({"xi_zero", "k_ratio", "k_cramer"}), max_resamples=0,
+                      inject_fault="k_cramer")
+    report = run_campaign(cfg)
+    assert all(report.counts.values())
+    want = json.dumps({
+        "config": cfg.to_json_dict(),
+        "results": [asdict(r) for r in report.records],
+        "summary": {**report.counts, "total": len(report.records)},
+    }, indent=2) + "\n"
+    assert report.to_json() == want
 
 
 def test_trial_config_validation():
