@@ -75,7 +75,7 @@ from .errors import (
     ResidueMismatchError,
     ZeroPivotError,
 )
-from .laurent import LaurentPolynomial, variables
+from .laurent import LaurentPolynomial, dot, variables
 from .matrix import scale_row
 from .rational import format_rational, parse_rational, promote
 
@@ -415,11 +415,17 @@ def xi_residual(w: SequenceWindow, n: int):
 
     xi_n = | x_n      x_{n+2k}   |  -  a * (x_{n+k} + x_{n+k+1})
            | x_{n+1}  x_{n+2k+1} |
+
+    The three products are written once, as operand pairs with the signs
+    +, -, -.  A symbolic window sums them with ``laurent.dot``, which builds
+    none of them; a numeric window multiplies and subtracts its Fractions.
     """
     k = w.spec.k
-    a = w.spec.a
-    return (w[n] * w[n + 2 * k + 1] - w[n + 1] * w[n + 2 * k]
-            - a * (w[n + k] + w[n + k + 1]))
+    lefts = (w[n], w[n + 1], w.spec.a)
+    rights = (w[n + 2 * k + 1], w[n + 2 * k], w[n + k] + w[n + k + 1])
+    if w.spec.symbolic_mode:
+        return dot((lefts[0], -lefts[1], -lefts[2]), rights)
+    return lefts[0] * rights[0] - lefts[1] * rights[1] - lefts[2] * rights[2]
 
 
 def apply_sigma(w: SequenceWindow) -> SequenceWindow:

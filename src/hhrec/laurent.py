@@ -32,11 +32,19 @@ per-variable minima and the difference of the two maxima (and ``a``'s is never
 negative).  The leading-term reduction refuses any quotient term outside that
 box, so every remainder term stays inside the numerator's box, and the loop
 either ends with zero remainder or proves that no quotient exists.
+
+Sums of products whose result is mostly cancelled, such as the xi residuals
+of a symbolic window, go through ``dot``.  It re-keys every operand once as a
+small mixed-radix offset inside the union of the products' exponent boxes,
+accumulates every term pair into one dict over those keys, and decodes only
+the nonzero sums back to packed keys; no product is built as a polynomial.
+Every product whose result is kept goes through ``*``.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 import struct
 from fractions import Fraction
@@ -97,13 +105,17 @@ def _unpack_all(keys, nvars: int) -> list[ExponentVector]:
     return [f[nvars - 1::-1] for f in lay.fields.iter_unpack(blob)]
 
 
-def _range_error(exp: Sequence[int], nvars: int) -> ValueError | None:
+def _range_error(exp: Sequence[int], nvars: int,
+                 degrees: Sequence[int] | None = None) -> ValueError | None:
+    """The error for the first exponent in ``exp``, then the first total degree
+    in ``degrees`` (by default ``exp``'s own), outside the range; None if all fit."""
     for i, e in enumerate(exp):
         if not _EXP_MIN <= e <= _EXP_MAX:
             return ValueError(f"exponent {e} of {var_name(i, nvars)} is outside "
                               f"[{_EXP_MIN}, {_EXP_MAX}]")
-    if not _EXP_MIN <= sum(exp) <= _EXP_MAX:
-        return ValueError(f"total degree {sum(exp)} is outside [{_EXP_MIN}, {_EXP_MAX}]")
+    for d in (sum(exp),) if degrees is None else degrees:
+        if not _EXP_MIN <= d <= _EXP_MAX:
+            return ValueError(f"total degree {d} is outside [{_EXP_MIN}, {_EXP_MAX}]")
     return None
 
 
@@ -420,6 +432,71 @@ def _divide_packed(num: dict[int, int], den: dict[int, int], lo: int, hi: int,
             else:
                 del r[key]
     return q
+
+
+def dot(xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
+    """The sum of the products ``xs[i] * ys[i]``, computed in one pass over compact keys.
+
+    A product's per-variable exponent box is the sum of its operands' boxes,
+    and its lowest and highest terms in the term order are the products of
+    its operands': over Z no extreme term cancels.  So the boxes decide,
+    before any term pair is formed, whether a product leaves the exponent
+    range, and ``ValueError`` is raised exactly when ``*`` would raise it.
+    Inside U, the union of the product boxes, the mixed-radix offset
+    sum_j (e_j - min_j U) * stride_j is linear and injective, and small: below
+    2^27 on the xi sweeps of k <= 3, where a packed key has 144 bits.  Every
+    operand is re-keyed once, every product accumulates into one dict over
+    these keys, and only the nonzero sums are decoded back to packed keys.
+    A sum that cancels, such as a passing xi residual, decodes nothing.
+    """
+    pairs = list(zip(xs, ys, strict=True))
+    nv = pairs[0][0].nvars
+    for p in (p for pair in pairs for p in pair):
+        if p.nvars != nv:
+            raise ValueError(f"variable-count mismatch: {nv} vs {p.nvars}")
+    pairs = [(x, y) for x, y in pairs if x and y]
+    boxes = []
+    for x, y in pairs:
+        (xlo, xhi), (ylo, yhi) = _exponent_box(x), _exponent_box(y)
+        lo = list(map(operator.add, xlo, ylo))
+        hi = list(map(operator.add, xhi, yhi))
+        ends = _unpack_all([min(x._terms) + min(y._terms), max(x._terms) + max(y._terms)], nv)
+        err = _range_error(lo, nv, [sum(e) for e in ends]) or _range_error(hi, nv, ())
+        if err:
+            raise err
+        boxes.append((lo, hi))
+    if not boxes:
+        return _raw(nv, {})
+    ulo = [min(c) for c in zip(*(lo for lo, _ in boxes))]
+    radices = [max(c) - l + 1 for c, l in zip(zip(*(hi for _, hi in boxes)), ulo)]
+    strides = [1] * nv
+    for j in range(nv - 1, 0, -1):
+        strides[j - 1] = strides[j] * radices[j]
+
+    def rekeyed(p: LaurentPolynomial, offset: int) -> list[tuple[int, int]]:
+        keys = [sum(map(operator.mul, e, strides)) - offset for e in _unpack_all(p._terms, nv)]
+        return list(zip(keys, p._terms.values()))
+
+    out: dict[int, int] = {}
+    get = out.get
+    offset = sum(map(operator.mul, ulo, strides))  # taken off the left operands' keys
+    for x, y in pairs:
+        a, b = rekeyed(x, offset), rekeyed(y, 0)
+        if len(a) > len(b):
+            a, b = b, a
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+    terms = {}
+    for key, c in out.items():
+        if c:
+            exp = [0] * nv
+            for j in reversed(range(nv)):
+                key, digit = divmod(key, radices[j])
+                exp[j] = ulo[j] + digit
+            terms[_pack(exp, nv)] = c
+    return _raw(nv, terms)
 
 
 def variables(nvars: int) -> list[LaurentPolynomial]:

@@ -387,6 +387,20 @@ def test_symbolic_extension_no_laurent_violation(k):
         assert all(isinstance(c, int) for c in w[n].terms().values())
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symbolic_xi_residual_equals_the_product_expression(k):
+    # over the laurent check's window and its fault-injected copy, the
+    # compact-key route equals the * expression at every n, zero or not
+    w = RecurrenceSpec.symbolic(k).window().extend(-2 * k - 2, 6 * k + 4)
+    a = w.spec.a
+    corrupted = w.with_value(2 * k + 1, w[2 * k + 1] + 1)
+    for v in (w, corrupted):
+        for n in range(v.lo, v.hi - 2 * k):
+            slow = v[n] * v[n + 2 * k + 1] - v[n + 1] * v[n + 2 * k] - a * (v[n + k] + v[n + k + 1])
+            assert xi_residual(v, n) == slow
+    assert xi_residual(corrupted, 0) == w[0]
+
+
 def test_symbolic_matches_numeric_substitution():
     sw = RecurrenceSpec.symbolic(1).window().extend(-2, 5)
     nw = RecurrenceSpec.numeric(1, 1, [1, 2, 3]).window().extend(-2, 5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhrec.engine import RecurrenceSpec
+from hhrec.engine import RecurrenceSpec, xi_residual
 from hhrec.errors import NotExactError, ZeroAtNegativeExponentError
 from hhrec.invariants import explicit_iterates
 from hhrec.laurent import (
@@ -16,6 +16,7 @@ from hhrec.laurent import (
     RationalFunction,
     _pack,
     _unpack_all,
+    dot,
     format_laurent,
     parse_laurent,
     variables,
@@ -168,6 +169,78 @@ def test_substitution_is_a_ring_homomorphism(p, q, xvals, aval):
     values = [Fraction(v) for v in xvals] + [Fraction(aval)]
     assert (p * q).substitute(values) == p.substitute(values) * q.substitute(values)
     assert (p + q).substitute(values) == p.substitute(values) + q.substitute(values)
+
+
+# -- dot: the compact-key sum of products against the sum of * products ------------------
+
+def assert_dot_is_sum_of_products(xs, ys):
+    """dot(xs, ys) has the term map and text of the slow route, sum of x * y,
+    and raises ValueError exactly when the slow route does."""
+    try:
+        want = sum(x * y for x, y in zip(xs, ys))
+    except ValueError:
+        with pytest.raises(ValueError):
+            dot(xs, ys)
+        return
+    got = dot(xs, ys)
+    assert (got.nvars, got._terms, str(got)) == (want.nvars, want._terms, str(want))
+
+
+def dot_polys(nv: int):
+    """Polynomials in nv variables: zero, one-term and up to five terms, with
+    signed coefficients; one exponent of a term may sit near the range's ends,
+    so that products leave the exponent or the degree range."""
+    def moved(exp, i, e):  # exponent i set to e; a's exponent stays nonnegative
+        return exp[:i] + (e if i < nv - 1 else abs(e) // 2,) + exp[i + 1:]
+
+    small = st.tuples(*[st.integers(min_value=-3, max_value=3)] * (nv - 1),
+                      st.integers(min_value=0, max_value=3))
+    near_end = st.builds(moved, small, st.integers(min_value=0, max_value=nv - 1),
+                         st.sampled_from([_EXP_MIN, -8192, 8192, _EXP_MAX]))
+    exps = st.one_of(small, small, near_end).filter(lambda e: _EXP_MIN <= sum(e) <= _EXP_MAX)
+    coeffs = st.integers(min_value=1, max_value=9) | st.integers(min_value=-9, max_value=-1)
+    general = st.dictionaries(exps, coeffs, min_size=2, max_size=5)
+    return st.one_of(st.dictionaries(exps, coeffs, max_size=0),
+                     st.dictionaries(exps, coeffs, min_size=1, max_size=1),
+                     general, general, general).map(lambda d: LaurentPolynomial(nv, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dot_equals_the_sum_of_products(data):
+    nv = data.draw(st.integers(min_value=2, max_value=5))
+    ps = dot_polys(nv)
+    cancel = data.draw(st.booleans())
+    pairs = data.draw(st.lists(st.tuples(ps, ps), min_size=0 if cancel else 1, max_size=4))
+    if cancel:  # P*Q + (-Q)*P: these two products cancel to exactly 0
+        p, q = data.draw(ps), data.draw(ps)
+        pairs += [(p, q), (-q, p)]
+    pairs = data.draw(st.permutations(pairs))
+    if data.draw(st.integers(min_value=0, max_value=9)) == 7:  # one operand of another ring
+        i, j = data.draw(st.integers(min_value=0, max_value=len(pairs) - 1)), data.draw(st.booleans())
+        other = data.draw(st.sampled_from([LaurentPolynomial(nv + 1),
+                                           LaurentPolynomial.variable(nv + 1, 0)]))
+        pairs[i] = (other, pairs[i][1]) if j else (pairs[i][0], other)
+    xs, ys = zip(*pairs)
+    assert_dot_is_sum_of_products(xs, ys)
+
+
+def test_dot_at_and_past_the_bound(gens):
+    x0, x1, x2, a = gens
+    half = (_EXP_MAX + 1) // 2
+    for xs, ys in [
+        ([x0 ** half], [x0 ** (half - 1)]),  # x0^16383: the last exponent in range
+        ([x0 ** half, x1], [x0 ** half, x2]),  # x0 leaves the range
+        ([x1 ** -half, a], [x1 ** -(half + 1), x0]),
+        ([a ** half], [a ** half]),
+        ([x0 ** _EXP_MAX], [x1 + x2]),  # only the total degree leaves the range
+        ([x0 ** _EXP_MIN], [x2 ** -1 + x1]),
+        # the per-variable minima sum to -18100, yet no term's degree is below -9100
+        ([x0 ** -9000 + x1 ** -9000], [x0 ** -100 + x1 ** -100]),
+        ([x0 ** -half, x1], [x0 ** -half - x1, LaurentPolynomial.variable(NV + 1, 0)]),
+        ([x0 ** half, LaurentPolynomial(NV + 2)], [x0 ** half, x0]),
+    ]:
+        assert_dot_is_sum_of_products(xs, ys)
 
 
 # -- canonical text -------------------------------------------------------------------
@@ -639,3 +712,10 @@ def test_k2_window_products_and_quotients_match_sympy():
     assert num * to_sympy(LaurentPolynomial.constant(spec.a.nvars, 1), 20) == \
         to_sympy(w[16], 20) * den
     assert step / w[11] == w[16]
+
+    # the laurent check's last residual, at n = 4k + 3, vanishes in sympy's arithmetic
+    n = 4 * k + 3
+    x = {m: to_sympy(w[m], 20) for m in range(n, n + 2 * k + 2)}
+    xi = x[n] * x[n + 2 * k + 1] - x[n + 1] * x[n + 2 * k] \
+        - to_sympy(spec.a, 20) * (x[n + k] + x[n + k + 1])
+    assert xi == 0 and xi_residual(w, n) == 0
