@@ -53,9 +53,10 @@ EVAL_BIT_BUDGET = 2 ** 20
 # gen refuses a window [lo, hi] whose sum of |n // 2k| * (bits(p) + bits(q))
 # passes this, t = (K-1)/2 = p/q: about the total bits of the iterates it
 # would build.  k = 1 with the all-ones seed to n = 16000 estimates 3.8e8.
-# At the bound, the all-ones seed to n = 26754 (t = 13/2) takes about 1.7 s
-# and the seed 1, 2, 3 to n = 23170 (t = 29/6, K = 32/3) about 3.2 s, with
-# 204 and 273 MiB peak memory (Python 3.11, 2-core Intel Xeon VM)
+# At the bound, the all-ones seed to n = 26754 (t = 13/2) takes about 2.0 s
+# and the seed 1, 2, 3 to n = 23170 (t = 29/6, K = 32/3) about 3.6 s, with
+# 204 and 273 MiB peak memory; the first as json takes 2.1 s and 205 MiB
+# (csv and json, Python 3.11.7, 2-core Intel Xeon VM)
 GEN_BIT_BUDGET = 2 ** 30
 
 
@@ -243,35 +244,28 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hhrec",
-        description="Exact iteration and verification of an odd-order family "
-                    "of linearizable rational recurrences.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _spec_args(p) -> None:
+    p.add_argument("--k", type=int, required=True, help="order parameter (order is 2k+1)")
+    p.add_argument("--a", default=None, help="nonzero rational coefficient, p/q form")
+    p.add_argument("--init", default=None, help="comma-separated 2k+1 rationals for x0..x2k")
 
-    def add_spec_args(p):
-        p.add_argument("--k", type=int, required=True, help="order parameter (order is 2k+1)")
-        p.add_argument("--a", default=None, help="nonzero rational coefficient, p/q form")
-        p.add_argument("--init", default=None,
-                       help="comma-separated 2k+1 rationals for x0..x2k")
 
-    p = sub.add_parser("gen", help="iterate and export a window of the sequence")
-    add_spec_args(p)
+def _gen_args(p) -> None:
+    _spec_args(p)
     p.add_argument("--from", dest="from_", type=int, default=0, help="first index to emit")
     p.add_argument("--to", type=int, required=True, help="last index to emit")
     p.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("invariant", help="the conserved quantity K and its breakdown")
-    add_spec_args(p)
+
+def _invariant_args(p) -> None:
+    _spec_args(p)
     p.add_argument("--symbolic", action="store_true",
                    help="generic initial data; emits Laurent-polynomial pieces")
     p.add_argument("--all-routes", action="store_true",
                    help="also compute K via ratio, Cramer and monodromy routes")
-    p.set_defaults(func=cmd_invariant)
 
-    p = sub.add_parser("verify", help="run a randomized identity campaign")
+
+def _verify_args(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
@@ -285,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", default=None, metavar="CHECK",
                    help="corrupt one window value for this check (negative control)")
     p.add_argument("--json", default=None, metavar="FILE", help="also write the JSON report")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("closed-form", help="Chebyshev closed-form coefficients / evaluation")
-    add_spec_args(p)
+
+def _closed_form_args(p) -> None:
+    _spec_args(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--coeffs", action="store_true", help="emit the 2k coefficient triples")
     group.add_argument("--eval", type=int, metavar="N", help="evaluate x_N from the closed form")
-    p.set_defaults(func=cmd_closed_form)
 
-    p = sub.add_parser("detect", help="minimal linear recurrence of a sequence")
+
+def _detect_args(p) -> None:
     p.add_argument("--input", default=None, metavar="FILE",
                    help="sequence file in csv, json or b-file form")
     p.add_argument("--gen", action="store_true",
@@ -305,13 +299,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_", type=int, default=0)
     p.add_argument("--to", type=int, default=None)
     p.add_argument("--max-order", type=int, required=True)
-    p.set_defaults(func=cmd_detect)
 
+
+# name -> (help, the function adding its arguments, the function running it)
+_SUBCOMMANDS = {
+    "gen": ("iterate and export a window of the sequence", _gen_args, cmd_gen),
+    "invariant": ("the conserved quantity K and its breakdown", _invariant_args, cmd_invariant),
+    "verify": ("run a randomized identity campaign", _verify_args, cmd_verify),
+    "closed-form": ("Chebyshev closed-form coefficients / evaluation", _closed_form_args,
+                    cmd_closed_form),
+    "detect": ("minimal linear recurrence of a sequence", _detect_args, cmd_detect),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.  The usage line
+    of the one-command parser names every subcommand, as the full parser's
+    does; the full parser keeps argparse's own metavar, which its "required"
+    and "invalid choice" errors print."""
+    parser = argparse.ArgumentParser(
+        prog="hhrec",
+        description="Exact iteration and verification of an odd-order family "
+                    "of linearizable rational recurrences.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
+                                else "{" + ",".join(_SUBCOMMANDS) + "}")
+    for name, (help_, add_args, func) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            add_args(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command line naming a subcommand needs that subcommand's parser only
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -294,9 +294,10 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     Fraction(y[j]) when D = Q = 1.
     A window from ``export_window``, of Decimal integers and ``_Quotient``
     pairs, runs the same lines over Decimal integers (``_grown`` runs it in
-    ``_EXACT``), and each output is ``_reduced(y[j], D Q^(j // 2k))``, or
-    y[j] itself when D = Q = 1.  A symbolic window, whose K is a Laurent
-    polynomial, runs them with P = K and Q = D = 1, so y is x itself.
+    ``_EXACT``), with P, Q and the scale made Decimals once, and each output
+    is ``_reduced(y[j], D Q^(j // 2k))``, or y[j] itself when D = Q = 1.
+    A symbolic window, whose K is a Laurent polynomial, runs them with P = K
+    and Q = D = 1, so y is x itself.
     Each step first tests the value ``_step`` would divide by, so a zero
     pivot raises ZeroPivotError at the same index on every route.
     """
@@ -324,29 +325,31 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
         if isinstance(start[0], Fraction):
             # Fraction(y, 1) would pay a gcd and copy y
             emit = Fraction if h != 1 else _whole
-        elif h == 1:
-            emit = _identity
         else:
-            # every prime that y and s = D Q^e share divides h = D Q; fill one
-            # word with powers of h, then of Q, which s gains as e grows
-            H = h
-            while H * h < 10 ** 19:
-                H *= h
-            while q > 1 and H * q < 10 ** 19:
-                H *= q
-            emit = partial(_reduced, H=H)
-            scale = Decimal(scale)
+            emit = _identity
+            if h != 1:
+                # every prime that y and s = D Q^e share divides h = D Q; fill one
+                # word with powers of h, then of Q, which s gains as e grows
+                H = h
+                while H * h < 10 ** 19:
+                    H *= h
+                while q > 1 and H * q < 10 ** 19:
+                    H *= q
+                emit = partial(_reduced, H=H, Hd=Decimal(H))
+            # Decimal operands once here, not an int conversion in every operation
+            p, q, scale = Decimal(p), Decimal(q), Decimal(scale)
         scale *= q ** 2  # the scale of y[4k..6k-1]
-    q3 = q ** 3
+    q3, unit = q ** 3, q == 1
+    pivot, two, four = 6 * k - order, 2 * k, 4 * k
     first = len(seq)
     for j in range(first, end):
         # y holds the scaled x_{index(j-6k)}..x_{index(j-1)}
-        if not y[6 * k - order]:
+        if not y[pivot]:
             raise ZeroPivotError(index(j - order))
         # with Q = 1 the products by Q would only copy y
-        y.append(p * (y[4 * k] - y[2 * k]) + y[0] if q == 1
-                 else p * (y[4 * k] - q * y[2 * k]) + q3 * y[0])
-        if (j - first) % (2 * k) == 0:
+        y.append(p * (y[four] - y[two]) + y[0] if unit
+                 else p * (y[four] - q * y[two]) + q3 * y[0])
+        if (j - first) % two == 0:
             scale *= q
         seq.append(emit(y[-1], scale))
 
@@ -384,16 +387,16 @@ def _printable(v: Fraction) -> "Decimal | _Quotient":
     return _Quotient(Decimal(v.numerator), Decimal(v.denominator))
 
 
-def _reduced(y: Decimal, s: Decimal, H: int) -> "Decimal | _Quotient":
+def _reduced(y: Decimal, s: Decimal, H: int, Hd: Decimal) -> "Decimal | _Quotient":
     """y/s in lowest terms, for Decimal integers y and s > 0 and H > 1 such
-    that every prime dividing both y and s divides H.
+    that every prime dividing both y and s divides H; Hd is H as a Decimal.
 
     The common factor is taken out in pieces g = gcd(y, s, H), each a gcd of
-    ints below H: ``y % H`` is a short division while H fits in one word.
+    ints below H: ``y % Hd`` is a short division while H fits in one word.
     A prime p of g can still divide both quotients only if g took all of
     p's power in H; otherwise one piece is all of gcd(y, s).
     """
-    g = math.gcd(int(y % H), int(s % H), H)
+    g = math.gcd(int(y % Hd), int(s % Hd), H)
     while g > 1:
         y, s = y // g, s // g
         left, rest = g, H // g
@@ -401,7 +404,7 @@ def _reduced(y: Decimal, s: Decimal, H: int) -> "Decimal | _Quotient":
             left //= c
         if left == 1:  # every prime of g keeps some power in H // g
             break
-        g = math.gcd(int(y % H), int(s % H), H)
+        g = math.gcd(int(y % Hd), int(s % Hd), H)
     return y if s == 1 else _Quotient(y, s)
 
 
@@ -500,34 +503,42 @@ def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
     A loop of its own over residues, apart from ``_iterate``, in time linear
     in the digits: an independent check of the Decimal route and of the
     divisions of its reduction, though not that a pair is in lowest terms.
-    The only inverses are those of K's denominator and the block's.  Each
-    ``v % p`` is taken in ``_EXACT``.
+    The residues are a list whose i-th entry is r_{w.lo + i}.  The only
+    inverses are those of K's denominator and the block's.  Each ``v % p``
+    is taken in ``_EXACT``, with p as a Decimal built once.
     """
     k, p, K = w.spec.k, GUARD_PRIME, w.spec.K
     K = K.numerator * pow(K.denominator, -1, p) % p
-    r = {n: v.numerator * pow(v.denominator, -1, p) % p
-         for n, v in zip(block.indices(), block.values)}
-    for n in range(block.hi + 1, w.hi + 1):
-        r[n] = (K * (r[n - 2 * k] - r[n - 4 * k]) + r[n - 6 * k]) % p
-    for n in range(block.lo - 1, w.lo - 1, -1):
-        r[n] = (K * (r[n + 2 * k] - r[n + 4 * k]) + r[n + 6 * k]) % p
+    first = block.lo - w.lo
+    r = [0] * first + [v.numerator * pow(v.denominator, -1, p) % p for v in block.values]
+    for i in range(len(r), len(w.values)):
+        r.append((K * (r[i - 2 * k] - r[i - 4 * k]) + r[i - 6 * k]) % p)
+    for i in range(first - 1, -1, -1):
+        r[i] = (K * (r[i + 2 * k] - r[i + 4 * k]) + r[i + 6 * k]) % p
+    pd = Decimal(p)
     with localcontext(_EXACT):
-        for n, v in zip(w.indices(), w.values):
-            num, den = _parts(v)
-            if int(num % p) % p != r[n] * int(den % p) % p:
+        for n, v, res in zip(w.indices(), w.values, r):
+            # a Decimal is an integer: its denominator is 1
+            if (int(v % pd) % p != res if type(v) is Decimal
+                    else int(v.numerator % pd) % p != res * int(v.denominator % pd) % p):
                 raise ResidueMismatchError(n)
 
 
 def window_rows(w: SequenceWindow, lo: int | None = None, hi: int | None = None) -> list[tuple[int, object]]:
     lo = w.lo if lo is None else lo
     hi = w.hi if hi is None else hi
-    return [(n, w[n]) for n in range(lo, hi + 1)]
+    if lo <= hi:
+        w[lo], w[hi]  # IndexError outside the window
+    return list(zip(range(lo, hi + 1), w.values[lo - w.lo:hi - w.lo + 1]))
 
 
 def render_pieces(rows: Sequence[tuple[int, object]], form: str) -> Iterator[str]:
     """The text of ``render_<form>(rows)`` in pieces of at most 4,096 rows, so
     that a writer holds one piece at a time.  For a b-file, every value is
-    checked to be an integer before the first piece."""
+    checked to be an integer before the first piece.
+
+    A JSON row is written as ``json.dumps`` writes the dict {"n": n, "value":
+    text}: the canonical text of a value has no character JSON escapes."""
     if form == "bfile":
         for n, v in rows:
             # Decimal values are integers by construction; a Laurent polynomial has no denominator
@@ -536,9 +547,9 @@ def render_pieces(rows: Sequence[tuple[int, object]], form: str) -> Iterator[str
     yield {"csv": "n,value\n", "json": "[", "bfile": ""}[form]
     for i in range(0, len(rows), 4096):
         piece = rows[i:i + 4096]
-        if form == "json":  # one encoder call per piece, without its brackets
-            yield (", " if i else "") + json.dumps([{"n": n, "value": format_rational(v)}
-                                                    for n, v in piece])[1:-1]
+        if form == "json":
+            yield (", " if i else "") + ", ".join(f'{{"n": {n}, "value": "{format_rational(v)}"}}'
+                                                  for n, v in piece)
         else:
             sep = "," if form == "csv" else " "
             yield "".join(f"{n}{sep}{format_rational(v)}\n" for n, v in piece)

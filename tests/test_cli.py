@@ -193,6 +193,65 @@ def test_gen_writes_the_one_piece_text_in_pieces(run, k, a, init, lo, hi, form):
     assert len(list(engine.render_pieces(rows, form))) >= 3  # a head and two pieces at least
 
 
+# (k, a, init, --from, --to) whose printed window holds Fractions, or reduced
+# Decimal quotients past the 4,300-digit int-to-str limit
+JSON_WINDOWS = {
+    "inside-the-6k-block": (3, "3/2", "1/2,-4/3,5,2/7,3,-5/6,2", -2, 12),
+    "guard-prime-fallback": (1, "1", f"{engine.GUARD_PRIME},1,1", -10, 20),
+    "past-digit-limit": (1, "1000000/7", "1,1,1", -720, 720),
+}
+
+
+@pytest.mark.parametrize("case", JSON_WINDOWS)
+def test_gen_json_is_the_json_dumps_text(run, case):
+    k, a, init, lo, hi = JSON_WINDOWS[case]
+    code, out, err = run("gen", "--k", str(k), f"--a={a}", f"--init={init}",
+                         f"--from={lo}", f"--to={hi}", "--format", "json")
+    spec = engine.RecurrenceSpec.numeric(k, Fraction(a), [Fraction(v) for v in init.split(",")])
+    printed = engine.export_window(spec, lo, hi)
+    if case == "past-digit-limit":
+        assert type(printed[hi]) is engine._Quotient and len(str(printed[hi])) > 4300
+    else:
+        assert all(type(v) is Fraction for v in printed.values)
+    assert (code, err) == (0, "")
+    same = out == _one_piece(engine.window_rows(spec.window().extend(lo, hi)), "json")
+    assert same
+
+
+# command lines that argparse answers itself, each with an exit code and a
+# usage, help or error text
+ARGV_CORPUS = {
+    "no-arguments": [],
+    "help": ["--help"],
+    **{f"{name}-help": [name, "--help"] for name in ("gen", "invariant", "verify",
+                                                      "closed-form", "detect")},
+    "missing-required": ["gen", "--k", "1"],
+    "bad-format": ["gen", "--k", "1", "--to", "3", "--format", "xml"],
+    "eval-and-coeffs": ["closed-form", "--k", "1", "--init", "1,1,1", "--eval", "3", "--coeffs"],
+    "unknown-subcommand": ["bogus", "--k", "1"],
+    "unrecognized-argument": ["invariant", "--k", "1", "--bogus"],
+}
+
+
+@pytest.mark.parametrize("case", ARGV_CORPUS)
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch, case):
+    argv = ARGV_CORPUS[case]
+    built = []
+    build_parser = cli.build_parser
+
+    def answer(command_of):
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                            or build_parser(command_of(command)))
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        return (stop.value.code, *capsys.readouterr())
+
+    fast = answer(lambda command: command)
+    full = case in ("no-arguments", "help", "unknown-subcommand")
+    assert built == [None if full else argv[0]]
+    assert fast == answer(lambda command: None)
+
+
 # -- invariant ----------------------------------------------------------------------
 
 def test_invariant_ones(run):

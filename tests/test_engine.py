@@ -811,18 +811,28 @@ def test_a_multiple_of_the_guard_prime_in_a_denominator_keeps_the_fraction_windo
 
 
 _CORRUPTED = [-20, -1, 6, 20]  # values the relation builds
+# k = 2 and 3 seeds whose window [-20, 20] the relation builds outside [0, 6k - 1]
+_WIDER_SEEDS = {
+    (2, "ones"): [1] * 5, (3, "ones"): [1] * 7,
+    (2, "rational"): [Fraction(1, 2), Fraction(-4, 3), 5, Fraction(2, 7), 3],
+    (3, "rational"): [Fraction(1, 2), Fraction(-4, 3), 5, Fraction(2, 7), 3, Fraction(-5, 6), 2],
+}
 
 
-@pytest.mark.parametrize("init,n", [
-    *(([1, 1, 1], n) for n in _CORRUPTED),
-    *(([1, 2, 3], n) for n in _CORRUPTED),
-    *(([Fraction(1, 2), Fraction(-4, 3), 5], n) for n in _CORRUPTED),
+@pytest.mark.parametrize("k,init,n", [
+    *((1, [1, 1, 1], n) for n in _CORRUPTED),
+    *((1, [1, 2, 3], n) for n in _CORRUPTED),
+    *((1, [Fraction(1, 2), Fraction(-4, 3), 5], n) for n in _CORRUPTED),
+    # the window's ends and the first value past the block on each side
+    *((k, init, n) for (k, _), init in _WIDER_SEEDS.items() for n in (-20, -1, 6 * k, 20)),
 ], ids=[*map(str, _CORRUPTED), *(f"{family}-seed-{n}" for family in ("integer", "rational")
-                                 for n in _CORRUPTED)])
-def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, init, n):
-    spec = RecurrenceSpec.numeric(1, 1, init)
-    if init != [1, 1, 1]:  # the corrupted value is a quotient
-        assert type(export_window(spec, -20, 20)[n]) is engine._Quotient
+                                 for n in _CORRUPTED),
+        *(f"k{k}-{family}-{n}" for k, family in _WIDER_SEEDS for n in (-20, -1, 6 * k, 20))])
+def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, k, init, n):
+    spec = RecurrenceSpec.numeric(k, 1, init)
+    # all ones: integer values; any other seed: the corrupted value is a quotient
+    kind = Decimal if init == [1] * (2 * k + 1) else engine._Quotient
+    assert type(export_window(spec, -20, 20)[n]) is kind
     corrupt_decimal_at(n)
     with pytest.raises(ResidueMismatchError) as exc:
         export_window(spec, -20, 20)
