@@ -484,6 +484,11 @@ def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
     and those of the 6k values modulo GUARD_PRIME, so where the prime
     divides one, which needs an input that is a multiple of it, the window
     is the Fraction window instead.
+
+    The window is for printing.  Extending a rational one restarts the
+    relation from its last 6k values and converts their Decimal
+    denominators back to ints, in time quadratic in the digits; to print a
+    wider window, extend ``spec.window()`` and export that instead.
     """
     k = spec.k
     block = spec.window().extend(max(lo, min(0, hi - 6 * k + 1)), min(hi, 6 * k - 1))

@@ -176,21 +176,42 @@ def _one_piece(rows, form: str) -> str:
     return "\n".join((["n,value"] if form == "csv" else []) + lines) + "\n"
 
 
-# the Decimal route over 6,001 rows of integers, and over 4,201 rows whose
-# values are no integers and so have no b-file
+# the Decimal route over 6,001 rows of integers, over 4,201 rows whose
+# values are no integers and so have no b-file, and over 601 rows of a
+# rational a and seed, one piece long
 @pytest.mark.parametrize("k,a,init,lo,hi,form", [
     *((3, 1, "1,1,1,1,1,1,1", -3000, 3000, form) for form in ("csv", "json", "bfile")),
     *((2, 1, "2,-3,5,7,1", -2100, 2100, form) for form in ("csv", "json")),
+    *((2, "3/2", "2,-3/4,4/5,-5,6/7", -200, 400, form) for form in ("csv", "json")),
 ])
 def test_gen_writes_the_one_piece_text_in_pieces(run, k, a, init, lo, hi, form):
     code, out, err = run("gen", "--k", str(k), f"--a={a}", f"--init={init}",
                          f"--from={lo}", f"--to={hi}", "--format", form)
-    spec = engine.RecurrenceSpec.numeric(k, a, [int(v) for v in init.split(",")])
+    spec = engine.RecurrenceSpec.numeric(k, Fraction(a), [Fraction(v) for v in init.split(",")])
     rows = engine.window_rows(spec.window().extend(lo, hi))
     assert (code, err) == (0, "")
     same = out == _one_piece(rows, form)  # a bool: pytest's diff of megabytes takes minutes
     assert same
-    assert len(list(engine.render_pieces(rows, form))) >= 3  # a head and two pieces at least
+    # a head, a piece per 4,096 rows and, for JSON, the closing bracket
+    pieces = 1 + -(-len(rows) // 4096) + (form == "json")
+    assert len(list(engine.render_pieces(rows, form))) == pieces
+
+
+def test_gen_bfile_rows_satisfy_the_defining_recurrence(run):
+    # an oracle in plain ints that shares no code with the Decimal route or the
+    # Fraction window: every row of a two-sided b-file, values up to 1,072
+    # digits, solves x_{n+2k+1} x_n = x_{n+2k} x_{n+1} + a (x_{n+k} + x_{n+k+1})
+    k, a, lo, hi = 2, 1, -1500, 3000
+    code, out, err = run("gen", "--k", str(k), "--init", "1,1,1,1,1",
+                         f"--from={lo}", f"--to={hi}", "--format", "bfile")
+    assert (code, err) == (0, "")
+    rows = [line.split() for line in out.splitlines()]
+    assert [int(n) for n, _ in rows] == list(range(lo, hi + 1))
+    x = [int(v) for _, v in rows]
+    assert x[-lo:-lo + 2 * k + 1] == [1] * (2 * k + 1)
+    bad = [i + lo for i in range(len(x) - 2 * k - 1)
+           if x[i + 2 * k + 1] * x[i] != x[i + 2 * k] * x[i + 1] + a * (x[i + k] + x[i + k + 1])]
+    assert bad == []
 
 
 # (k, a, init, --from, --to) whose printed window holds Fractions, or reduced

@@ -215,7 +215,7 @@ def test_wronskian_routes_match_cofactor_of_fraction_blocks(kind, k, lo, hi):
 @pytest.mark.parametrize("k, lo, hi, w4_at, delta_at", [
     (1, -12, 12, (-12, 0, 3), (-12, 0, 6)),
     (2, -6, 16, (-6, -2, 1), (-6, 0, 6)),
-    (3, -8, 22, (-8, -3, 0), (-8, 0, 4)),
+    (3, -8, 22, (-8, -3, 0), (-8, 0, 4, 8)),  # a block of each residue class mod k
 ])
 def test_symbolic_wronskian_blocks_match_cofactor(k, lo, hi, w4_at, delta_at):
     # the ring route pivots on the entry with the fewest terms; the cofactor
@@ -241,6 +241,8 @@ def test_symbolic_delta_is_k_invariant_at_k3():
     d = [delta(w, n) for n in range(lo, hi - 4 * k - 2 + 1)]
     assert all(d[i + k] == d[i] for i in range(len(d) - k))
     assert len({str(v) for v in d}) == k  # one value per residue class
+    # and the 4x4 Wronskian, which the cofactor test checks at 3 of its blocks, vanishes at all
+    assert [n for n in range(lo, hi - 6 * k - 3 + 1) if wronskian4_det(w, n)] == []
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -540,13 +542,13 @@ def test_operator_identity_in_the_free_ring(k):
 
 # -- symbolic conservation ------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 4])  # k = 3: test_symbolic_identities_at_k3
 def test_first_integral_symbolic(k):
     spec = RecurrenceSpec.symbolic(k)
     assert k_after_phi(spec) == k_formula(spec).K
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 4])  # k = 3: test_symbolic_identities_at_k3
 def test_proof_identities_vanish(k):
     i1, i2, i3 = first_integral_proof_residuals(RecurrenceSpec.symbolic(k))
     assert not i1 and not i2 and not i3

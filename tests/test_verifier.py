@@ -404,6 +404,11 @@ def test_campaign_k2_smoke():
     assert report.counts["fail"] == 0
 
 
+def test_campaign_k3_all_numeric_checks_pass():
+    report = run_campaign(TrialConfig(k=3, trials=2, seed=0))
+    assert report.counts == {"pass": 2 * len(NUMERIC_CHECKS), "fail": 0, "skipped-degenerate": 0}
+
+
 def test_campaign_symbolic_pass():
     report = run_campaign(TrialConfig(k=1, trials=1, seed=1, symbolic=True))
     assert report.counts == {"pass": len(SYMBOLIC_CHECKS), "fail": 0, "skipped-degenerate": 0}
@@ -605,17 +610,25 @@ def test_fault_witness_pinned(target):
     assert record.witness == FAULT_WITNESSES[target]
 
 
-@pytest.mark.parametrize("target", FAULT_WITNESSES)
-def test_fail_witnesses_name_n_and_a_nonzero_residual(target):
-    """Every fail witness has ``n`` and ``identity``; a ``residual``, where
-    the failure leaves one, is never zero."""
+# negative controls past k = 1: the numeric checks that criterion 12 leaves
+# out at k = 2, and the symbolic laurent check at k = 3
+CONTROLS_PAST_K1 = [(2, "delta_invariance"), (2, "detect"), (2, "k_monodromy"), (2, "inhom"),
+                    (3, "sym:laurent")]
+
+
+@pytest.mark.parametrize("k,target", [pytest.param(1, t, id=t) for t in FAULT_WITNESSES]
+                         + [pytest.param(k, t, id=f"k{k}-{t}") for k, t in CONTROLS_PAST_K1])
+def test_fail_witnesses_name_n_and_a_nonzero_residual(k, target):
+    """Every fail witness has ``n`` and ``identity``; it has a ``residual``
+    exactly where the pinned k = 1 witness has one, and that is never zero."""
     symbolic = target.startswith("sym:")
     cid = target.removeprefix("sym:")
-    report = run_campaign(TrialConfig(k=1, trials=4, seed=11, symbolic=symbolic,
+    report = run_campaign(TrialConfig(k=k, trials=4, seed=11, symbolic=symbolic,
                                       checks=frozenset({cid}), inject_fault=cid))
     assert report.failures
     for record in report.failures:
         assert {"n", "identity"} <= set(record.witness)
+        assert ("residual" in record.witness) == ("residual" in FAULT_WITNESSES[target])
         residual = record.witness.get("residual", [])
         assert residual != "0" and (not isinstance(residual, list) or set(residual) != {"0"})
 
