@@ -46,9 +46,10 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
 # closed-form --eval refuses |m| * (bits(p) + bits(q)) past this, t = p/q and
-# m = n // 2k: about the bit size of the powers chebyshev_tu builds.  At the
-# bound one evaluation takes about 2 s (Python 3.11, 2-core Intel Xeon VM)
-EVAL_BIT_BUDGET = 2 ** 20
+# m = n // 2k: about the bit size of the integers the Lucas doubling builds.
+# At the bound, k = 1 with the seed 1, 2, 3 (t = 29/6) to n = 8388608 takes
+# about 1.9 s with 49 MiB peak memory (Python 3.11.7, 2-core Intel Xeon VM)
+EVAL_BIT_BUDGET = 2 ** 25
 
 # gen refuses a window [lo, hi] whose sum of |n // 2k| * (bits(p) + bits(q))
 # passes this, t = (K-1)/2 = p/q: about the total bits of the iterates it
@@ -211,7 +212,7 @@ def cmd_closed_form(args) -> int:
         if estimate > EVAL_BIT_BUDGET:
             raise UsageError(f"--eval {args.eval} needs about {estimate} bits of Chebyshev "
                              f"powers, past the budget of {EVAL_BIT_BUDGET}")
-        value = cf.eval_closed_form(coeffs, args.eval)
+        value = cf.printable_value(w, coeffs, args.eval)  # ResidueMismatchError -> exit 1
         print(json.dumps({"n": args.eval, "value": format_rational(value)}))
     return EXIT_OK
 

@@ -10,48 +10,75 @@ U_1 = 2t, U_{-1} = 0.  The 2k coefficient triples come from a fixed 3x3
 matrix applied to (x_{2k+j}, x_j, x_{-2k+j}) with prefactor 1/(2t(1-t)),
 which is finite iff t is outside {0, 1} (i.e. K outside {1, 3}).
 
-T_m and U_m come from the m-th power of the 2x2 matrix of the three-term
-recurrence p_{i+1} = 2t p_i - p_{i-1}, taken by repeated squaring in
-O(log |m|) steps for positive and negative m alike (Fiduccia, SIAM J.
-Comput. 14, 1985).  Everything is exact rational arithmetic.  No case split
-is needed between |t| <= 1 (bounded, oscillatory-type solutions) and |t| > 1
-(solutions with hyperbolic growth): the powers are exact in both regimes, so
-the same code covers them.
+T_m and U_m come from Lucas-sequence fast doubling in O(log |m|) steps of
+three big products each (Joye and Quisquater, Electron. Lett. 32, 1996), for
+positive and negative m alike, over the integers: with 2t = a/b in lowest
+terms, u_n = b^(n-1) U_n(2t, 1) is an integer, and U_m = U_{m+1}(2t, 1).  No
+case split is needed between |t| <= 1 (bounded, oscillatory-type solutions)
+and |t| > 1 (hyperbolic growth): the integers are exact in both regimes.
+
+``chebyshev_tu`` and ``eval_closed_form`` run the doubling over ``int`` and
+return Fractions.  ``printable_value``, which ``closed-form --eval`` prints,
+runs it over Decimal integers, as ``engine.export_window`` runs its
+relation: x_n is one Decimal integer over 2 L b^|m|, L the lcm of the
+triple's denominators, reduced once by ``engine._reduced``, and checked
+modulo GUARD_PRIME against the linear relation.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .engine import SequenceWindow
-from .errors import DegenerateTError
+from .engine import GUARD_PRIME, _EXACT, SequenceWindow, _agrees, _reducer
+from .errors import DegenerateTError, ResidueMismatchError
 from .matrix import mat_mul
 from .rational import format_rational
 
 
-def chebyshev_tu(t: Fraction, m: int) -> tuple[Fraction, Fraction]:
-    """(T_m(t), U_m(t)) for any integer m, negative included.
+def _lucas(a, b, n: int) -> tuple:
+    """(u_n, u_{n+1}) for n >= 0, u_j = b^(j-1) U_j(a/b, 1), in the integers a
+    and b are (ints, or Decimals in ``_EXACT``): u_0 = 0, u_1 = 1 and
+    u_{j+1} = a u_j - b^2 u_{j-1}.
 
-    M = [[2t, -1], [1, 0]] has M^m = [[U_m, -U_{m-1}], [U_{m-1}, -U_{m-2}]]
-    for every integer m, and det M = 1 gives M^{-1} = [[0, 1], [-1, 2t]].
-    With t = p/q, B = q M (or q M^{-1} for m < 0) is an integer matrix and
-    M^m = B^{|m|} / q^{|m|}; B^{|m|} is taken by repeated squaring in
-    integers, so only the two results are reduced.  T_m = U_m - t U_{m-1}.
+    Per bit of n from the top, the pair doubles to (u_{2n}, u_{2n+1}) =
+    (u_n (2 u_{n+1} - a u_n), u_{n+1}^2 - b^2 u_n^2), and a set bit steps it
+    once.
     """
-    t = Fraction(t)
-    p, q, e = t.numerator, t.denominator, abs(m)
-    base = ((2 * p, -q), (q, 0)) if m >= 0 else ((0, q), (-q, 2 * p))
-    power = ((1, 0), (0, 1))
-    while e:
-        if e & 1:
-            power = mat_mul(power, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    (u, _), (u_prev, _) = power  # q^|m| U_m and q^|m| U_{m-1}
-    scale = q ** abs(m)
-    return Fraction(q * u - p * u_prev, q * scale), Fraction(u, scale)
+    b2 = b * b
+    u, v = 0, 1
+    for bit in bin(n)[2:]:
+        u, v = u * (2 * v - a * u), v * v - b2 * (u * u)
+        if bit == "1":
+            u, v = v, a * v - b2 * u
+    return u, v
+
+
+def _chebyshev_scaled(a, b, m: int) -> tuple:
+    """(2 b^|m| T_m(t), b^|m| U_m(t)) for 2t = a/b in lowest terms, any integer m.
+
+    Both come from x = b^|m| U_m and y = b^(|m|-1) U_{m-1}, as T_m = U_m - t U_{m-1}.
+    With U_m = U_{m+1}(2t, 1), m >= 0 has (y, x) = (u_m, u_{m+1}); m = -e < 0 has
+    U_m = -U_{e-1}(2t, 1) and U_{m-1} = -U_e(2t, 1), from (u_{e-1}, u_e).
+    """
+    if m >= 0:
+        y, x = _lucas(a, b, m)
+    else:
+        x, y = _lucas(a, b, -m - 1)
+        x, y = -b * b * x, -y
+    return 2 * x - a * y, x
+
+
+def chebyshev_tu(t: Fraction, m: int) -> tuple[Fraction, Fraction]:
+    """(T_m(t), U_m(t)) for any integer m, negative included."""
+    t2 = 2 * Fraction(t)
+    a, b = t2.numerator, t2.denominator
+    tm, um = _chebyshev_scaled(a, b, m)
+    scale = b ** abs(m)
+    return Fraction(tm, 2 * scale), Fraction(um, scale)
 
 
 @dataclass(frozen=True)
@@ -111,3 +138,67 @@ def eval_closed_form(c: ClosedFormCoeffs, n: int) -> Fraction:
     m = n // period
     tm, um = chebyshev_tu(c.t, m)
     return c.q[j] + c.r[j] * tm + c.s[j] * um
+
+
+def printable_value(w: SequenceWindow, c: ClosedFormCoeffs, n: int):
+    """x_n as ``eval_closed_form(c, n)`` gives it, to be printed: a Decimal
+    integer or a reduced ``engine._Quotient``; c comes from the window w.
+
+    A value that differs from ``_residue`` raises ResidueMismatchError.  The
+    residue inverts the denominators of K, x_{j-2k}, x_j and x_{j+2k} modulo
+    GUARD_PRIME, so where the prime divides one, the value is the Fraction.
+    """
+    period = 2 * c.k
+    j = n % period
+    if any(v.denominator % GUARD_PRIME == 0
+           for v in (w.spec.K, w[j - period], w[j], w[j + period])):
+        return eval_closed_form(c, n)
+    value = _decimal_value(c, n)
+    with localcontext(_EXACT):
+        if not _agrees(value, _residue(w, n), Decimal(GUARD_PRIME)):
+            raise ResidueMismatchError(n)
+    return value
+
+
+def _decimal_value(c: ClosedFormCoeffs, n: int):
+    """x_n from the closed form over Decimal integers, in lowest terms: every
+    prime that y and its denominator share divides 2 L b."""
+    period = 2 * c.k
+    j, m = n % period, n // period
+    t2 = 2 * c.t
+    triple = (c.q[j], c.r[j], c.s[j])
+    lcm = math.lcm(*(v.denominator for v in triple))
+    q, r, s = (Decimal(v.numerator * (lcm // v.denominator)) for v in triple)
+    with localcontext(_EXACT):
+        b = Decimal(t2.denominator)
+        tm, um = _chebyshev_scaled(Decimal(t2.numerator), b, m)
+        scale = b ** abs(m)
+        # x_n = y / (2 L b^|m|), with 2 b^|m| T_m = tm and b^|m| U_m = um
+        y = 2 * q * scale + r * tm + 2 * s * um
+        if not y:  # a product by zero can be -0
+            return Decimal(0)
+        return _reducer(2 * lcm * t2.denominator)(y, 2 * lcm * scale)
+
+
+def _residue(w: SequenceWindow, n: int) -> int:
+    """x_n modulo GUARD_PRIME by the linear relation, run from the window's
+    x_{j-2k}, x_j and x_{j+2k}, j = n mod 2k, in O(log |m|) steps.
+
+    On the class of j, z_i = x_{j+2ki} has z_{i+3} = K (z_{i+2} - z_{i+1}) + z_i:
+    the companion matrix C maps (z_i, z_{i+1}, z_{i+2}) to (z_{i+1}, z_{i+2},
+    z_{i+3}), and z_m is the first entry of C^(m+1) (z_{-1}, z_0, z_1).
+    """
+    p, period = GUARD_PRIME, 2 * w.spec.k
+    j, e = n % period, n // period + 1
+    K = w.spec.K.numerator * pow(w.spec.K.denominator, -1, p) % p
+    z = [v.numerator * pow(v.denominator, -1, p) % p
+         for v in (w[j - period], w[j], w[j + period])]
+    base = [[0, 1, 0], [0, 0, 1], [1, -K, K]] if e >= 0 else [[K, -K, 1], [1, 0, 0], [0, 1, 0]]
+    e = abs(e)
+    while e:
+        if e & 1:
+            z = [sum(map(operator.mul, row, z)) % p for row in base]
+        e >>= 1
+        if e:
+            base = [[v % p for v in row] for row in mat_mul(base, base)]
+    return z[0]

@@ -326,16 +326,8 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
             # Fraction(y, 1) would pay a gcd and copy y
             emit = Fraction if h != 1 else _whole
         else:
-            emit = _identity
-            if h != 1:
-                # every prime that y and s = D Q^e share divides h = D Q; fill one
-                # word with powers of h, then of Q, which s gains as e grows
-                H = h
-                while H * h < 10 ** 19:
-                    H *= h
-                while q > 1 and H * q < 10 ** 19:
-                    H *= q
-                emit = partial(_reduced, H=H, Hd=Decimal(H))
+            # every prime that y and s = D Q^e share divides h = D Q
+            emit = _identity if h == 1 else _reducer(h, q)
             # Decimal operands once here, not an int conversion in every operation
             p, q, scale = Decimal(p), Decimal(q), Decimal(scale)
         scale *= q ** 2  # the scale of y[4k..6k-1]
@@ -406,6 +398,26 @@ def _reduced(y: Decimal, s: Decimal, H: int, Hd: Decimal) -> "Decimal | _Quotien
             break
         g = math.gcd(int(y % Hd), int(s % Hd), H)
     return y if s == 1 else _Quotient(y, s)
+
+
+def _reducer(h: int, q: int = 1):
+    """``_reduced`` for y/s whose shared primes all divide h > 1, with H one
+    word filled with powers of h, then of q, which s may gain as it grows."""
+    H = h
+    while H * h < 10 ** 19:
+        H *= h
+    while q > 1 and H * q < 10 ** 19:
+        H *= q
+    return partial(_reduced, H=H, Hd=Decimal(H))
+
+
+def _agrees(v, res: int, pd: Decimal) -> bool:
+    """Whether a Decimal integer or a ``_Quotient`` num/den has num = res den
+    modulo GUARD_PRIME, which pd holds as a Decimal; run in ``_EXACT``."""
+    p = GUARD_PRIME
+    if type(v) is Decimal:  # an integer: its denominator is 1
+        return int(v % pd) % p == res
+    return int(v.numerator % pd) % p == res * int(v.denominator % pd) % p
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:
@@ -523,9 +535,7 @@ def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
     pd = Decimal(p)
     with localcontext(_EXACT):
         for n, v, res in zip(w.indices(), w.values, r):
-            # a Decimal is an integer: its denominator is 1
-            if (int(v % pd) % p != res if type(v) is Decimal
-                    else int(v.numerator % pd) % p != res * int(v.denominator % pd) % p):
+            if not _agrees(v, res, pd):
                 raise ResidueMismatchError(n)
 
 

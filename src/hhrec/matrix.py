@@ -31,9 +31,9 @@ Three independent determinant routines are provided:
 
 Cofactor and Dodgson are reference routes: tests compare the production
 route against them, and no production code calls them.  ``mat_mul`` is
-the matrix product of the Chebyshev powers and of the monodromy route, whose
-companion matrices it multiplies over the integers (``scale_row`` of each
-step's coefficients).
+the matrix product of the monodromy route, whose companion matrices it
+multiplies over the integers (``scale_row`` of each step's coefficients),
+and of the closed form's residue guard, modulo a prime.
 """
 
 from __future__ import annotations

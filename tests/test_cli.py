@@ -1,11 +1,16 @@
+import hashlib
 import json
 import os
+import sys
 import threading
+from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from hhrec import cli
+from hhrec import closed_form as cf
 from hhrec import engine
 from hhrec.cli import main
 from hhrec.errors import ResidueMismatchError
@@ -461,6 +466,90 @@ def test_closed_form_eval_refuses_past_the_size_budget(run):
 def test_closed_form_eval_within_the_size_budget(run):
     code, out, _ = run("closed-form", "--k", "1", "--init", "1,2,3", "--eval", "100000")
     assert code == 0 and json.loads(out)["n"] == 100000
+
+
+# (k, a, init) of unit, integer and rational seeds: closed-form --eval prints
+# the Fraction route's value for every n in [-200, 200]
+EVAL_GRID = {
+    "k1-unit": (1, "1", "1,1,1"),
+    "k1-integer": (1, "2", "2,3,5"),
+    "k1-rational": (1, "3/2", "1/2,2/3,-3/4"),
+    "k2-unit": (2, "1", "1,1,1,1,1"),
+    "k2-integer": (2, "-3", "1,2,3,4,5"),
+    "k2-rational": (2, "-5/6", "1/2,-4/3,5,2/7,3"),
+    "k3-unit": (3, "1", "1,1,1,1,1,1,1"),
+    "k3-integer": (3, "1", "2,-1,3,1,4,1,5"),
+    "k3-rational": (3, "3/2", "1/2,-4/3,5,2/7,3,-5/6,2"),
+}
+
+# (k, a, init, n): single requests past the grid
+EVAL_CASES = {
+    "zero": (1, "-4", "2,-1,-1", -5),                                # x_-5 = 0
+    "guard-prime-fallback": (1, "1", f"{engine.GUARD_PRIME},1,1", 7),
+    "guard-prime-fallback-negative": (1, "1", f"{engine.GUARD_PRIME},1,1", -9),
+    "digit-limit-k1": (1, "1", "1,2,3", 10000),
+    "digit-limit-k2": (2, "1", "1,2,3,4,5", 10000),
+}
+
+
+def _eval_text(k, a, init, n):
+    """The line json.dumps gives for eval_closed_form's value, with the
+    int-to-str digit limit lifted for this comparison alone."""
+    spec = engine.RecurrenceSpec.numeric(k, Fraction(a), [Fraction(v) for v in init.split(",")])
+    c = cf.extract_coeffs(spec.window().extend(-2 * k, 4 * k - 1), spec.K)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps({"n": n, "value": format_rational(cf.eval_closed_form(c, n))}) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("case", EVAL_GRID)
+def test_closed_form_eval_prints_the_fraction_value(run, case):
+    k, a, init = EVAL_GRID[case]
+    for n in range(-200, 201):
+        code, out, err = run("closed-form", "--k", str(k), f"--a={a}", "--init", init, "--eval", str(n))
+        assert (code, out, err) == (0, _eval_text(k, a, init, n), ""), n
+
+
+@pytest.mark.parametrize("case", EVAL_CASES)
+def test_closed_form_eval_single_requests_print_the_fraction_value(run, case):
+    k, a, init, n = EVAL_CASES[case]
+    code, out, err = run("closed-form", "--k", str(k), f"--a={a}", "--init", init, "--eval", str(n))
+    assert (code, out, err) == (0, _eval_text(k, a, init, n), "")
+    if case == "zero":  # never 0/s or -0
+        assert out == '{"n": -5, "value": "0"}\n'
+
+
+@pytest.mark.parametrize("n,md5", [(262000, "59583800849bb6bb40fc9686ac4a3a61"),
+                                   (-262001, "cfc09abb78815a9e9f42016540c8de44")])
+def test_closed_form_eval_at_size_keeps_its_bytes(run, n, md5):
+    code, out, _ = run("closed-form", "--k", "1", "--init", "1,2,3", "--eval", str(n))
+    assert code == 0 and hashlib.md5(out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize("init,n", [("1,1,1", n) for n in (-30, 6, 40)]
+                         + [("1,2,3", n) for n in (-30, 6, 40)],  # quotients, K = 32/3
+                         ids=["-30", "6", "40", "quotient--30", "quotient-6", "quotient-40"])
+def test_closed_form_corrupted_decimal_value_exits_1_and_prints_nothing(run, monkeypatch, init, n):
+    value = cf._decimal_value
+    kind = Decimal if init == "1,1,1" else engine._Quotient
+
+    def corrupted(c, m):
+        v = value(c, m)
+        assert type(v) is kind
+        with localcontext(engine._EXACT):
+            return v + 1 if kind is Decimal else replace(v, numerator=v.numerator + 1)
+
+    monkeypatch.setattr(cf, "_decimal_value", corrupted)
+    argv = ["closed-form", "--k", "1", "--init", init, "--eval", str(n)]
+    with pytest.raises(ResidueMismatchError) as exc:
+        cli.cmd_closed_form(cli.build_parser().parse_args(argv))
+    assert exc.value.n == n
+    code, out, err = run(*argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: x_{n} of the decimal route differs from the linear relation modulo 2^61 - 1\n"
 
 
 def test_closed_form_requires_mode_flag(run):

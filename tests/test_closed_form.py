@@ -10,6 +10,7 @@ from hhrec.closed_form import (
 from hhrec.engine import RecurrenceSpec
 from hhrec.errors import DegenerateTError
 from hhrec.invariants import k_formula
+from hhrec.matrix import mat_mul
 from hhrec.verifier import SplitMix64, random_rational
 
 
@@ -69,6 +70,37 @@ def chebyshev_by_recurrence(t, m):
             prev, cur = cur, 2 * p * cur - q * q * prev
         result.append(Fraction(prev, q ** steps))
     return tuple(result)
+
+
+def chebyshev_by_matrix_power(t, m):
+    """Reference route: (T_m, U_m) from the m-th power of a 2x2 matrix.
+
+    M = [[2t, -1], [1, 0]] has M^m = [[U_m, -U_{m-1}], [U_{m-1}, -U_{m-2}]]
+    for every integer m, and det M = 1 gives M^{-1} = [[0, 1], [-1, 2t]].
+    With t = p/q, B = q M (or q M^{-1} for m < 0) is an integer matrix and
+    M^m = B^{|m|} / q^{|m|}, taken by repeated squaring in integers
+    (Fiduccia, SIAM J. Comput. 14, 1985).  T_m = U_m - t U_{m-1}.
+    """
+    p, q, e = t.numerator, t.denominator, abs(m)
+    base = ((2 * p, -q), (q, 0)) if m >= 0 else ((0, q), (-q, 2 * p))
+    power = ((1, 0), (0, 1))
+    while e:
+        if e & 1:
+            power = mat_mul(power, base)
+        e >>= 1
+        if e:
+            base = mat_mul(base, base)
+    (u, _), (u_prev, _) = power  # q^|m| U_m and q^|m| U_{m-1}
+    scale = q ** abs(m)
+    return Fraction(q * u - p * u_prev, q * scale), Fraction(u, scale)
+
+
+# odd and even denominators of t, |t| < 1, t = -1 and an integer t
+@pytest.mark.parametrize("t", [Fraction(29, 6), Fraction(319, 40), Fraction(-11, 2), Fraction(15),
+                               Fraction(-1237, 320), Fraction(-1), Fraction(3, 4), Fraction(-5, 7)])
+def test_chebyshev_doubling_matches_the_matrix_power(t):
+    for m in range(-300, 301):
+        assert chebyshev_tu(t, m) == chebyshev_by_matrix_power(t, m), m
 
 
 @pytest.mark.parametrize("t", [Fraction(7, 3), Fraction(2, 5), Fraction(-9, 4)])
