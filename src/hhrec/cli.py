@@ -48,7 +48,8 @@ EXIT_DEGENERATE = 3
 # closed-form --eval refuses |m| * (bits(p) + bits(q)) past this, t = p/q and
 # m = n // 2k: about the bit size of the integers the Lucas doubling builds.
 # At the bound, k = 1 with the seed 1, 2, 3 (t = 29/6) to n = 8388608 takes
-# about 1.9 s with 49 MiB peak memory (Python 3.11.7, 2-core Intel Xeon VM)
+# about 1.9 s with 49 MiB peak memory, and the seed 2^61 - 1, 1, 1 to
+# n = 360801 1.8 s with 60 MiB (Python 3.11.7, 2-core Intel Xeon VM)
 EVAL_BIT_BUDGET = 2 ** 25
 
 # gen refuses a window [lo, hi] whose sum of |n // 2k| * (bits(p) + bits(q))
@@ -56,8 +57,9 @@ EVAL_BIT_BUDGET = 2 ** 25
 # would build.  k = 1 with the all-ones seed to n = 16000 estimates 3.8e8.
 # At the bound, the all-ones seed to n = 26754 (t = 13/2) takes about 2.0 s
 # and the seed 1, 2, 3 to n = 23170 (t = 29/6, K = 32/3) about 3.6 s, with
-# 204 and 273 MiB peak memory; the first as json takes 2.1 s and 205 MiB
-# (csv and json, Python 3.11.7, 2-core Intel Xeon VM)
+# 204 and 273 MiB peak memory; the first as json takes 2.1 s and 205 MiB,
+# and the seed 2^61 - 1, 1, 1 to n = 4805 4.7 s and 598 MiB (csv and json,
+# Python 3.11.7, 2-core Intel Xeon VM)
 GEN_BIT_BUDGET = 2 ** 30
 
 
@@ -192,7 +194,8 @@ def cmd_verify(args) -> int:
         report = run_campaign(cfg)
         sys.stdout.write(report.render_table())
         if report_file:
-            if report_file.seekable():  # a pipe has no old report to drop
+            # tell() is the old report's length: 0 for /dev/null, which refuses truncate
+            if report_file.seekable() and report_file.tell():
                 report_file.truncate(0)  # opened to append: an aborted run keeps the old report
             report_file.write(report.to_json())
     return EXIT_OK if not report.failures else EXIT_CHECK_FAILED

@@ -22,7 +22,8 @@ return Fractions.  ``printable_value``, which ``closed-form --eval`` prints,
 runs it over Decimal integers, as ``engine.export_window`` runs its
 relation: x_n is one Decimal integer over 2 L b^|m|, L the lcm of the
 triple's denominators, reduced once by ``engine._reduced``, and checked
-modulo GUARD_PRIME against the linear relation.
+against the linear relation modulo 2^61 - 1 or, where that divides a
+denominator, a smaller odd modulus (``engine._guard_residues``).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .engine import GUARD_PRIME, _EXACT, SequenceWindow, _agrees, _reducer
-from .errors import DegenerateTError, ResidueMismatchError
+from .engine import _EXACT, SequenceWindow, _check_agreement, _guard_residues, _reducer
+from .errors import DegenerateTError
 from .matrix import mat_mul
 from .rational import format_rational
 
@@ -143,20 +144,10 @@ def eval_closed_form(c: ClosedFormCoeffs, n: int) -> Fraction:
 def printable_value(w: SequenceWindow, c: ClosedFormCoeffs, n: int):
     """x_n as ``eval_closed_form(c, n)`` gives it, to be printed: a Decimal
     integer or a reduced ``engine._Quotient``; c comes from the window w.
-
-    A value that differs from ``_residue`` raises ResidueMismatchError.  The
-    residue inverts the denominators of K, x_{j-2k}, x_j and x_{j+2k} modulo
-    GUARD_PRIME, so where the prime divides one, the value is the Fraction.
-    """
-    period = 2 * c.k
-    j = n % period
-    if any(v.denominator % GUARD_PRIME == 0
-           for v in (w.spec.K, w[j - period], w[j], w[j + period])):
-        return eval_closed_form(c, n)
+    A value that differs from ``_residue`` raises ResidueMismatchError."""
     value = _decimal_value(c, n)
-    with localcontext(_EXACT):
-        if not _agrees(value, _residue(w, n), Decimal(GUARD_PRIME)):
-            raise ResidueMismatchError(n)
+    p, res = _residue(w, n)
+    _check_agreement(p, [(n, value, res)])
     return value
 
 
@@ -180,19 +171,17 @@ def _decimal_value(c: ClosedFormCoeffs, n: int):
         return _reducer(2 * lcm * t2.denominator)(y, 2 * lcm * scale)
 
 
-def _residue(w: SequenceWindow, n: int) -> int:
-    """x_n modulo GUARD_PRIME by the linear relation, run from the window's
-    x_{j-2k}, x_j and x_{j+2k}, j = n mod 2k, in O(log |m|) steps.
+def _residue(w: SequenceWindow, n: int) -> tuple[int, int]:
+    """(p, x_n mod p) by the linear relation, run from the window's x_{j-2k},
+    x_j and x_{j+2k}, j = n mod 2k, in O(log |m|) steps, p from ``_guard_residues``.
 
     On the class of j, z_i = x_{j+2ki} has z_{i+3} = K (z_{i+2} - z_{i+1}) + z_i:
     the companion matrix C maps (z_i, z_{i+1}, z_{i+2}) to (z_{i+1}, z_{i+2},
     z_{i+3}), and z_m is the first entry of C^(m+1) (z_{-1}, z_0, z_1).
     """
-    p, period = GUARD_PRIME, 2 * w.spec.k
+    period = 2 * w.spec.k
     j, e = n % period, n // period + 1
-    K = w.spec.K.numerator * pow(w.spec.K.denominator, -1, p) % p
-    z = [v.numerator * pow(v.denominator, -1, p) % p
-         for v in (w[j - period], w[j], w[j + period])]
+    p, (K, *z) = _guard_residues((w.spec.K, w[j - period], w[j], w[j + period]))
     base = [[0, 1, 0], [0, 0, 1], [1, -K, K]] if e >= 0 else [[K, -K, 1], [1, 0, 0], [0, 1, 0]]
     e = abs(e)
     while e:
@@ -201,4 +190,4 @@ def _residue(w: SequenceWindow, n: int) -> int:
         e >>= 1
         if e:
             base = [[v % p for v in row] for row in mat_mul(base, base)]
-    return z[0]
+    return p, z[0]

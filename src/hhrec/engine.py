@@ -35,9 +35,10 @@ digits, and so does ``str``, where CPython's int-to-str is quadratic.  Each
 value y/s, s = D Q^e, is reduced without a big gcd, since every prime that
 y and s share divides D Q: the common factor comes out in gcds of ints
 below 10^19, each after one short division of y (``_reduced``).  An
-integer window has D = Q = 1 and skips the reduction.  Before the window is returned, every value is checked
-against the relation run modulo the prime 2^61 - 1 from the 6k values; a
-mismatch raises :class:`ResidueMismatchError`.
+integer window has D = Q = 1 and skips the reduction.  Before the window is
+returned, every value is checked against the relation over residues, modulo
+2^61 - 1 or, where that divides a denominator, a smaller odd modulus
+(``_guard_residues``); a mismatch raises :class:`ResidueMismatchError`.
 
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
@@ -65,7 +66,7 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CertificateError,
@@ -82,8 +83,7 @@ from .rational import format_rational, parse_rational, promote
 # Decimal arithmetic on integers that must never round: a lost digit raises
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded, InvalidOperation])
-# the modulus of export_window's check, a Mersenne prime
-GUARD_PRIME = (1 << 61) - 1
+GUARD_PRIME = (1 << 61) - 1  # the first modulus of the residue checks, a Mersenne prime
 
 
 @dataclass(frozen=True)
@@ -411,13 +411,28 @@ def _reducer(h: int, q: int = 1):
     return partial(_reduced, H=H, Hd=Decimal(H))
 
 
-def _agrees(v, res: int, pd: Decimal) -> bool:
-    """Whether a Decimal integer or a ``_Quotient`` num/den has num = res den
-    modulo GUARD_PRIME, which pd holds as a Decimal; run in ``_EXACT``."""
+def _guard_residues(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(p, [v mod p for v in values]): p is GUARD_PRIME if it is coprime to
+    every denominator, else the first odd number below it that is and passes
+    the base-2 Fermat test (a pseudoprime serves too: the denominators are units)."""
     p = GUARD_PRIME
-    if type(v) is Decimal:  # an integer: its denominator is 1
-        return int(v % pd) % p == res
-    return int(v.numerator % pd) % p == res * int(v.denominator % pd) % p
+    while any(math.gcd(v.denominator, p) > 1 for v in values):
+        p -= 2
+        while pow(2, p - 1, p) != 1:  # GUARD_PRIME, a prime, skips the test
+            p -= 2
+    return p, [v.numerator * pow(v.denominator, -1, p) % p for v in values]
+
+
+def _check_agreement(p: int, checks: Iterable) -> None:
+    """Raise ResidueMismatchError at the first (n, v, res) of ``checks`` whose
+    Decimal integer or ``_Quotient`` v = num/den has num != res den modulo p.
+    Each ``v % p`` is taken in ``_EXACT``, with p as a Decimal built once."""
+    pd = Decimal(p)
+    with localcontext(_EXACT):
+        for n, v, res in checks:
+            if (int(v % pd) % p != res if type(v) is Decimal  # an integer: its denominator is 1
+                    else int(v.numerator % pd) % p != res * int(v.denominator % pd) % p):
+                raise ResidueMismatchError(n, p)
 
 
 def raw_window(spec: RecurrenceSpec, lo: int, values: Sequence) -> SequenceWindow:
@@ -492,10 +507,7 @@ def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
     leaves the 6k values the relation starts from, the relation runs over
     Decimal integers y and each value is y/s reduced (``_reduced``): a
     Decimal for an integer, else a ``_Quotient``.  ``_check_residues``
-    checks each value before it returns.  The check inverts K's denominator
-    and those of the 6k values modulo GUARD_PRIME, so where the prime
-    divides one, which needs an input that is a multiple of it, the window
-    is the Fraction window instead.
+    checks each value before it returns, for every seed.
 
     The window is for printing.  Extending a rational one restarts the
     relation from its last 6k values and converts their Decimal
@@ -504,8 +516,7 @@ def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
     """
     k = spec.k
     block = spec.window().extend(max(lo, min(0, hi - 6 * k + 1)), min(hi, 6 * k - 1))
-    if block.covers(lo, hi) or any(v.denominator % GUARD_PRIME == 0
-                                   for v in (spec.K, *block.values)):
+    if block.covers(lo, hi):
         return block.extend(lo, hi)
     w = SequenceWindow(spec, block.lo, tuple(map(_printable, block.values))).extend(lo, hi)
     _check_residues(w, block)
@@ -514,29 +525,24 @@ def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
 
 def _check_residues(w: SequenceWindow, block: SequenceWindow) -> None:
     """Raise ResidueMismatchError unless each value num/den of ``w`` is,
-    modulo GUARD_PRIME, the linear relation run from the values of ``block``:
+    modulo p, the linear relation run from the values of ``block``:
     num = r_n den for the relation's residue r_n.
 
     A loop of its own over residues, apart from ``_iterate``, in time linear
     in the digits: an independent check of the Decimal route and of the
     divisions of its reduction, though not that a pair is in lowest terms.
     The residues are a list whose i-th entry is r_{w.lo + i}.  The only
-    inverses are those of K's denominator and the block's.  Each ``v % p``
-    is taken in ``_EXACT``, with p as a Decimal built once.
+    inverses are those of K's denominator and the block's, which choose p
+    (``_guard_residues``).
     """
-    k, p, K = w.spec.k, GUARD_PRIME, w.spec.K
-    K = K.numerator * pow(K.denominator, -1, p) % p
-    first = block.lo - w.lo
-    r = [0] * first + [v.numerator * pow(v.denominator, -1, p) % p for v in block.values]
+    k, first = w.spec.k, block.lo - w.lo
+    p, (K, *r) = _guard_residues((w.spec.K, *block.values))
+    r = [0] * first + r
     for i in range(len(r), len(w.values)):
         r.append((K * (r[i - 2 * k] - r[i - 4 * k]) + r[i - 6 * k]) % p)
     for i in range(first - 1, -1, -1):
         r[i] = (K * (r[i + 2 * k] - r[i + 4 * k]) + r[i + 6 * k]) % p
-    pd = Decimal(p)
-    with localcontext(_EXACT):
-        for n, v, res in zip(w.indices(), w.values, r):
-            if not _agrees(v, res, pd):
-                raise ResidueMismatchError(n)
+    _check_agreement(p, zip(w.indices(), w.values, r))
 
 
 def window_rows(w: SequenceWindow, lo: int | None = None, hi: int | None = None) -> list[tuple[int, object]]:

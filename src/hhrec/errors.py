@@ -55,17 +55,18 @@ class CertificateError(HHRecError):
 
 
 class ResidueMismatchError(HHRecError):
-    """A value of a Decimal-route window differs, modulo the prime 2^61 - 1,
-    from the linear relation run over residues from the same integers.
+    """A value of a Decimal-route window differs, modulo ``modulus`` (2^61 - 1
+    or the odd number below it that the check chose), from the linear
+    relation run over residues from the same integers.
 
     The Decimal route or its arithmetic went wrong at x_n, so the window must
     not be printed: a check failure, never a degeneracy.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, modulus: int):
         super().__init__(f"x_{n} of the decimal route differs from the linear relation "
-                         "modulo 2^61 - 1")
-        self.n = n
+                         f"modulo {modulus}")
+        self.n, self.modulus = n, modulus
 
 
 class NonIntegerValueError(HHRecError):

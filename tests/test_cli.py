@@ -135,7 +135,8 @@ def test_gen_corrupted_decimal_value_exits_1_and_prints_nothing(run, corrupt_dec
     assert exc.value.n == n
     code, out, err = run(*argv)
     assert (code, out) == (1, "")
-    assert err == f"error: x_{n} of the decimal route differs from the linear relation modulo 2^61 - 1\n"
+    assert err == (f"error: x_{n} of the decimal route differs from the linear relation "
+                   f"modulo {engine.GUARD_PRIME}\n")
 
 
 def test_gen_refuses_past_the_size_budget(run):
@@ -219,8 +220,10 @@ def test_gen_bfile_rows_satisfy_the_defining_recurrence(run):
     assert bad == []
 
 
-# (k, a, init, --from, --to) whose printed window holds Fractions, or reduced
-# Decimal quotients past the 4,300-digit int-to-str limit
+# (k, a, init, --from, --to) whose printed window holds Fractions, reduced
+# Decimal quotients whose residue check falls back from the guard prime,
+# which divides a denominator, or quotients past the 4,300-digit int-to-str
+# limit
 JSON_WINDOWS = {
     "inside-the-6k-block": (3, "3/2", "1/2,-4/3,5,2/7,3,-5/6,2", -2, 12),
     "guard-prime-fallback": (1, "1", f"{engine.GUARD_PRIME},1,1", -10, 20),
@@ -237,6 +240,11 @@ def test_gen_json_is_the_json_dumps_text(run, case):
     printed = engine.export_window(spec, lo, hi)
     if case == "past-digit-limit":
         assert type(printed[hi]) is engine._Quotient and len(str(printed[hi])) > 4300
+    elif case == "guard-prime-fallback":
+        fractions = spec.window().extend(lo, hi).values
+        assert all(type(v) in (Decimal, engine._Quotient) for v in printed.values)
+        assert ([tuple(map(int, engine._parts(v))) for v in printed.values]
+                == [(v.numerator, v.denominator) for v in fractions])
     else:
         assert all(type(v) is Fraction for v in printed.values)
     assert (code, err) == (0, "")
@@ -396,9 +404,12 @@ def test_verify_misuse_exits_2(run, argv):
 
 def test_verify_json_report(run, tmp_path):
     path = tmp_path / "report.json"
-    code, _, _ = run("verify", "--k", "1", "--trials", "2", "--seed", "3",
-                     "--checks", "k_ratio,detect", "--json", str(path))
-    assert code == 0
+    path.write_text("an older, longer report\n" * 1000)  # replaced, not appended to
+    # /dev/null is seekable but refuses truncate
+    for target in (str(path), os.devnull):
+        code, _, _ = run("verify", "--k", "1", "--trials", "2", "--seed", "3",
+                         "--checks", "k_ratio,detect", "--json", target)
+        assert code == 0, target
     data = json.loads(path.read_text())
     assert data["summary"]["fail"] == 0 and data["summary"]["total"] == 4
 
@@ -482,7 +493,8 @@ EVAL_GRID = {
     "k3-rational": (3, "3/2", "1/2,-4/3,5,2/7,3,-5/6,2"),
 }
 
-# (k, a, init, n): single requests past the grid
+# (k, a, init, n): single requests past the grid; the guard prime divides a
+# denominator of the "guard-prime-fallback" seed, so its check takes another modulus
 EVAL_CASES = {
     "zero": (1, "-4", "2,-1,-1", -5),                                # x_-5 = 0
     "guard-prime-fallback": (1, "1", f"{engine.GUARD_PRIME},1,1", 7),
@@ -522,17 +534,28 @@ def test_closed_form_eval_single_requests_print_the_fraction_value(run, case):
         assert out == '{"n": -5, "value": "0"}\n'
 
 
-@pytest.mark.parametrize("n,md5", [(262000, "59583800849bb6bb40fc9686ac4a3a61"),
-                                   (-262001, "cfc09abb78815a9e9f42016540c8de44")])
-def test_closed_form_eval_at_size_keeps_its_bytes(run, n, md5):
-    code, out, _ = run("closed-form", "--k", "1", "--init", "1,2,3", "--eval", str(n))
+EVAL_AT_SIZE = [("1,2,3", 262000, "59583800849bb6bb40fc9686ac4a3a61"),
+                ("1,2,3", -262001, "cfc09abb78815a9e9f42016540c8de44"),
+                # the guard prime divides a denominator: 186 bits of t per m
+                (f"{engine.GUARD_PRIME},1,1", 45096, "0d84f21f3c06408988c8d076a0939d88")]
+
+
+@pytest.mark.parametrize("init,n,md5", EVAL_AT_SIZE, ids=[f"{n}-{md5}" for _, n, md5 in EVAL_AT_SIZE])
+def test_closed_form_eval_at_size_keeps_its_bytes(run, init, n, md5):
+    code, out, _ = run("closed-form", "--k", "1", "--init", init, "--eval", str(n))
     assert code == 0 and hashlib.md5(out.encode()).hexdigest() == md5
 
 
-@pytest.mark.parametrize("init,n", [("1,1,1", n) for n in (-30, 6, 40)]
-                         + [("1,2,3", n) for n in (-30, 6, 40)],  # quotients, K = 32/3
-                         ids=["-30", "6", "40", "quotient--30", "quotient-6", "quotient-40"])
-def test_closed_form_corrupted_decimal_value_exits_1_and_prints_nothing(run, monkeypatch, init, n):
+@pytest.mark.parametrize("init,n,modulus", [
+    *(("1,1,1", n, engine.GUARD_PRIME) for n in (-30, 6, 40)),
+    *(("1,2,3", n, engine.GUARD_PRIME) for n in (-30, 6, 40)),  # quotients, K = 32/3
+    # quotients whose denominators the guard prime divides: the first odd
+    # number below it that is coprime to them and passes the base-2 test
+    *((f"{engine.GUARD_PRIME},1,1", n, engine.GUARD_PRIME - 30) for n in (-30, 6, 40)),
+], ids=["-30", "6", "40", "quotient--30", "quotient-6", "quotient-40",
+        "guard-prime--30", "guard-prime-6", "guard-prime-40"])
+def test_closed_form_corrupted_decimal_value_exits_1_and_prints_nothing(run, monkeypatch, init, n,
+                                                                        modulus):
     value = cf._decimal_value
     kind = Decimal if init == "1,1,1" else engine._Quotient
 
@@ -546,10 +569,10 @@ def test_closed_form_corrupted_decimal_value_exits_1_and_prints_nothing(run, mon
     argv = ["closed-form", "--k", "1", "--init", init, "--eval", str(n)]
     with pytest.raises(ResidueMismatchError) as exc:
         cli.cmd_closed_form(cli.build_parser().parse_args(argv))
-    assert exc.value.n == n
+    assert (exc.value.n, exc.value.modulus) == (n, modulus)
     code, out, err = run(*argv)
     assert (code, out) == (1, "")
-    assert err == f"error: x_{n} of the decimal route differs from the linear relation modulo 2^61 - 1\n"
+    assert err == f"error: x_{n} of the decimal route differs from the linear relation modulo {modulus}\n"
 
 
 def test_closed_form_requires_mode_flag(run):

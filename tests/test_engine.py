@@ -1,4 +1,5 @@
 import decimal
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -802,12 +803,26 @@ def test_every_window_past_6k_takes_the_decimal_route():
         assert all(type(v) is Decimal for v in w.values if _pair(v)[1] == 1)
 
 
-def test_a_multiple_of_the_guard_prime_in_a_denominator_keeps_the_fraction_window():
-    # x_3 = 3/p: the residue check cannot invert p modulo itself
+def test_a_multiple_of_the_guard_prime_in_a_denominator_takes_the_decimal_route():
+    # x_3 = 3/p: the residue check cannot invert p modulo itself, so it takes
+    # the first odd modulus below p that is coprime to the denominators
     spec = RecurrenceSpec.numeric(1, 1, [engine.GUARD_PRIME, 1, 1])
+    assert engine._guard_residues(spec.window().extend(0, 5).values)[0] == engine.GUARD_PRIME - 30
     w = export_window(spec, -10, 20)
-    assert w == spec.window().extend(-10, 20)
-    assert all(type(v) is Fraction for v in w.values)
+    assert all(type(v) in (Decimal, engine._Quotient) for v in w.values)
+    assert [_pair(v) for v in w.values] == [_pair(v) for v in spec.window().extend(-10, 20).values]
+
+
+def test_the_guard_modulus_is_coprime_to_every_denominator():
+    p = engine.GUARD_PRIME
+    assert engine._guard_residues([Fraction(3, 7), Fraction(-2)]) == (p, [3 * pow(7, -1, p) % p, p - 2])
+    # p - 30, the first odd number below p to pass the base-2 test, divides a
+    # denominator too, so the modulus steps on to the next that passes
+    values = [Fraction(1, p * (p - 30)), Fraction(5, p)]
+    q, residues = engine._guard_residues(values)
+    assert q < p - 30 and q % 2 == 1 and pow(2, q - 1, q) == 1
+    assert all(math.gcd(v.denominator, q) == 1 for v in values)
+    assert residues == [v.numerator * pow(v.denominator, -1, q) % q for v in values]
 
 
 _CORRUPTED = [-20, -1, 6, 20]  # values the relation builds
@@ -825,13 +840,16 @@ _WIDER_SEEDS = {
     *((1, [Fraction(1, 2), Fraction(-4, 3), 5], n) for n in _CORRUPTED),
     # the window's ends and the first value past the block on each side
     *((k, init, n) for (k, _), init in _WIDER_SEEDS.items() for n in (-20, -1, 6 * k, 20)),
+    # checked modulo GUARD_PRIME - 30, as the guard prime divides K's denominator
+    *((1, [engine.GUARD_PRIME, 1, 1], n) for n in _CORRUPTED),
 ], ids=[*map(str, _CORRUPTED), *(f"{family}-seed-{n}" for family in ("integer", "rational")
                                  for n in _CORRUPTED),
-        *(f"k{k}-{family}-{n}" for k, family in _WIDER_SEEDS for n in (-20, -1, 6 * k, 20))])
+        *(f"k{k}-{family}-{n}" for k, family in _WIDER_SEEDS for n in (-20, -1, 6 * k, 20)),
+        *(f"guard-prime-seed-{n}" for n in _CORRUPTED)])
 def test_a_corrupted_decimal_value_fails_the_residue_check(corrupt_decimal_at, k, init, n):
     spec = RecurrenceSpec.numeric(k, 1, init)
-    # all ones: integer values; any other seed: the corrupted value is a quotient
-    kind = Decimal if init == [1] * (2 * k + 1) else engine._Quotient
+    # an integer is a Decimal, any other value a quotient
+    kind = Decimal if spec.window().extend(n, n)[n].denominator == 1 else engine._Quotient
     assert type(export_window(spec, -20, 20)[n]) is kind
     corrupt_decimal_at(n)
     with pytest.raises(ResidueMismatchError) as exc:
