@@ -5,7 +5,8 @@ quantity, optionally via all four routes), ``verify`` (randomized identity
 campaigns), ``closed-form`` (Chebyshev coefficients / evaluation), and
 ``detect`` (minimal linear recurrence of a sequence).
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 degenerate input.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 degenerate input,
+141 (128 + SIGPIPE) when the reader of stdout closes it early.
 All numbers in JSON output are canonical rational strings, never floats.
 """
 
@@ -14,8 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
-from fractions import Fraction
 
 from . import closed_form as cf
 from . import invariants as inv
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE, as a shell reports `yes | head`
 
 # closed-form --eval refuses |m| * (bits(p) + bits(q)) past this, t = p/q and
 # m = n // 2k: about the bit size of the integers the Lucas doubling builds.
@@ -55,11 +57,11 @@ EVAL_BIT_BUDGET = 2 ** 25
 # gen refuses a window [lo, hi] whose sum of |n // 2k| * (bits(p) + bits(q))
 # passes this, t = (K-1)/2 = p/q: about the total bits of the iterates it
 # would build.  k = 1 with the all-ones seed to n = 16000 estimates 3.8e8.
-# At the bound, the all-ones seed to n = 26754 (t = 13/2) takes about 2.0 s
-# and the seed 1, 2, 3 to n = 23170 (t = 29/6, K = 32/3) about 3.6 s, with
-# 204 and 273 MiB peak memory; the first as json takes 2.1 s and 205 MiB,
-# and the seed 2^61 - 1, 1, 1 to n = 4805 4.7 s and 598 MiB (csv and json,
-# Python 3.11.7, 2-core Intel Xeon VM)
+# At the bound, the all-ones seed to n = 26754 (t = 13/2) takes about 1.3 s
+# and the seed 1, 2, 3 to n = 23170 (t = 29/6, K = 32/3) about 2.4 s, with
+# 103 and 130 MiB peak memory, and the seed 2^61 - 1, 1, 1 to n = 4805 5.0 s
+# and 156 MiB (csv and json alike, output read from a pipe, Python 3.11.7,
+# 2-core Intel Xeon VM)
 GEN_BIT_BUDGET = 2 ** 30
 
 
@@ -67,29 +69,12 @@ class UsageError(Exception):
     pass
 
 
-def _parse_init(text: str, k: int) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    try:
-        values = tuple(parse_rational(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    if len(values) != 2 * k + 1:
-        raise UsageError(f"--init needs exactly 2k+1 = {2 * k + 1} values, got {len(values)}")
-    return values
-
-
 def _numeric_spec(args) -> RecurrenceSpec:
     if args.init is None:
         raise UsageError("--init is required in numeric mode")
-    init = _parse_init(args.init, args.k)
     try:
-        a = parse_rational("1" if args.a is None else args.a)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        return RecurrenceSpec(args.k, a, init)
+        init = [parse_rational(p) for p in args.init.split(",") if p.strip()]
+        return RecurrenceSpec(args.k, parse_rational("1" if args.a is None else args.a), init)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -124,22 +109,23 @@ def _generated_rows(args, printed: bool = False) -> list:
 
 
 def cmd_gen(args) -> int:
-    # piece by piece, so the whole text is never held at once
+    # row by row, so the whole text is never held at once
     sys.stdout.writelines(render_pieces(_generated_rows(args, printed=True), args.format))
     return EXIT_OK
 
 
 def cmd_invariant(args) -> int:
     if args.symbolic:
-        if args.k < 1:
-            raise UsageError(f"--k must be >= 1, got {args.k}")
         if args.init is not None:
             raise UsageError("--symbolic computes the generic breakdown; drop --init")
         if args.a is not None:
             raise UsageError("--symbolic keeps a as a variable; drop --a")
         if args.all_routes:
             raise UsageError("--all-routes is numeric-only")
-        spec = RecurrenceSpec.symbolic(args.k)
+        try:
+            spec = RecurrenceSpec.symbolic(args.k)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         out = {"k": args.k, "symbolic": True, **inv.k_formula(spec).to_json_dict()}
         print(json.dumps(out, indent=2))
         return EXIT_OK
@@ -298,7 +284,7 @@ def _detect_args(p) -> None:
     p.add_argument("--gen", action="store_true",
                    help="generate the sequence from --k/--a/--init/--from/--to instead")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--a", default="1")
+    p.add_argument("--a", default=None)
     p.add_argument("--init", default=None)
     p.add_argument("--from", dest="from_", type=int, default=0)
     p.add_argument("--to", type=int, default=None)
@@ -341,7 +327,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: let that go to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

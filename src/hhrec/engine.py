@@ -554,28 +554,30 @@ def window_rows(w: SequenceWindow, lo: int | None = None, hi: int | None = None)
 
 
 def render_pieces(rows: Sequence[tuple[int, object]], form: str) -> Iterator[str]:
-    """The text of ``render_<form>(rows)`` in pieces of at most 4,096 rows, so
-    that a writer holds one piece at a time.  For a b-file, every value is
-    checked to be an integer before the first piece.
+    """The text of ``render_<form>(rows)`` as the head, one string per row
+    and, for JSON, the closing bracket, so that a writer holds one row's text
+    at a time.  For a b-file, every value is checked to be an integer before
+    the head.
 
     A JSON row is written as ``json.dumps`` writes the dict {"n": n, "value":
-    text}: the canonical text of a value has no character JSON escapes."""
+    text}, with ", " in front of every row after the first: the canonical
+    text of a value has no character JSON escapes."""
     if form == "bfile":
         for n, v in rows:
             # Decimal values are integers by construction; a Laurent polynomial has no denominator
             if not isinstance(v, Decimal) and getattr(v, "denominator", None) != 1:
                 raise NonIntegerValueError(f"value at n={n} is not an integer: {format_rational(v)}")
     yield {"csv": "n,value\n", "json": "[", "bfile": ""}[form]
-    for i in range(0, len(rows), 4096):
-        piece = rows[i:i + 4096]
-        if form == "json":
-            yield (", " if i else "") + ", ".join(f'{{"n": {n}, "value": "{format_rational(v)}"}}'
-                                                  for n, v in piece)
-        else:
-            sep = "," if form == "csv" else " "
-            yield "".join(f"{n}{sep}{format_rational(v)}\n" for n, v in piece)
     if form == "json":
+        comma = ""
+        for n, v in rows:
+            yield f'{comma}{{"n": {n}, "value": "{format_rational(v)}"}}'
+            comma = ", "
         yield "]\n"
+    else:
+        sep = "," if form == "csv" else " "
+        for n, v in rows:
+            yield f"{n}{sep}{format_rational(v)}\n"
 
 
 def render_csv(rows: Sequence[tuple[int, object]]) -> str:

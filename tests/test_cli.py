@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -166,7 +167,7 @@ def test_gen_bfile_non_integer_exits_3(run):
 
 
 def test_gen_bfile_checks_every_value_before_the_first_piece(run, monkeypatch):
-    # the one non-integer value comes after the first piece of 4,096 rows
+    # the one non-integer value is the last of 5,001 rows
     rows = [(n, Fraction(n)) for n in range(5000)] + [(5000, Fraction(1, 2))]
     monkeypatch.setattr(cli, "_generated_rows", lambda args, printed=False: rows)
     code, out, err = run("gen", "--k", "1", "--init", "1,1,1", "--to", "5000", "--format", "bfile")
@@ -174,7 +175,7 @@ def test_gen_bfile_checks_every_value_before_the_first_piece(run, monkeypatch):
 
 
 def _one_piece(rows, form: str) -> str:
-    """The whole text rendered at once, as gen rendered it before it wrote in pieces."""
+    """The whole text rendered at once, with json.dumps for JSON."""
     if form == "json":
         return json.dumps([{"n": n, "value": format_rational(v)} for n, v in rows]) + "\n"
     sep = "," if form == "csv" else " "
@@ -184,7 +185,7 @@ def _one_piece(rows, form: str) -> str:
 
 # the Decimal route over 6,001 rows of integers, over 4,201 rows whose
 # values are no integers and so have no b-file, and over 601 rows of a
-# rational a and seed, one piece long
+# rational a and seed
 @pytest.mark.parametrize("k,a,init,lo,hi,form", [
     *((3, 1, "1,1,1,1,1,1,1", -3000, 3000, form) for form in ("csv", "json", "bfile")),
     *((2, 1, "2,-3,5,7,1", -2100, 2100, form) for form in ("csv", "json")),
@@ -198,9 +199,18 @@ def test_gen_writes_the_one_piece_text_in_pieces(run, k, a, init, lo, hi, form):
     assert (code, err) == (0, "")
     same = out == _one_piece(rows, form)  # a bool: pytest's diff of megabytes takes minutes
     assert same
-    # a head, a piece per 4,096 rows and, for JSON, the closing bracket
-    pieces = 1 + -(-len(rows) // 4096) + (form == "json")
-    assert len(list(engine.render_pieces(rows, form))) == pieces
+    # the head, then one string per row holding that row's text alone, then
+    # for JSON the closing bracket
+    pieces = list(engine.render_pieces(rows, form))
+    head, tail = {"csv": ("n,value\n", []), "json": ("[", ["]\n"]), "bfile": ("", [])}[form]
+    assert pieces[0] == head and pieces[len(rows) + 1:] == tail
+    sep = "," if form == "csv" else " "
+    for i, ((n, v), piece) in enumerate(zip(rows, pieces[1:len(rows) + 1])):
+        text = format_rational(v)
+        if form == "json":
+            assert piece == (", " if i else "") + json.dumps({"n": n, "value": text})
+        else:
+            assert piece == f"{n}{sep}{text}\n"
 
 
 def test_gen_bfile_rows_satisfy_the_defining_recurrence(run):
@@ -681,6 +691,24 @@ def test_gen_invalid_k_exits_2(run):
                     ("detect", "--gen", "--to", "3", "--max-order", "4")):
         code, _, err = run(*command, "--k", "-1", "--init", "1")
         assert code == 2 and "k must be >= 1" in err, command
+    # RecurrenceSpec's own texts: a seed of the wrong length, and a symbolic k < 1
+    for argv, text in ((("gen", "--k", "1", "--init", "1,2", "--to", "3"),
+                        "error: need 2k+1 = 3 initial values, got 2\n"),
+                       (("invariant", "--symbolic", "--k", "0"), "error: k must be >= 1\n")):
+        assert run(*argv)[::2] == (2, text), argv
+
+
+def test_gen_into_a_reader_that_closes_early_exits_141():
+    # about 2.5 MB of csv, far more than a pipe buffer holds
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from hhrec.cli import main; sys.exit(main())",
+         "gen", "--k", "1", "--init", "1,1,1", "--to", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert child.stdout.read(100).startswith(b"n,value\n0,1\n1,1\n2,1\n3,")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=60), err) == (141, b"")
 
 
 def test_gen_from_after_to_exits_2(run):

@@ -19,6 +19,7 @@ from hhrec.errors import (
     DegenerateDenominatorError,
     DegenerateInputError,
     SingularDeltaError,
+    SingularSystemError,
     ZeroAlphaError,
     ZeroPivotError,
 )
@@ -468,6 +469,13 @@ def test_inhom_relation_defining_property():
     assert w[2] + c.eta * w[1] + c.zeta * w[0] - c.epsilon == 0
     # the fourth bordered column obeys the same relation
     assert w[8] + c.eta * w[7] + c.zeta * w[6] - c.epsilon == 0
+
+
+def test_inhom_coeffs_on_a_constant_window_is_singular():
+    # every column (1, -x_m, -x_{m+1}) of a constant window is (1, -1, -1)
+    spec = RecurrenceSpec.numeric(1, 1, [1, 1, 1])
+    with pytest.raises(SingularSystemError, match=r"^order-2 relation solve is singular at n=0$"):
+        inhom_coeffs(raw_window(spec, 0, [1] * 8), 0, spec.K)
 
 
 def test_inhom_coeffs_2k_invariant():
