@@ -97,7 +97,7 @@ def _generated_rows(args, printed: bool = False) -> list:
     if lo > hi:
         raise UsageError(f"--from {lo} exceeds --to {hi}")
     w_lo, w_hi = min(lo, 0), max(hi, 2 * args.k)
-    if all(spec.init):  # a zero seed value raises ZeroPivotError while stepping
+    if all(spec.init):  # a zero seed value raises ZeroPivotError in the block build
         t = (spec.K - 1) / 2
         height = t.numerator.bit_length() + t.denominator.bit_length()
         estimate = _quotient_sum(w_lo, w_hi, 2 * args.k) * height

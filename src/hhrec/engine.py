@@ -10,22 +10,24 @@ mode every division goes through Laurent exact division and a failure aborts
 with :class:`LaurentViolationError` (it would disprove the Laurent property,
 so it must never be silent).
 
-This nonlinear step is the definition, and builds every window until it
-holds 6k consecutive values.  Numeric windows then continue with the linear
-relation x[n+6k] = K (x[n+4k] - x[n+2k]) + x[n], with K from the explicit
-formula on the seed, run over scaled integers so that no step takes a gcd;
-outputs and zero-pivot errors are those of the nonlinear step.
+This nonlinear step is the definition.  It builds one fixed block of each
+numeric spec, [-2k, 4k] (``RecurrenceSpec.block``), dividing by seed values
+only; every other value comes from the linear relation x[n+6k] = K (x[n+4k]
+- x[n+2k]) + x[n], with K from the explicit formula on the seed, run over
+scaled integers so that no step takes a gcd.  The relation divides by
+nothing: where the nonlinear step would divide by a zero iterate, it gives
+the value of x_n as a Laurent polynomial in the seed and a.
 
 Windows of the generic seed (``RecurrenceSpec.symbolic(k)``, the general
 solution) take the same relation over Laurent polynomials once they leave
 the centred block [-3k, 3k].  The nonlinear step builds that block, at most
-3k steps from the seed, and a certificate is checked on it once per spec
-(``RecurrenceSpec.certified_block``): (a) K after one map step is K, and
+3k steps from the seed, and a certificate is checked on it once per spec,
+when a request first leaves it: (a) K after one map step is K, and
 (b) the relation holds at n = -3k.  As x_j(phi^m X) = x_{j+m}(X), the
 residual at -3k pulled back through m map steps is the residual at m - 3k
 with the same K by (a), so (b) gives the relation at every n; a failure
-raises :class:`CertificateError`.  Requests inside the block, and every
-other symbolic seed, use the nonlinear step throughout.
+raises :class:`CertificateError`.  Requests inside a block build by the
+nonlinear step, and every other symbolic seed uses it throughout.
 
 ``export_window`` builds the windows that ``gen`` prints.  Past the 6k
 values the relation starts from, it runs the same scaled relation over
@@ -127,10 +129,13 @@ class RecurrenceSpec:
         return k_breakdown(self.init, self.a).K
 
     @cached_property
-    def certified_block(self) -> "SequenceWindow | None":
-        """The generic seed's [-3k, 3k] by the nonlinear step once the certificate
-        holds, (b) and then (a) of the module docstring; None for other seeds.
-        A failed piece raises CertificateError naming it, which is not cached."""
+    def block(self) -> "SequenceWindow | None":
+        """The nonlinear step's window that the relation continues: a numeric
+        seed's [-2k, 4k]; the generic seed's [-3k, 3k] once (b) and then (a)
+        of the module docstring hold, else CertificateError naming the failed
+        piece, which is not cached; None for other symbolic seeds."""
+        if not self.symbolic_mode:
+            return self.window()._grown(-2 * self.k, 4 * self.k, linear=False)
         if self != RecurrenceSpec.symbolic(self.k):
             return None
         from .invariants import k_after_phi, linear_relation_residual  # deferred, as in K
@@ -193,10 +198,10 @@ class SequenceWindow:
     def extend(self, new_lo: int | None = None, new_hi: int | None = None) -> "SequenceWindow":
         """Enlarge to [new_lo, new_hi] by forward and backward steps.
 
-        A window of the generic seed that leaves [-3k, 3k] continues itself,
-        filled out by the spec's certified block where it does not reach
-        that far.  Symbolic windows stop at |n| <= 6k + 6:
-        their term counts grow steeply.
+        A request that leaves the block, [-2k, 4k] if numeric, [-3k, 3k] if
+        symbolic, is joined with ``spec.block`` and continued by the linear
+        relation; others take the nonlinear step.  Symbolic windows stop at
+        |n| <= 6k + 6: their term counts grow steeply.
         """
         if self.raw:
             raise ValueError("raw windows are not solutions and cannot be extended")
@@ -208,9 +213,10 @@ class SequenceWindow:
             cap = 6 * k + 6
             if new_lo < -cap or new_hi > cap:
                 raise ValueError(f"symbolic window [{new_lo}, {new_hi}] exceeds cap |n| <= {cap}")
-        w, linear = self, not spec.symbolic_mode
-        if not linear and (new_lo < -3 * k or new_hi > 3 * k):
-            block = spec.certified_block  # certifies, or raises, before any value is built
+        b = 3 * k if spec.symbolic_mode else 2 * k  # the block is [-b, 6k - b]
+        w, linear = self, False
+        if new_lo < -b or new_hi > 6 * k - b:
+            block = spec.block  # built, and certified or refused, before any value
             if block is not None:
                 # both hold [0, 2k], so their union is one window of the solution
                 lo, hi = min(self.lo, block.lo), max(self.hi, block.hi)
@@ -278,15 +284,16 @@ def _step(block: Sequence, a, pivot: int, target: int):
 
 def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -> None:
     """Append ``count`` iterates to ``seq``, a window in stepping order whose
-    j-th entry is x_{index(j)}.
+    j-th entry is x_{index(j)}: by ``_step`` alone, or, if ``linear`` is set,
+    by the linear relation alone.  From [0, 2k] to the block [-2k, 4k],
+    ``_step`` divides by seed values only: x_0..x_{2k-1} forward, x_{2k}..x_1
+    backward.
 
-    ``_step`` builds the values until ``seq`` holds 6k of them, and
-    throughout unless ``linear`` is set.  Past that, the linear relation
-    x[j] = K (x[j-2k] - x[j-4k]) + x[j-6k], which has this form in both
-    stepping directions, continues from the last 6k values in ``seq``.  A
-    window of Fractions runs it over the integers y[j] = D Q^(j // 2k) x[j];
-    here K = P/Q, j counts from the first of those 6k values, and D is the
-    lcm of their denominators:
+    The relation x[j] = K (x[j-2k] - x[j-4k]) + x[j-6k], which has this form
+    in both stepping directions, continues from the last 6k values in
+    ``seq``, and divides by nothing.  A window of Fractions runs it over the
+    integers y[j] = D Q^(j // 2k) x[j]; here K = P/Q, j counts from the
+    first of those 6k values, and D is the lcm of their denominators:
 
         y[j] = P (y[j-2k] - Q y[j-4k]) + Q^3 y[j-6k]
 
@@ -298,18 +305,13 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
     is ``_reduced(y[j], D Q^(j // 2k))``, or y[j] itself when D = Q = 1.
     A symbolic window, whose K is a Laurent polynomial, runs them with P = K
     and Q = D = 1, so y is x itself.
-    Each step first tests the value ``_step`` would divide by, so a zero
-    pivot raises ZeroPivotError at the same index on every route.
     """
-    k, order = spec.k, spec.order
-    end = len(seq) + count
-    while len(seq) < end and (not linear or len(seq) < 6 * k):
-        j = len(seq)
-        seq.append(_step(seq[-order:], spec.a, index(j - order), index(j)))
-    if len(seq) == end:
+    k, order, first = spec.k, spec.order, len(seq)
+    if not linear:
+        for j in range(first, first + count):
+            seq.append(_step(seq[-order:], spec.a, index(j - order), index(j)))
+    if not linear or not count:
         return
-    # 6k values built around [0, 2k] have used every seed value as a divisor,
-    # so none is zero and the formula is defined
     K = spec.K
     start = seq[-6 * k:]
     if spec.symbolic_mode:
@@ -332,12 +334,9 @@ def _iterate(seq: list, spec: RecurrenceSpec, count: int, index, linear: bool) -
             p, q, scale = Decimal(p), Decimal(q), Decimal(scale)
         scale *= q ** 2  # the scale of y[4k..6k-1]
     q3, unit = q ** 3, q == 1
-    pivot, two, four = 6 * k - order, 2 * k, 4 * k
-    first = len(seq)
-    for j in range(first, end):
+    two, four = 2 * k, 4 * k
+    for j in range(first, first + count):
         # y holds the scaled x_{index(j-6k)}..x_{index(j-1)}
-        if not y[pivot]:
-            raise ZeroPivotError(index(j - order))
         # with Q = 1 the products by Q would only copy y
         y.append(p * (y[four] - y[two]) + y[0] if unit
                  else p * (y[four] - q * y[two]) + q3 * y[0])
@@ -502,23 +501,23 @@ def check_reversibility(spec: RecurrenceSpec) -> bool:
 def export_window(spec: RecurrenceSpec, lo: int, hi: int) -> SequenceWindow:
     """The window [lo, hi] of a numeric spec, lo <= 0 and hi >= 2k, to be printed.
 
-    Its values are those of ``spec.window().extend(lo, hi)``, built in the
-    same order, so a zero pivot raises at the same index.  When the window
-    leaves the 6k values the relation starts from, the relation runs over
-    Decimal integers y and each value is y/s reduced (``_reduced``): a
-    Decimal for an integer, else a ``_Quotient``.  ``_check_residues``
-    checks each value before it returns, for every seed.
+    Its values are those of ``spec.window().extend(lo, hi)``.  The 6k values
+    the relation starts from are Fractions of that window; past them,
+    ``_grown`` runs the relation over Decimal integers y, never mixing in a
+    Fraction, and each value is y/s reduced (``_reduced``): a Decimal for an
+    integer, else a ``_Quotient``.  ``_check_residues`` checks each value
+    before it returns, for every seed.
 
-    The window is for printing.  Extending a rational one restarts the
-    relation from its last 6k values and converts their Decimal
-    denominators back to ints, in time quadratic in the digits; to print a
-    wider window, extend ``spec.window()`` and export that instead.
+    The window is for printing.  Extending it joins it with the spec's
+    Fraction block, and a rational one converts its Decimal denominators
+    back to ints, in time quadratic in the digits; to print a wider window,
+    extend ``spec.window()`` and export that instead.
     """
     k = spec.k
     block = spec.window().extend(max(lo, min(0, hi - 6 * k + 1)), min(hi, 6 * k - 1))
     if block.covers(lo, hi):
-        return block.extend(lo, hi)
-    w = SequenceWindow(spec, block.lo, tuple(map(_printable, block.values))).extend(lo, hi)
+        return block
+    w = SequenceWindow(spec, block.lo, tuple(map(_printable, block.values)))._grown(lo, hi, True)
     _check_residues(w, block)
     return w
 

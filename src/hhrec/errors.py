@@ -82,7 +82,7 @@ class DegenerateInputError(HHRecError):
 
 
 class ZeroPivotError(DegenerateInputError):
-    """A division by a zero iterate (or zero initial value) in numeric mode."""
+    """A division by a zero iterate or seed value: the nonlinear step's or a formula's."""
 
     def __init__(self, n: int, what: str = "iterate"):
         super().__init__(f"zero {what} x_{n} used as a divisor")

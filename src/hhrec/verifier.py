@@ -15,10 +15,10 @@ Python versions.  The per-trial substream is seeded with
 ``mix64(seed XOR (trial+1) * 0xBF58476D1CE4E5B9)``; resample attempt i uses
 the (i+1)-th spec drawn from that substream.
 
-Degenerate seeds (zero pivot, vanishing Wronskian, equal endpoints in the
-ratio route, t in {0, 1}) are never silently passed: the trial is resampled
-up to ``max_resamples`` times and, if the degeneracy persists, recorded as
-``skipped-degenerate``.
+Degenerate seeds (a zero divisor of a check's own steps, vanishing Wronskian,
+equal endpoints in the ratio route, t in {0, 1}) are never silently passed:
+the trial is resampled up to ``max_resamples`` times and, if the degeneracy
+persists, recorded as ``skipped-degenerate``.
 """
 
 from __future__ import annotations

@@ -26,6 +26,24 @@ def certificate_runs(monkeypatch) -> list:
     return runs
 
 
+_GENERIC_WINDOWS = {}  # k -> the generic seed's window, extended as requests need
+
+
+@pytest.fixture
+def laurent_route():
+    """Call with a numeric spec and a range [lo, hi] with |n| <= 6k + 6: the
+    tuple x_lo..x_hi of the generic seed's Laurent polynomials evaluated at
+    the spec's seed and a.  It divides by seed values only, so it gives the
+    iterates through every zero pivot."""
+    def route(spec, lo, hi):
+        k = spec.k
+        w = _GENERIC_WINDOWS.get(k) or engine.RecurrenceSpec.symbolic(k).window()
+        w = _GENERIC_WINDOWS[k] = w.extend(lo, hi)
+        point = [*spec.init, spec.a]
+        return tuple(w[n].substitute(point) for n in range(lo, hi + 1))
+    return route
+
+
 @pytest.fixture
 def corrupt_decimal_at(monkeypatch):
     """Call with an index n: from then on, each x_n that the relation builds

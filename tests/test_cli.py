@@ -72,9 +72,26 @@ def test_gen_zero_denominator_exits_2(run, argv):
     assert code == 2 and "zero denominator" in err
 
 
-def test_gen_zero_pivot_exits_3(run):
-    code, _, err = run("gen", "--k", "1", "--a", "1", "--init", "1,2,-1", "--to", "9")
-    assert code == 3
+def test_gen_zero_pivot_exits_0(run, laurent_route):
+    # x_6 = 0, which the recurrence's step to x_9 would divide by
+    code, out, err = run("gen", "--k", "1", "--a", "1", "--init", "1,2,-1", "--to", "9")
+    spec = engine.RecurrenceSpec.numeric(1, 1, [1, 2, -1])
+    assert (code, err) == (0, "") and "\n6,0\n" in out
+    assert engine.parse_sequence(out) == list(zip(range(0, 10), laurent_route(spec, 0, 9)))
+
+
+def test_commands_go_through_a_zero_pivot(run):
+    # x_3 = 0 divides the recurrence's steps to x_7 and x_-1
+    seed = ("--k", "1", "--a=-2", "--init=-3,-2,1")
+    code, out, err = run("gen", *seed, "--from", "-5", "--to", "10")
+    assert (code, err) == (0, "") and out.endswith("\n3,0\n4,1\n5,-2\n6,-3\n7,16\n8,37\n9,-162\n10,-359\n")
+    for n, value in engine.parse_sequence(out):
+        code, text, _ = run("closed-form", *seed, "--eval", str(n))
+        assert (code, json.loads(text)) == (0, {"n": n, "value": format_rational(value)})
+    code, out, _ = run("invariant", *seed, "--all-routes")
+    assert (code, json.loads(out)["K"], json.loads(out)["agreement"]) == (0, "-9", True)
+    code, out, _ = run("detect", "--gen", *seed, "--to", "30", "--max-order", "6")
+    assert (code, json.loads(out)) == (0, {"order": 6, "charpoly": ["1", "0", "9", "0", "-9", "0", "-1"]})
 
 
 @pytest.mark.parametrize("init,window,pivot", [
@@ -82,9 +99,17 @@ def test_gen_zero_pivot_exits_3(run):
     ("2,-1,1", ("--from", "-7", "--to", "2"), -4),
     ("0,1,1", ("--to", "3"), 0),             # a zero seed value skips the size budget
 ])
-def test_gen_zero_pivot_names_its_index(run, init, window, pivot):
+def test_gen_zero_pivot_names_its_index(run, laurent_route, init, window, pivot):
+    """A zero seed value exits 3 naming it; a zero iterate x_pivot, which
+    the recurrence would divide by, prints as 0 among the Laurent values."""
     code, out, err = run("gen", "--k", "1", "--a", "1", "--init", init, *window)
-    assert (code, out, err) == (3, "", f"degenerate input: zero iterate x_{pivot} used as a divisor\n")
+    if pivot in range(3):
+        assert (code, out, err) == (3, "", f"degenerate input: zero iterate x_{pivot} used as a divisor\n")
+        return
+    spec = engine.RecurrenceSpec.numeric(1, 1, [int(v) for v in init.split(",")])
+    rows = engine.parse_sequence(out)
+    assert (code, err) == (0, "") and f"\n{pivot},0\n" in out
+    assert rows == list(zip(range(rows[0][0], rows[-1][0] + 1), laurent_route(spec, rows[0][0], rows[-1][0])))
 
 
 # (k, a, init, --from, --to): windows whose K and 6k start values are integers
@@ -97,6 +122,11 @@ DECIMAL_ROUTE = {
     "shorter-than-6k": (3, "1", "1,1,1,1,1,1,1", -2, 10),
     "from-100": (2, "1", "1,1,1,1,1", 100, 130),
     "past-digit-limit": (1, "1000000", "1,1,1", -720, 720),
+    # seeds whose windows hold zero pivots, once refused: each zero prints as 0
+    "zero-pivots": (1, "2", "-3,2,-1", -40, 60),
+    "zero-pivots-backward": (1, "2", "-2,2,-1", -60, 2),
+    "zero-pivots-k2": (2, "1", "-2,1,1,1,2", -40, 60),
+    "zero-pivots-closed-form": (1, "-2", "-3,-2,1", -40, 60),
 }
 
 
@@ -119,9 +149,13 @@ def test_gen_decimal_route_prints_the_binary_window(run, case, form):
     (2, "1", "-2,1,1,1,2", ("--from", "-3", "--to", "14"), 9),
     (2, "1", "-2,1,1,1,2", ("--from", "-6", "--to", "11"), -1),
 ])
-def test_gen_zero_pivot_on_the_decimal_route_names_its_index(run, k, a, init, window, pivot):
+def test_gen_zero_pivot_on_the_decimal_route_names_its_index(run, laurent_route, k, a, init, window, pivot):
+    # x_pivot = 0 divides the recurrence's step to --from when pivot < 0, else to --to
     code, out, err = run("gen", "--k", str(k), "--a", a, f"--init={init}", *window)
-    assert (code, out, err) == (3, "", f"degenerate input: zero iterate x_{pivot} used as a divisor\n")
+    spec = engine.RecurrenceSpec.numeric(k, int(a), [int(v) for v in init.split(",")])
+    lo, hi = int(window[1]), int(window[3])
+    assert (code, err) == (0, "") and f"\n{pivot},0\n" in out
+    assert engine.parse_sequence(out) == list(zip(range(lo, hi + 1), laurent_route(spec, lo, hi)))
 
 
 @pytest.mark.parametrize("init,n", [("1,1,1", n) for n in (-30, 6, 40)]

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -88,12 +89,16 @@ def test_forward_backward_round_trip():
         assert redone[j] == w[w.hi - 4 + j]
 
 
-def test_zero_pivot_carries_index():
-    # x_6 = 0 for this seed, so the step computing x_9 divides by zero
+def test_zero_pivot_carries_index(laurent_route):
+    # x_6 = 0 for this seed: phi's step from (x_6, x_7, x_8) to x_9 divides
+    # by it and names it as its point's x_0, and the window goes on with the
+    # Laurent values
     spec = RecurrenceSpec.numeric(1, 1, [1, 2, -1])
+    w = spec.window().extend(new_hi=9)
+    assert w[6] == 0 and w.values == laurent_route(spec, 0, 9)
     with pytest.raises(ZeroPivotError) as err:
-        spec.window().extend(new_hi=9)
-    assert err.value.n == 6
+        phi(w.values[6:9], spec.a, 1)
+    assert err.value.n == 0
 
 
 def test_xi_residual_examples():
@@ -278,17 +283,33 @@ EXTENSIONS = {
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_linear_route_equals_step_only_build(k, family, shape):
     rng = SplitMix64(1000 * k + len(family) + len(shape))
-    w = None
-    while w is None:
+    want = None
+    while want is None:
         spec = _draw(rng, family, k)
-        try:
-            w = spec.window()
-            for lo, hi in EXTENSIONS[shape](k):
-                w = w.extend(lo, hi)
+        w = spec.window()
+        for lo, hi in EXTENSIONS[shape](k):
+            w = w.extend(lo, hi)
+        try:  # the nonlinear step stops at a zero pivot, which the relation passes
+            want = _step_only(spec, w.lo, w.hi)
         except ZeroPivotError:
-            w = None
-    assert w.values == _step_only(spec, w.lo, w.hi)
+            continue
+    assert w.values == want
     assert all(type(v) is Fraction for v in w.values)
+
+
+@pytest.mark.parametrize("shape", EXTENSIONS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_step_builds_no_numeric_value_outside_the_block(k, shape, monkeypatch):
+    targets = []
+    step = engine._step
+    monkeypatch.setattr(engine, "_step", lambda block, a, pivot, target:
+                        targets.append(target) or step(block, a, pivot, target))
+    spec = RecurrenceSpec.numeric(k, 2, [1, -1, 2, 3, -2, 1, 3][:2 * k + 1])
+    w = spec.window()
+    for lo, hi in EXTENSIONS[shape](k):
+        w = w.extend(lo, hi)
+        export_window(spec, min(w.lo, 0), w.hi)
+    assert targets and all(-2 * k <= n <= 4 * k for n in targets)
 
 
 @pytest.mark.parametrize("init,hi,lo,pivot", [
@@ -298,14 +319,22 @@ def test_linear_route_equals_step_only_build(k, family, shape):
     ([1, -1, 2], 9, None, 6),   # x_6 = 0 comes from the linear relation
     ([2, -1, 1], None, -7, -4),  # x_-4 = 0 comes from the linear relation
 ])
-def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
+def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot, laurent_route):
+    """A zero seed value raises at its index in extend, export_window and the
+    maps.  A zero iterate x_pivot raises only in the maps: the windows hold
+    it as 0 among the Laurent values."""
     spec = RecurrenceSpec.numeric(1, 1, init)
-    with pytest.raises(ZeroPivotError) as by_extend:
-        spec.window().extend(new_lo=lo, new_hi=hi)
-    assert by_extend.value.n == pivot
-    with pytest.raises(ZeroPivotError) as by_export:
-        export_window(spec, lo or 0, hi or 2)
-    assert by_export.value.n == pivot
+    if pivot in range(3):
+        with pytest.raises(ZeroPivotError) as by_extend:
+            spec.window().extend(new_lo=lo, new_hi=hi)
+        assert by_extend.value.n == pivot
+        with pytest.raises(ZeroPivotError) as by_export:
+            export_window(spec, lo or 0, hi or 2)
+        assert by_export.value.n == pivot
+    else:
+        w = spec.window().extend(new_lo=lo, new_hi=hi)
+        assert w[pivot] == 0 and w.values == laurent_route(spec, w.lo, w.hi)
+        assert [_pair(v) for v in export_window(spec, w.lo, w.hi).values] == [_pair(v) for v in w.values]
     inverse = lo is not None
     # one step short of the failing one, both routes build the same window
     short = spec.window().extend(new_lo=lo and lo + 1, new_hi=hi and hi - 1)
@@ -329,17 +358,89 @@ def test_zero_pivot_same_index_through_extend_and_maps(init, hi, lo, pivot):
     (1, Fraction(-4, 3), [Fraction(1, 2), Fraction(-3, 2), 1], 0, 12, 9),
     (2, 1, [Fraction(-2, 3), 2, -2, -1, Fraction(2, 3)], -17, 4, -12),
 ])
-def test_zero_pivot_same_index_on_the_decimal_route(k, a, init, lo, hi, pivot):
-    # x_pivot divides the step to x_lo when pivot < 0, else the step to x_hi
+def test_zero_pivot_same_index_on_the_decimal_route(k, a, init, lo, hi, pivot, laurent_route):
+    # x_pivot = 0 divides the map's step to x_lo when pivot < 0, else its step to x_hi
     spec = RecurrenceSpec.numeric(k, a, init)
-    for build in (spec.window().extend, lambda *window: export_window(spec, *window)):
-        with pytest.raises(ZeroPivotError) as exc:
-            build(lo, hi)
-        assert exc.value.n == pivot
+    want = laurent_route(spec, lo, hi)
+    step, first = (phi, hi - 2 * k - 1) if pivot >= 0 else (phi_inverse, lo + 1)
+    with pytest.raises(ZeroPivotError) as exc:
+        step(want[first - lo:first - lo + 2 * k + 1], spec.a, k)
+    assert first + exc.value.n == pivot
+    assert want[pivot - lo] == 0 and spec.window().extend(lo, hi).values == want
+    w = export_window(spec, lo, hi)
+    assert type(w[pivot]) is Decimal and str(w[pivot]) == "0"
+    assert [_pair(v) for v in w.values] == [_pair(v) for v in want]
     # one step short of the failing one, the Decimal route builds the window
     short = export_window(spec, lo + 1, hi) if pivot < 0 else export_window(spec, lo, hi - 1)
     assert all(isinstance(v, (Decimal, engine._Quotient)) for v in short.values)
     assert [_pair(v) for v in short.values] == [_pair(v) for v in _step_only(spec, short.lo, short.hi)]
+
+
+# -- windows through zero pivots ----------------------------------------------------
+
+_GRID_VALUES = (-3, -2, -1, 1, 2, 3)
+_GRID_A = (-2, -1, 1, 2)
+
+
+def _grid(k):
+    """Every seed with values in [-3, 3] without 0 and a in {-2, -1, 1, 2};
+    at k = 2, only the seeds whose values sum to a multiple of 3."""
+    for init in itertools.product(_GRID_VALUES, repeat=2 * k + 1):
+        if k != 2 or sum(init) % 3 == 0:
+            for a in _GRID_A:
+                yield RecurrenceSpec.numeric(k, a, init)
+
+
+def _refused(spec, lo, hi) -> bool:
+    """Whether the nonlinear step alone meets a zero pivot building [lo, hi]."""
+    try:
+        _map_orbit(spec, lo, hi)
+    except ZeroPivotError:
+        return True
+    return False
+
+
+def _first_broken(w):
+    """The first n where w breaks the defining recurrence, multiplied out
+    over Fractions with no division, or None."""
+    k, a, x = w.spec.k, w.spec.a, w
+    for n in range(w.lo, w.hi - 2 * k):
+        if x[n + 2 * k + 1] * x[n] != x[n + 2 * k] * x[n + 1] + a * (x[n + k] + x[n + k + 1]):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("k,count", [(1, 40), (2, 8), (3, 4)])
+def test_windows_through_zero_pivots_equal_the_laurent_route(k, count, laurent_route):
+    lo, hi = -2 * k - 2, 6 * k + 4
+    rng = SplitMix64(7000 + k)
+    while count:
+        spec = RecurrenceSpec.numeric(k, _GRID_A[rng.randint(0, 3)],
+                                      [_GRID_VALUES[rng.randint(0, 5)] for _ in range(2 * k + 1)])
+        if _refused(spec, lo, hi):
+            assert spec.window().extend(lo, hi).values == laurent_route(spec, lo, hi)
+            count -= 1
+
+
+@pytest.mark.parametrize("k,every,refused", [(1, 1, 136), (2, 40, 33)])
+def test_grid_windows_satisfy_the_defining_recurrence(k, every, refused):
+    """Over [-40, 60], on every k = 1 grid seed and every 40th at k = 2, of
+    which ``refused`` meet a zero pivot on the nonlinear step alone."""
+    specs = list(_grid(k))[::every]
+    for spec in specs:
+        assert _first_broken(spec.window().extend(-40, 60)) is None
+    assert sum(_refused(spec, -40, 60) for spec in specs) == refused
+
+
+def test_a_value_after_a_zero_is_free_at_its_own_step_only(laurent_route):
+    """x_3 = 0, so the recurrence at n = 3 reads 0 = 0 and leaves x_6 free:
+    x_6 raised by one passes there, fails at n = 4, and is no Laurent value."""
+    spec = RecurrenceSpec.numeric(1, -2, [-3, -2, 1])
+    w = spec.window().extend(-40, 60)
+    raised = w.with_value(6, w[6] + 1)
+    assert w[3] == 0 and _first_broken(w) is None
+    assert _first_broken(raised) == 4
+    assert laurent_route(spec, 6, 6) == (w[6],) != (raised[6],)
 
 
 @pytest.mark.parametrize("seed,lo,hi,target", [
@@ -471,15 +572,15 @@ def test_generic_window_substitutes_to_the_map_orbit(k):
 
 
 def _refuse_certificate(monkeypatch):
-    """Make ``certified_block`` raise once its certificate has run; for other
-    seeds it still returns None without one."""
-    certified = RecurrenceSpec.certified_block.func
+    """Make ``block`` raise once its certificate has run; for other
+    symbolic seeds it still returns None without one."""
+    certified = RecurrenceSpec.block.func
 
     def refuse(spec):
         if certified(spec) is not None:
             raise AssertionError("the certificate ran")
 
-    monkeypatch.setattr(RecurrenceSpec, "certified_block", property(refuse))
+    monkeypatch.setattr(RecurrenceSpec, "block", property(refuse))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -522,7 +623,7 @@ def test_failed_certificate_raises_at_every_extend_that_leaves_the_block(piece, 
         with pytest.raises(CertificateError) as exc:
             w.extend(lo, hi)
         assert exc.value.identity.startswith(f"({piece})")
-    assert "certified_block" not in vars(spec)
+    assert "block" not in vars(spec)
     assert w.extend(-5, 5).values == w.values  # requests inside the block still build
 
 
@@ -611,7 +712,7 @@ def test_a_failed_certificate_raises_before_the_relation_builds_a_value(k, monke
 def test_extends_within_the_window_and_the_block_build_no_value(monkeypatch):
     spec = RecurrenceSpec.symbolic(3)
     w = spec.window().extend(-8, 22)
-    block = spec.certified_block
+    block = spec.block
     built = []
     iterate = engine._iterate
     monkeypatch.setattr(engine, "_iterate", lambda seq, spec, count, index, linear:
@@ -699,10 +800,7 @@ def integer_windows(draw):
                                                 min_size=2 * k + 1, max_size=2 * k + 1)))
     shift = draw(st.integers(0, 8 * k))
     if shift:
-        try:
-            values = spec.window().extend(0, shift + 2 * k).values[shift:]
-        except ZeroPivotError:
-            values = (0,)
+        values = spec.window().extend(0, shift + 2 * k).values[shift:]
         assume(all(values))
         spec = RecurrenceSpec.numeric(k, spec.a, values)
     return (spec, *_print_range(draw, k))
@@ -723,16 +821,10 @@ def rational_windows(draw):
 
 
 def _prints_the_fraction_window(spec, lo, hi):
-    """export_window's text of [lo, hi], and any zero pivot's index, are those
-    of the Fraction window ``spec.window().extend``; returns the exported window."""
+    """export_window's text of [lo, hi] is that of the Fraction window
+    ``spec.window().extend``, zero pivots or not; returns the exported window."""
     w_lo, w_hi = min(lo, 0), max(hi, 2 * spec.k)
-    try:
-        binary = spec.window().extend(w_lo, w_hi)
-    except ZeroPivotError as exc:
-        with pytest.raises(ZeroPivotError) as by_export:
-            export_window(spec, w_lo, w_hi)
-        assert by_export.value.n == exc.n
-        return None
+    binary = spec.window().extend(w_lo, w_hi)
     w = export_window(spec, w_lo, w_hi)
     assert _printed(w, lo, hi) == _printed(binary, lo, hi)
     return w
@@ -754,8 +846,7 @@ def test_decimal_route_prints_the_binary_window(case):
     w = _prints_the_fraction_window(spec, lo, hi)
     # on an integer window every value is a Decimal once the window leaves
     # the 6k values it starts from
-    if w is not None:
-        assert all(type(v) is Decimal for v in w.values) == (len(w.values) > 6 * spec.k)
+    assert all(type(v) is Decimal for v in w.values) == (len(w.values) > 6 * spec.k)
 
 
 @settings(max_examples=150, deadline=None)
