@@ -45,8 +45,9 @@ returned, every value is checked against the relation over residues, modulo
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
 and exists for fault injection and identities that hold for any sequence.
-A window caches the integer-scaled rows of its numeric Wronskian
-determinants (``SequenceWindow.scaled_row``); a copy starts with none.
+A window caches the integers of its numeric Wronskian determinants: rows
+scaled once by the lcm of their denominators, and the 2x2 minors of
+consecutive rows (``invariants.WronskianTable``); a copy starts with none.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, dot, variables
-from .matrix import scale_row
 from .rational import format_rational, parse_rational, promote
 
 # Decimal arithmetic on integers that must never round: a lost digit raises
@@ -200,7 +200,9 @@ class SequenceWindow:
 
         A request that leaves the block, [-2k, 4k] if numeric, [-3k, 3k] if
         symbolic, is joined with ``spec.block`` and continued by the linear
-        relation; others take the nonlinear step.  Symbolic windows stop at
+        relation; others take the nonlinear step.  A printed window (from
+        ``export_window``) joins the block's values as printed ones, so it
+        keeps one value type.  Symbolic windows stop at
         |n| <= 6k + 6: their term counts grow steeply.
         """
         if self.raw:
@@ -218,6 +220,8 @@ class SequenceWindow:
         if new_lo < -b or new_hi > 6 * k - b:
             block = spec.block  # built, and certified or refused, before any value
             if block is not None:
+                if isinstance(self.values[0], (Decimal, _Quotient)):  # a printed window
+                    block = SequenceWindow(spec, block.lo, tuple(map(_printable, block.values)))
                 # both hold [0, 2k], so their union is one window of the solution
                 lo, hi = min(self.lo, block.lo), max(self.hi, block.hi)
                 w = SequenceWindow(spec, lo, tuple(self[n] if n in self else block[n]
@@ -240,20 +244,12 @@ class SequenceWindow:
         return SequenceWindow(self.spec, lo, tuple(reversed(bwd[len(fwd):])) + tuple(fwd))
 
     @cached_property
-    def _scaled_rows(self) -> dict:
-        """The rows ``scaled_row`` has built, keyed by (m, shifts); filled lazily."""
-        return {}
-
-    def scaled_row(self, m: int, shifts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """``scale_row`` of the Wronskian row (x_{m+2kj} for j in shifts), built
-        once per window: block n's row i is block n+1's row i-1, so a sweep of
-        overlapping blocks scales each row once.  A row of Fractions only; a
-        Decimal or a Laurent polynomial raises TypeError."""
-        row = self._scaled_rows.get((m, shifts))
-        if row is None:
-            step = 2 * self.spec.k
-            row = self._scaled_rows[m, shifts] = scale_row([self[m + step * j] for j in shifts])
-        return row
+    def wronskian_table(self):
+        """The integer rows and pair minors of this window's numeric Wronskian
+        determinants (``invariants.WronskianTable``), filled lazily; a copy
+        starts with none."""
+        from .invariants import WronskianTable  # deferred, as in RecurrenceSpec.K
+        return WronskianTable(self)
 
     def with_value(self, n: int, value) -> "SequenceWindow":
         """A raw copy with one entry overwritten (for fault injection tests)."""

@@ -38,7 +38,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, RationalFunction
-from .matrix import det_scaled, mat_mul, matrix_det, scale_row, solve_exact
+from .matrix import mat_mul, matrix_det, scale_row, solve_exact
 from .rational import format_rational, promote
 
 
@@ -122,11 +122,59 @@ def k_ratio_route(w: SequenceWindow):
 # -- discrete Wronskians -------------------------------------------------------
 #
 # Every Wronskian determinant below is one of x_{n + offsets[i] + 2k shifts[j]}.
-# On a numeric window it comes from the window's cached integer rows
-# (``SequenceWindow.scaled_row``: each row scaled once by the lcm of its
-# denominators, ``matrix.scale_row``) through ``matrix.det_scaled``, so the
-# overlapping blocks of a sweep share their rows; a symbolic window takes
-# ``matrix_det`` of the block over the Laurent ring.
+# A symbolic window takes ``matrix_det`` of the block over the Laurent ring.
+# A numeric window takes one integer sum over its ``WronskianTable``, divided
+# once by the product of its rows' scales: the 4x4 is the Laplace sum of the
+# complementary minors of the row pairs (n, n+1) and (n+2, n+3); a 3x3 block
+# is two consecutive rows and one lone row, expanded along the lone row
+# against the pair's minors.  A sweep of overlapping blocks builds each row
+# and pair once.
+
+class WronskianTable:
+    """The integers that every numeric Wronskian determinant of one window is
+    a sum over (``_wronskian_det``), each built once; the window holds it
+    (``SequenceWindow.wronskian_table``).
+
+    Row m is ``scale_row`` of (x_m, x_{m+2k}, x_{m+4k}, x_{m+6k}); pair m
+    holds the six 2x2 minors of rows m and m+1 over the column pairs of
+    ``MINOR_COLUMNS``.  Where the window ends before x_{m+6k}, row m keeps
+    only its first three entries, and so does the minor tuple of each pair
+    with such a row: a read of an entry the window lacks raises IndexError.
+    A Decimal, ``_Quotient`` or Laurent value raises TypeError
+    (``scale_row``).
+    """
+
+    MINOR_COLUMNS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+
+    def __init__(self, w: SequenceWindow):
+        self._w, self._step = w, 2 * w.spec.k
+        self._rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._pairs: dict[int, tuple[int, tuple[int, ...]]] = {}
+
+    def row(self, m: int) -> tuple[int, tuple[int, ...]]:
+        """(s_m, the row's integers): its scale and the row times it."""
+        row = self._rows.get(m)
+        if row is None:
+            w, step = self._w, self._step
+            width = 4 if m + 3 * step <= w.hi else 3
+            row = self._rows[m] = scale_row([w[m + step * j] for j in range(width)])
+        return row
+
+    def pair(self, m: int) -> tuple[int, tuple[int, ...]]:
+        """(s_m s_{m+1}, the minors of rows m and m+1 over ``MINOR_COLUMNS``)."""
+        pair = self._pairs.get(m)
+        if pair is None:
+            (s, a), (t, b) = self.row(m), self.row(m + 1)
+            columns = self.MINOR_COLUMNS if len(a) == len(b) == 4 else self.MINOR_COLUMNS[:3]
+            pair = self._pairs[m] = (s * t, tuple(a[i] * b[j] - a[j] * b[i] for i, j in columns))
+        return pair
+
+
+# offsets -> (lone row, first row of the pair), both relative to n
+_LONE_AND_PAIR = {(0, 1, 2): (0, 1), (0, 2, 3): (0, 2), (0, 1, 3): (3, 0)}
+# shifts (c0, c1, c2) -> the positions in ``MINOR_COLUMNS`` of (c1, c2), (c0, c2), (c0, c1)
+_COFACTORS = {(0, 1, 2): (2, 1, 0), (0, 1, 3): (4, 3, 0), (0, 2, 3): (5, 3, 1)}
+
 
 def _wronskian_block(w: SequenceWindow, n: int, offsets: Sequence[int],
                      shifts: Sequence[int]) -> list[list]:
@@ -137,10 +185,22 @@ def _wronskian_block(w: SequenceWindow, n: int, offsets: Sequence[int],
 
 def _wronskian_det(w: SequenceWindow, n: int, offsets: tuple[int, ...],
                    shifts: tuple[int, ...]):
-    """det of ``_wronskian_block(w, n, offsets, shifts)``."""
+    """det of ``_wronskian_block(w, n, offsets, shifts)``: the 4x4 block, or a
+    3x3 one with offsets and shifts among those of ``_LONE_AND_PAIR`` and
+    ``_COFACTORS``."""
     if w.spec.symbolic_mode:
         return matrix_det(_wronskian_block(w, n, offsets, shifts))
-    return det_scaled([w.scaled_row(n + i, shifts) for i in offsets])
+    table = w.wronskian_table
+    if len(offsets) == 4:
+        (s, p), (t, q) = table.pair(n), table.pair(n + 2)
+        # minors over columns 01, 02, 12, 03, 13, 23 against their complements
+        return Fraction(p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
+                        + p[3] * q[2] - p[4] * q[1] + p[5] * q[0], s * t)
+    lone, first = _LONE_AND_PAIR[offsets]
+    (s, a), (t, p) = table.row(n + lone), table.pair(n + first)
+    (c0, c1, c2), (i0, i1, i2) = shifts, _COFACTORS[shifts]
+    # the lone row is first or last of three, so its cofactor signs are +, -, +
+    return Fraction(a[c0] * p[i0] - a[c1] * p[i1] + a[c2] * p[i2], s * t)
 
 
 def wronskian3(w: SequenceWindow, n: int) -> list[list]:

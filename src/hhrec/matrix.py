@@ -13,10 +13,8 @@ Three independent determinant routines are provided:
   integers, as Bareiss intended, in two steps: ``scale_row`` gives a row's
   scale s, the lcm of its denominators, and the integers s*x; ``det_scaled``
   eliminates the integer rows, every stage dividing with exact ``//`` (no
-  gcd), and returns ``Fraction(det, product of the scales)``.  A caller that
-  takes many determinants over overlapping rows scales each row once and
-  hands the pairs to ``det_scaled``, as the numeric Wronskians do.  Any
-  other matrix (Laurent polynomials or RationalFunctions) runs with the
+  gcd), and returns ``Fraction(det, product of the scales)``.  Any other
+  matrix (Laurent polynomials or RationalFunctions) runs with the
   ring's exact ``/`` and pivots, at each stage, on the nonzero entry of the
   trailing block with the fewest terms, by ``len``: a Wronskian block often
   has a one-term monomial two columns from an 80-term diagonal entry.
@@ -33,7 +31,9 @@ Cofactor and Dodgson are reference routes: tests compare the production
 route against them, and no production code calls them.  ``mat_mul`` is
 the matrix product of the monodromy route, whose companion matrices it
 multiplies over the integers (``scale_row`` of each step's coefficients),
-and of the closed form's residue guard, modulo a prime.
+and of the closed form's residue guard, modulo a prime.  The numeric
+Wronskians take no elimination: each is one sum over integer rows and their
+2x2 minors (``invariants.WronskianTable``, ``scale_row`` of each row).
 """
 
 from __future__ import annotations

@@ -958,6 +958,15 @@ def test_an_exported_window_extends_exactly_in_any_context():
         assert tuple(map(Fraction, w.extend(0, 200).values)) == want
 
 
+def test_an_exported_window_joins_the_block_as_printed_values():
+    # [0, 100] does not hold the block [-2, 4]: extending past -2 joins it
+    spec = RecurrenceSpec.numeric(1, 1, [1, 2, 3])
+    w = export_window(spec, 0, 100).extend(-10, 100)
+    want = spec.window().extend(-10, 100)
+    assert all(type(v) in (Decimal, engine._Quotient) for v in w.values)
+    assert [Fraction(*_pair(v)) for v in w.values] == list(want.values)
+
+
 def test_decimal_route_leaves_the_callers_context_alone():
     assert decimal.getcontext().prec == 28
     w = export_window(ones(2), -40, 40)

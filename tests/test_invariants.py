@@ -26,6 +26,7 @@ from hhrec.errors import (
 from hhrec.invariants import (
     PeriodicCoeffs,
     _wronskian_block,
+    _wronskian_det,
     abg_coeffs,
     delta,
     explicit_iterates,
@@ -196,6 +197,8 @@ def _family(kind, k):
     ("rational", 2, -100, 300),
 ])
 def test_wronskian_routes_match_cofactor_of_fraction_blocks(kind, k, lo, hi):
+    # each route runs up to the last n the window covers, where the rows near
+    # its top lack their 6k entry, and refuses the next n
     w = _family(kind, k).window().extend(lo, hi)
 
     def cof(n, offsets, shifts):
@@ -203,14 +206,36 @@ def test_wronskian_routes_match_cofactor_of_fraction_blocks(kind, k, lo, hi):
 
     for n in range(lo, hi - 6 * k - 3 + 1):
         assert wronskian4_det(w, n) == cof(n, (0, 1, 2, 3), (0, 1, 2, 3)) == 0
-    for n in range(lo, hi - 6 * k - 2 + 1):
+    for n in range(lo, hi - 4 * k - 2 + 1):
         d = cof(n, (0, 1, 2), (0, 1, 2))
         assert delta(w, n) == d != 0
-        assert k_cramer(w, n) == (cof(n, (0, 1, 2), (0, 1, 3)) / d,
-                                  cof(n, (0, 1, 2), (0, 2, 3)) / d)
-        assert abg_coeffs(w, n) == (cof(n + 1, (0, 1, 2), (0, 1, 2)) / d,
-                                    cof(n, (0, 2, 3), (0, 1, 2)) / d,
-                                    cof(n, (0, 1, 3), (0, 1, 2)) / d)
+        if n <= hi - 6 * k - 2:
+            assert k_cramer(w, n) == (cof(n, (0, 1, 2), (0, 1, 3)) / d,
+                                      cof(n, (0, 1, 2), (0, 2, 3)) / d)
+        if n <= hi - 4 * k - 3:
+            assert abg_coeffs(w, n) == (cof(n + 1, (0, 1, 2), (0, 1, 2)) / d,
+                                        cof(n, (0, 2, 3), (0, 1, 2)) / d,
+                                        cof(n, (0, 1, 3), (0, 1, 2)) / d)
+    for read, last in ((delta, hi - 4 * k - 2), (k_cramer, hi - 6 * k - 2),
+                       (abg_coeffs, hi - 4 * k - 3), (wronskian4_det, hi - 6 * k - 3)):
+        with pytest.raises(IndexError):
+            read(w, last + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_numeric_block_matches_cofactor_on_a_raw_window(k):
+    # random rationals are no solution, so no block vanishes by design and a
+    # sign error in any cofactor shows
+    rng = SplitMix64(7000 + k)
+    lo, hi = -5, 6 * k + 8
+    w = raw_window(ones(k), lo, [random_rational(rng, 9, 9) for _ in range(lo, hi + 1)])
+    blocks = [((0, 1, 2, 3), (0, 1, 2, 3)),
+              *((offsets, shifts) for offsets in ((0, 1, 2), (0, 2, 3), (0, 1, 3))
+                for shifts in ((0, 1, 2), (0, 1, 3), (0, 2, 3)))]
+    for offsets, shifts in blocks:
+        for n in range(lo, hi - offsets[-1] - 2 * k * shifts[-1] + 1):
+            want = det_cofactor(_wronskian_block(w, n, offsets, shifts))
+            assert _wronskian_det(w, n, offsets, shifts) == want != 0
 
 
 @pytest.mark.parametrize("k, lo, hi, w4_at, delta_at", [
