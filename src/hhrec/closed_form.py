@@ -17,13 +17,15 @@ terms, u_n = b^(n-1) U_n(2t, 1) is an integer, and U_m = U_{m+1}(2t, 1).  No
 case split is needed between |t| <= 1 (bounded, oscillatory-type solutions)
 and |t| > 1 (hyperbolic growth): the integers are exact in both regimes.
 
-``chebyshev_tu`` and ``eval_closed_form`` run the doubling over ``int`` and
-return Fractions.  ``printable_value``, which ``closed-form --eval`` prints,
-runs it over Decimal integers, as ``engine.export_window`` runs its
-relation: x_n is one Decimal integer over 2 L b^|m|, L the lcm of the
-triple's denominators, reduced once by ``engine._reduced``, and checked
-against the linear relation modulo 2^61 - 1 or, where that divides a
-denominator, a smaller odd modulus (``engine._guard_residues``).
+``chebyshev_tu`` runs the doubling over ``int`` and returns Fractions.
+Every value of the closed form is one scaled evaluation (``_scaled_value``):
+x_n is one integer over 2 L b^|m|, L the lcm of the triple's denominators.
+``eval_closed_form`` runs it over ``int`` and returns a Fraction.
+``printable_value``, which ``closed-form --eval`` prints, runs it over
+Decimal integers, as ``engine.export_window`` runs its relation, reduces
+the value once by ``engine._reduced``, and checks it against the linear
+relation modulo 2^61 - 1 or, where that divides a denominator, a smaller
+odd modulus (``engine._guard_residues``).
 """
 
 from __future__ import annotations
@@ -132,13 +134,38 @@ def eval_closed_form(c: ClosedFormCoeffs, n: int) -> Fraction:
     """x_n from the closed form, any integer n.
 
     Index split uses floored division, so j = n mod 2k stays in [0, 2k-1]
-    and n = 2k*m + j holds for negative n as well.
+    and n = 2k*m + j holds for negative n as well.  The value is one integer
+    over 2 L b^|m| (``_scaled_value``); a numeric sweep tests x_n against an
+    iterate by the integer numerator of the difference (``_minus_window``).
+    """
+    y, two_l, scale = _scaled_value(c, n)
+    return Fraction(y, two_l * scale)
+
+
+def _scaled_value(c: ClosedFormCoeffs, n: int, num=int) -> tuple:
+    """(y, 2L, b^|m|) with x_n = y / (2 L b^|m|), over ``num`` integers: int,
+    or Decimal in ``_EXACT``.  Here 2t = a/b in lowest terms, L is the lcm of
+    the denominators of the triple of j, and 2L is an int.
+
+    y = 2 q b^|m| + r (2 b^|m| T_m) + 2 s (b^|m| U_m) for the triple times L.
     """
     period = 2 * c.k
-    j = n % period
-    m = n // period
-    tm, um = chebyshev_tu(c.t, m)
-    return c.q[j] + c.r[j] * tm + c.s[j] * um
+    j, m = n % period, n // period
+    t2 = 2 * c.t
+    triple = (c.q[j], c.r[j], c.s[j])
+    lcm = math.lcm(*(v.denominator for v in triple))
+    q, r, s = (num(v.numerator * (lcm // v.denominator)) for v in triple)
+    b = num(t2.denominator)
+    tm, um = _chebyshev_scaled(num(t2.numerator), b, m)
+    scale = b ** abs(m)
+    return 2 * q * scale + r * tm + 2 * s * um, 2 * lcm, scale
+
+
+def _minus_window(c: ClosedFormCoeffs, w: SequenceWindow, n: int) -> tuple[int, int]:
+    """(numerator, denominator > 0) of eval_closed_form(c, n) - w[n], with no gcd."""
+    y, two_l, scale = _scaled_value(c, n)
+    v, den = w[n], two_l * scale
+    return y * v.denominator - v.numerator * den, den * v.denominator
 
 
 def printable_value(w: SequenceWindow, c: ClosedFormCoeffs, n: int):
@@ -152,23 +179,13 @@ def printable_value(w: SequenceWindow, c: ClosedFormCoeffs, n: int):
 
 
 def _decimal_value(c: ClosedFormCoeffs, n: int):
-    """x_n from the closed form over Decimal integers, in lowest terms: every
-    prime that y and its denominator share divides 2 L b."""
-    period = 2 * c.k
-    j, m = n % period, n // period
-    t2 = 2 * c.t
-    triple = (c.q[j], c.r[j], c.s[j])
-    lcm = math.lcm(*(v.denominator for v in triple))
-    q, r, s = (Decimal(v.numerator * (lcm // v.denominator)) for v in triple)
+    """x_n from the closed form over Decimal integers (``_scaled_value``), in
+    lowest terms: every prime that y and its denominator share divides 2 L b."""
     with localcontext(_EXACT):
-        b = Decimal(t2.denominator)
-        tm, um = _chebyshev_scaled(Decimal(t2.numerator), b, m)
-        scale = b ** abs(m)
-        # x_n = y / (2 L b^|m|), with 2 b^|m| T_m = tm and b^|m| U_m = um
-        y = 2 * q * scale + r * tm + 2 * s * um
+        y, two_l, scale = _scaled_value(c, n, Decimal)
         if not y:  # a product by zero can be -0
             return Decimal(0)
-        return _reducer(2 * lcm * t2.denominator)(y, 2 * lcm * scale)
+        return _reducer(two_l * (2 * c.t).denominator)(y, two_l * scale)
 
 
 def _residue(w: SequenceWindow, n: int) -> tuple[int, int]:

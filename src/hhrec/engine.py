@@ -441,16 +441,30 @@ def xi_residual(w: SequenceWindow, n: int):
     xi_n = | x_n      x_{n+2k}   |  -  a * (x_{n+k} + x_{n+k+1})
            | x_{n+1}  x_{n+2k+1} |
 
-    The three products are written once, as operand pairs with the signs
-    +, -, -.  A symbolic window sums them with ``laurent.dot``, which builds
-    none of them; a numeric window multiplies and subtracts its Fractions.
+    A symbolic window sums the three products with ``laurent.dot``, which
+    builds none of them.  A numeric window cross-multiplies the numerators
+    and denominators of its Fractions into one integer numerator over one
+    denominator (``_xi_parts``), which is 0 exactly when xi_n is: a numeric
+    sweep tests that integer, and the residual is that Fraction.
     """
-    k = w.spec.k
-    lefts = (w[n], w[n + 1], w.spec.a)
-    rights = (w[n + 2 * k + 1], w[n + 2 * k], w[n + k] + w[n + k + 1])
     if w.spec.symbolic_mode:
-        return dot((lefts[0], -lefts[1], -lefts[2]), rights)
-    return lefts[0] * rights[0] - lefts[1] * rights[1] - lefts[2] * rights[2]
+        k = w.spec.k
+        return dot((w[n], -w[n + 1], -w.spec.a),
+                   (w[n + 2 * k + 1], w[n + 2 * k], w[n + k] + w[n + k + 1]))
+    return Fraction(*_xi_parts(w, n))
+
+
+def _xi_parts(w: SequenceWindow, n: int) -> tuple[int, int]:
+    """(numerator, denominator > 0) of xi_n on a window of Fractions, with
+    no gcd: the three products as integer pairs over one common denominator."""
+    k, a = w.spec.k, w.spec.a
+    x0, x1, x2k1, x2k = w[n], w[n + 1], w[n + 2 * k + 1], w[n + 2 * k]
+    xk, xk1 = w[n + k], w[n + k + 1]
+    p0, q0 = x0.numerator * x2k1.numerator, x0.denominator * x2k1.denominator
+    p1, q1 = x1.numerator * x2k.numerator, x1.denominator * x2k.denominator
+    p2 = a.numerator * (xk.numerator * xk1.denominator + xk1.numerator * xk.denominator)
+    q2 = a.denominator * xk.denominator * xk1.denominator
+    return (p0 * q1 - p1 * q0) * q2 - p2 * (q0 * q1), q0 * q1 * q2
 
 
 def apply_sigma(w: SequenceWindow) -> SequenceWindow:

@@ -433,9 +433,28 @@ def inhom_coeffs(w: SequenceWindow, n: int, K) -> InhomCoeffs:
 # -- linear relation and the operator identity -------------------------------------
 
 def linear_relation_residual(w: SequenceWindow, n: int, K):
-    """x_{n+6k} - K (x_{n+4k} - x_{n+2k}) - x_n; identically 0 on solutions."""
+    """x_{n+6k} - K (x_{n+4k} - x_{n+2k}) - x_n; identically 0 on solutions.
+
+    A numeric window takes it as one integer numerator over one denominator
+    (``_relation_parts``), 0 exactly when the residual is: a numeric sweep
+    tests that integer, and the residual is that Fraction.
+    """
+    if w.spec.symbolic_mode:
+        k = w.spec.k
+        return w[n + 6 * k] - K * (w[n + 4 * k] - w[n + 2 * k]) - w[n]
+    return Fraction(*_relation_parts(w, n, K))
+
+
+def _relation_parts(w: SequenceWindow, n: int, K) -> tuple[int, int]:
+    """(numerator, denominator > 0) of ``linear_relation_residual`` on a
+    window of Fractions and a Fraction or int K, with no gcd."""
     k = w.spec.k
-    return w[n + 6 * k] - K * (w[n + 4 * k] - w[n + 2 * k]) - w[n]
+    x6, x4, x2, x0 = w[n + 6 * k], w[n + 4 * k], w[n + 2 * k], w[n]
+    # K (x4 - x2) = p / q
+    p = K.numerator * (x4.numerator * x2.denominator - x2.numerator * x4.denominator)
+    q = K.denominator * x2.denominator * x4.denominator
+    q0, q6 = x0.denominator, x6.denominator
+    return (x6.numerator * q0 - x0.numerator * q6) * q - p * (q0 * q6), q * q0 * q6
 
 
 def operator_identity_residual(w: SequenceWindow, K, n: int):

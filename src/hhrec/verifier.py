@@ -7,7 +7,10 @@ not exceptions: any fail record carries a witness and is reproducible from
 identity fails, the ``identity``, and the nonzero ``residual`` it left; a
 failure that leaves no residual (no recurrence found, a non-integer or
 non-Laurent iterate, a failed reversibility round trip) has no ``residual``
-key.
+key.  A numeric sweep tests each identity as one integer, the residual's
+numerator cross-multiplied over one denominator (``engine._xi_parts``,
+``invariants._relation_parts``, ``closed_form._minus_window``), or compares
+two values with ``!=``; it builds a residual only for the witness.
 
 Randomness comes from SplitMix64, a tiny, exactly specified 64-bit generator
 (Steele, Lea & Flood's mixer), so reports are portable across platforms and
@@ -35,6 +38,7 @@ from . import invariants as inv
 from .engine import (
     RecurrenceSpec,
     SequenceWindow,
+    _xi_parts,
     apply_sigma,
     check_reversibility,
     phi,
@@ -302,14 +306,37 @@ def _sweep(ns: Iterable[int], residual: Callable, what: str) -> CheckResult:
     return CheckResult(True)
 
 
+def _zero_sweep(ns: Iterable[int], parts: Callable, what: str) -> CheckResult:
+    """Pass iff the integer numerator of parts(n) = (numerator, denominator)
+    is 0 at every n; else witness the first n where it is not, with the
+    residual numerator/denominator, the only Fraction the sweep builds."""
+    for n in ns:
+        num, den = parts(n)
+        if num:
+            return CheckResult(False, _wit(n, what, Fraction(num, den)))
+    return CheckResult(True)
+
+
+def _equal_sweep(triples: Iterable[tuple], what: str) -> CheckResult:
+    """Pass iff left == right for every (n, left, right); else witness the
+    first n where not, with the residual left - right."""
+    for n, left, right in triples:
+        if left != right:
+            return CheckResult(False, _wit(n, what, left - right))
+    return CheckResult(True)
+
+
 def _xi_sweep(w: SequenceWindow, what: str) -> CheckResult:
     """xi_n = 0 at every n the window covers."""
-    return _sweep(range(w.lo, w.hi - 2 * w.spec.k), lambda n: xi_residual(w, n), what)
+    ns = range(w.lo, w.hi - 2 * w.spec.k)
+    if w.spec.symbolic_mode:
+        return _sweep(ns, lambda n: xi_residual(w, n), what)
+    return _zero_sweep(ns, lambda n: _xi_parts(w, n), what)
 
 
 def _explicit_sweep(w: SequenceWindow, ex: inv.ExplicitIterates, what: str) -> CheckResult:
     """The closed formulas equal the iterates on [-2k, -1] and [2k+1, 4k]."""
-    return _sweep(sorted(ex.values), lambda m: ex.values[m] - w[m], what)
+    return _equal_sweep(((m, ex.values[m], w[m]) for m in sorted(ex.values)), what)
 
 
 # each check: fn(ctx) -> CheckResult; DegenerateInputError triggers a resample
@@ -320,9 +347,9 @@ def _check_xi_zero(ctx: TrialContext) -> CheckResult:
 
 def _check_linear_relation(ctx: TrialContext) -> CheckResult:
     w = ctx.default_window()
-    return _sweep(range(w.lo, w.hi - 6 * ctx.k + 1),
-                  lambda n: inv.linear_relation_residual(w, n, ctx.spec.K),
-                  "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0")
+    return _zero_sweep(range(w.lo, w.hi - 6 * ctx.k + 1),
+                       lambda n: inv._relation_parts(w, n, ctx.spec.K),
+                       "x[n+6k] - K(x[n+4k]-x[n+2k]) - x[n] = 0")
 
 
 def _map_orbit(spec: RecurrenceSpec, lo: int, hi: int) -> dict:
@@ -344,7 +371,7 @@ def _map_orbit(spec: RecurrenceSpec, lo: int, hi: int) -> dict:
 def _check_linear_route(ctx: TrialContext) -> CheckResult:
     w = ctx.default_window()
     slow = _map_orbit(ctx.spec, w.lo, w.hi)
-    return _sweep(w.indices(), lambda n: w[n] - slow[n], "linear route == nonlinear step")
+    return _equal_sweep(((n, w[n], slow[n]) for n in w.indices()), "linear route == nonlinear step")
 
 
 def _check_k_ratio(ctx: TrialContext) -> CheckResult:
@@ -407,9 +434,9 @@ def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:
 def _check_inhom(ctx: TrialContext) -> CheckResult:
     k, K = ctx.k, ctx.spec.K
     w = ctx.default_window()
-    invariants = (_sweep(range(0, 2 * k + 2),
-                         lambda n: inv.nu_invariant(w, n + 2 * k, K) - inv.nu_invariant(w, n, K),
-                         "nu is a 2k-invariant")
+    # nu_{n+2k} - nu_n is the linear relation's residual at n
+    invariants = (_zero_sweep(range(0, 2 * k + 2), lambda n: inv._relation_parts(w, n, K),
+                              "nu is a 2k-invariant")
                   and _sweep((0,), lambda n: inv.k_prime(w, n, K) - inv.k_prime(w, n + 1, K),
                              "K' conserved under shift"))
     if not invariants:
@@ -426,8 +453,8 @@ def _check_closed_form(ctx: TrialContext) -> CheckResult:
     k = ctx.k
     w = ctx.window(-6 * k, 12 * k + 3)
     coeffs = cf.extract_coeffs(w, ctx.spec.K)  # DegenerateTError -> resample
-    return _sweep(range(-6 * k, 12 * k + 1),
-                  lambda n: cf.eval_closed_form(coeffs, n) - w[n], "closed form == iterate")
+    return _zero_sweep(range(-6 * k, 12 * k + 1), lambda n: cf._minus_window(coeffs, w, n),
+                       "closed form == iterate")
 
 
 def _check_detect(ctx: TrialContext) -> CheckResult:
@@ -460,15 +487,15 @@ def _check_sigma_roundtrip(ctx: TrialContext) -> CheckResult:
     k = ctx.k
     w = ctx.default_window()
     back = apply_sigma(apply_sigma(w))
-    reversal = (_sweep(w.indices(), lambda n: back[n] - w[n], "sigma is an involution")
+    reversal = (_equal_sweep(((n, back[n], w[n]) for n in w.indices()), "sigma is an involution")
                 and _xi_sweep(apply_sigma(w), "sigma image solves the recurrence"))
     if not reversal:
         return reversal
     # forward-then-backward round trip from the top of the window
     top = RecurrenceSpec(k, ctx.spec.a, tuple(w[w.hi - 2 * k + j] for j in range(2 * k + 1)))
     redone = top.window().extend(new_lo=-(w.hi - 2 * k - w.lo))
-    return _sweep(range(redone.lo, 2 * k + 1), lambda j: redone[j] - w[w.hi - 2 * k + j],
-                  "forward-backward round trip")
+    return _equal_sweep(((j, redone[j], w[w.hi - 2 * k + j])
+                         for j in range(redone.lo, 2 * k + 1)), "forward-backward round trip")
 
 
 def _check_operator_identity(ctx: TrialContext) -> CheckResult:

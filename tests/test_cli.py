@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -456,6 +457,27 @@ def test_verify_json_report(run, tmp_path):
         assert code == 0, target
     data = json.loads(path.read_text())
     assert data["summary"]["fail"] == 0 and data["summary"]["total"] == 4
+
+
+# SHA-256 of the numeric `verify --checks all --json` report with every
+# "elapsed" field cut out, taken while the numeric sweeps still subtracted
+# Fractions: integer zero tests must leave every byte as it was
+REPORT_DIGESTS = {
+    (1, 8, 41): "152c51885386338ed99a583f8f7182a176e6dd500669976cbf0b66832e8672b6",
+    (2, 4, 42): "f07e3e70863f909a9945d37c2bd000be7a7fc5aceca41a8cfdc63b5346af460a",
+    (3, 3, 43): "dd5a75edd5b4acb546ea22dd7249f4736aed5e6dcb46f886472159fe62d92cfc",
+}
+
+
+@pytest.mark.parametrize("k,trials,seed", REPORT_DIGESTS)
+def test_verify_report_bytes_pinned(run, tmp_path, k, trials, seed):
+    path = tmp_path / "report.json"
+    code, _, _ = run("verify", "--k", str(k), "--trials", str(trials), "--seed", str(seed),
+                     "--checks", "all", "--json", str(path))
+    data = path.read_bytes()
+    stripped = re.sub(rb',\n *"elapsed": [^\n]*', b"", data)
+    assert code == 0 and data.count(b'"elapsed"') == len(json.loads(data)["results"])
+    assert hashlib.sha256(stripped).hexdigest() == REPORT_DIGESTS[k, trials, seed]
 
 
 def test_verify_json_report_to_a_pipe(run, tmp_path):
