@@ -19,7 +19,8 @@ and |t| > 1 (hyperbolic growth): the integers are exact in both regimes.
 
 ``chebyshev_tu`` runs the doubling over ``int`` and returns Fractions.
 Every value of the closed form is one scaled evaluation (``_scaled_value``):
-x_n is one integer over 2 L b^|m|, L the lcm of the triple's denominators.
+x_n is one integer over 2 L b^|m|, L the lcm of the triple's denominators,
+from integers that ``ClosedFormCoeffs.scaled`` builds once per triple.
 ``eval_closed_form`` runs it over ``int`` and returns a Fraction.
 ``printable_value``, which ``closed-form --eval`` prints, runs it over
 Decimal integers, as ``engine.export_window`` runs its relation, reduces
@@ -35,6 +36,7 @@ import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 
 from .engine import _EXACT, SequenceWindow, _check_agreement, _guard_residues, _reducer
 from .errors import DegenerateTError
@@ -108,6 +110,18 @@ class ClosedFormCoeffs:
             ],
         }
 
+    @cached_property
+    def scaled(self) -> tuple[int, int, tuple]:
+        """(a, b, rows) for ``_scaled_value``: 2t = a/b in lowest terms, and
+        rows[j] = (2L, Lq_j, Lr_j, Ls_j), L the lcm of the denominators of
+        the triple of j; built once per coefficients."""
+        rows = []
+        for triple in zip(self.q, self.r, self.s):
+            lcm = math.lcm(*(v.denominator for v in triple))
+            rows.append((2 * lcm, *(v.numerator * (lcm // v.denominator) for v in triple)))
+        t2 = 2 * self.t
+        return t2.numerator, t2.denominator, tuple(rows)
+
 
 def extract_coeffs(w: SequenceWindow, K: Fraction) -> ClosedFormCoeffs:
     """Coefficient triples from the window values at j, j +- 2k.
@@ -144,21 +158,19 @@ def eval_closed_form(c: ClosedFormCoeffs, n: int) -> Fraction:
 
 def _scaled_value(c: ClosedFormCoeffs, n: int, num=int) -> tuple:
     """(y, 2L, b^|m|) with x_n = y / (2 L b^|m|), over ``num`` integers: int,
-    or Decimal in ``_EXACT``.  Here 2t = a/b in lowest terms, L is the lcm of
-    the denominators of the triple of j, and 2L is an int.
+    or Decimal in ``_EXACT``.  Here 2t = a/b and the triple of j times L
+    are read from ``c.scaled``, and 2L is an int.
 
     y = 2 q b^|m| + r (2 b^|m| T_m) + 2 s (b^|m| U_m) for the triple times L.
     """
     period = 2 * c.k
     j, m = n % period, n // period
-    t2 = 2 * c.t
-    triple = (c.q[j], c.r[j], c.s[j])
-    lcm = math.lcm(*(v.denominator for v in triple))
-    q, r, s = (num(v.numerator * (lcm // v.denominator)) for v in triple)
-    b = num(t2.denominator)
-    tm, um = _chebyshev_scaled(num(t2.numerator), b, m)
+    a, b, rows = c.scaled
+    two_l, *triple = rows[j]
+    a, b, q, r, s = map(num, (a, b, *triple))
+    tm, um = _chebyshev_scaled(a, b, m)
     scale = b ** abs(m)
-    return 2 * q * scale + r * tm + 2 * s * um, 2 * lcm, scale
+    return 2 * q * scale + r * tm + 2 * s * um, two_l, scale
 
 
 def _minus_window(c: ClosedFormCoeffs, w: SequenceWindow, n: int) -> tuple[int, int]:
@@ -185,7 +197,7 @@ def _decimal_value(c: ClosedFormCoeffs, n: int):
         y, two_l, scale = _scaled_value(c, n, Decimal)
         if not y:  # a product by zero can be -0
             return Decimal(0)
-        return _reducer(two_l * (2 * c.t).denominator)(y, two_l * scale)
+        return _reducer(two_l * c.scaled[1])(y, two_l * scale)
 
 
 def _residue(w: SequenceWindow, n: int) -> tuple[int, int]:

@@ -45,9 +45,10 @@ returned, every value is checked against the relation over residues, modulo
 Windows are immutable two-sided tables of iterates.  ``extend`` returns a new
 window; a *raw* window wraps arbitrary values without the solution invariant
 and exists for fault injection and identities that hold for any sequence.
-A window caches the integers of its numeric Wronskian determinants: rows
+A window caches the integers of its numeric Wronskian determinants (rows
 scaled once by the lcm of their denominators, and the 2x2 minors of
-consecutive rows (``invariants.WronskianTable``); a copy starts with none.
+consecutive rows), or its symbolic Wronskian determinants themselves
+(``invariants.WronskianTable``); a copy starts with none.
 """
 
 from __future__ import annotations
@@ -246,8 +247,8 @@ class SequenceWindow:
     @cached_property
     def wronskian_table(self):
         """The integer rows and pair minors of this window's numeric Wronskian
-        determinants (``invariants.WronskianTable``), filled lazily; a copy
-        starts with none."""
+        determinants, or its symbolic ones (``invariants.WronskianTable``),
+        filled lazily; a copy starts with none."""
         from .invariants import WronskianTable  # deferred, as in RecurrenceSpec.K
         return WronskianTable(self)
 

@@ -121,27 +121,35 @@ def k_ratio_route(w: SequenceWindow):
 
 # -- discrete Wronskians -------------------------------------------------------
 #
-# Every Wronskian determinant below is one of x_{n + offsets[i] + 2k shifts[j]}.
-# A symbolic window takes ``matrix_det`` of the block over the Laurent ring.
-# A numeric window takes one integer sum over its ``WronskianTable``, divided
-# once by the product of its rows' scales: the 4x4 is the Laplace sum of the
-# complementary minors of the row pairs (n, n+1) and (n+2, n+3); a 3x3 block
-# is two consecutive rows and one lone row, expanded along the lone row
-# against the pair's minors.  A sweep of overlapping blocks builds each row
-# and pair once.
+# Every Wronskian determinant below is one of x_{n + offsets[i] + 2k shifts[j]},
+# and the window's ``WronskianTable`` builds what each one reads once.
+# A numeric window takes one integer sum over the table's rows and pair
+# minors, divided once by the product of the rows' scales: the 4x4 is the
+# Laplace sum of the complementary minors of the row pairs (n, n+1) and
+# (n+2, n+3); a 3x3 block is two consecutive rows and one lone row, expanded
+# along the lone row against the pair's minors.  A sweep of overlapping
+# blocks builds each row and pair once.
+# A symbolic window keeps each determinant in the table: a 3x3 block is
+# ``matrix_det`` over the Laurent ring, and the 4x4 is one Desnanot-Jacobi
+# step over four deltas (``_condensed_w4``).  So a 4x4 sweep on a fresh
+# window pays for the deltas it reads, and the delta, Cramer and abg routes
+# read them for free afterwards.
 
 class WronskianTable:
-    """The integers that every numeric Wronskian determinant of one window is
-    a sum over (``_wronskian_det``), each built once; the window holds it
-    (``SequenceWindow.wronskian_table``).
+    """The determinants of one window's Wronskian blocks, or the integers a
+    numeric one is a sum over (``_wronskian_det``), each built once; the
+    window holds it (``SequenceWindow.wronskian_table``).
 
-    Row m is ``scale_row`` of (x_m, x_{m+2k}, x_{m+4k}, x_{m+6k}); pair m
-    holds the six 2x2 minors of rows m and m+1 over the column pairs of
-    ``MINOR_COLUMNS``.  Where the window ends before x_{m+6k}, row m keeps
-    only its first three entries, and so does the minor tuple of each pair
-    with such a row: a read of an entry the window lacks raises IndexError.
-    A Decimal, ``_Quotient`` or Laurent value raises TypeError
-    (``scale_row``).
+    Numeric windows: row m is ``scale_row`` of (x_m, x_{m+2k}, x_{m+4k},
+    x_{m+6k}); pair m holds the six 2x2 minors of rows m and m+1 over the
+    column pairs of ``MINOR_COLUMNS``.  Where the window ends before
+    x_{m+6k}, row m keeps only its first three entries, and so does the
+    minor tuple of each pair with such a row: a read of an entry the window
+    lacks raises IndexError.  A Decimal, ``_Quotient`` or Laurent value
+    raises TypeError (``scale_row``).
+
+    Symbolic windows: ``det`` holds each block's determinant by (n,
+    offsets, shifts).
     """
 
     MINOR_COLUMNS = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
@@ -150,6 +158,7 @@ class WronskianTable:
         self._w, self._step = w, 2 * w.spec.k
         self._rows: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._pairs: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._dets: dict[tuple, LaurentPolynomial] = {}
 
     def row(self, m: int) -> tuple[int, tuple[int, ...]]:
         """(s_m, the row's integers): its scale and the row times it."""
@@ -169,6 +178,16 @@ class WronskianTable:
             pair = self._pairs[m] = (s * t, tuple(a[i] * b[j] - a[j] * b[i] for i, j in columns))
         return pair
 
+    def det(self, n: int, offsets: tuple[int, ...], shifts: tuple[int, ...]) -> LaurentPolynomial:
+        """The symbolic block's determinant: ``_condensed_w4`` for the 4x4,
+        ``matrix_det`` for a 3x3 block."""
+        key = (n, offsets, shifts)
+        d = self._dets.get(key)
+        if d is None:
+            d = self._dets[key] = (_condensed_w4(self._w, n) if len(offsets) == 4 else
+                                   matrix_det(_wronskian_block(self._w, n, offsets, shifts)))
+        return d
+
 
 # offsets -> (lone row, first row of the pair), both relative to n
 _LONE_AND_PAIR = {(0, 1, 2): (0, 1), (0, 2, 3): (0, 2), (0, 1, 3): (3, 0)}
@@ -187,10 +206,11 @@ def _wronskian_det(w: SequenceWindow, n: int, offsets: tuple[int, ...],
                    shifts: tuple[int, ...]):
     """det of ``_wronskian_block(w, n, offsets, shifts)``: the 4x4 block, or a
     3x3 one with offsets and shifts among those of ``_LONE_AND_PAIR`` and
-    ``_COFACTORS``."""
-    if w.spec.symbolic_mode:
-        return matrix_det(_wronskian_block(w, n, offsets, shifts))
+    ``_COFACTORS``.  A symbolic window reads it from its table (``det``), a
+    numeric one sums the table's integers."""
     table = w.wronskian_table
+    if w.spec.symbolic_mode:
+        return table.det(n, offsets, shifts)
     if len(offsets) == 4:
         (s, p), (t, q) = table.pair(n), table.pair(n + 2)
         # minors over columns 01, 02, 12, 03, 13, 23 against their complements
@@ -201,6 +221,24 @@ def _wronskian_det(w: SequenceWindow, n: int, offsets: tuple[int, ...],
     (c0, c1, c2), (i0, i1, i2) = shifts, _COFACTORS[shifts]
     # the lone row is first or last of three, so its cofactor signs are +, -, +
     return Fraction(a[c0] * p[i0] - a[c1] * p[i1] + a[c2] * p[i2], s * t)
+
+
+def _condensed_w4(w: SequenceWindow, n: int) -> LaurentPolynomial:
+    """The symbolic 4x4 Wronskian by one Desnanot-Jacobi step (Dodgson 1866):
+
+        W4(n) (ad - bc) = delta(n) delta(n+2k+1) - delta(n+1) delta(n+2k),
+
+    the block's corner 3x3 minors against its centre [[a, b], [c, d]], of
+    rows n+1, n+2 and shifts 1, 2.  The division by ad - bc is exact; where
+    it is 0, ``matrix_det`` of the block.
+    """
+    step = 2 * w.spec.k
+    a, b = w[n + 1 + step], w[n + 1 + 2 * step]
+    c, d = w[n + 2 + step], w[n + 2 + 2 * step]
+    centre = a * d - b * c
+    if not centre:
+        return matrix_det(_wronskian_block(w, n, (0, 1, 2, 3), (0, 1, 2, 3)))
+    return (delta(w, n) * delta(w, n + step + 1) - delta(w, n + 1) * delta(w, n + step)) / centre
 
 
 def wronskian3(w: SequenceWindow, n: int) -> list[list]:

@@ -28,12 +28,17 @@ Three independent determinant routines are provided:
   of the grandparent stage; fails when an interior entry vanishes.
 
 Cofactor and Dodgson are reference routes: tests compare the production
-route against them, and no production code calls them.  ``mat_mul`` is
-the matrix product of the monodromy route, whose companion matrices it
-multiplies over the integers (``scale_row`` of each step's coefficients),
-and of the closed form's residue guard, modulo a prime.  The numeric
-Wronskians take no elimination: each is one sum over integer rows and their
-2x2 minors (``invariants.WronskianTable``, ``scale_row`` of each row).
+route against them, and no production code calls them.  One condensation
+step does run in production, inside ``invariants``: a symbolic 4x4
+Wronskian is the Desnanot-Jacobi identity, the one behind Bareiss's exact
+divisions, applied once to its four corner 3x3 minors (``_condensed_w4``),
+with ``matrix_det`` of the block where the central 2x2 minor vanishes.
+``mat_mul`` is the matrix product of the monodromy route, whose companion
+matrices it multiplies over the integers (``scale_row`` of each step's
+coefficients), and of the closed form's residue guard, modulo a prime.  The
+numeric Wronskians take no elimination: each is one sum over integer rows
+and their 2x2 minors (``invariants.WronskianTable``, ``scale_row`` of each
+row).
 """
 
 from __future__ import annotations

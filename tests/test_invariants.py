@@ -1,3 +1,4 @@
+import hashlib
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhrec import invariants
 from hhrec.closed_form import extract_coeffs
 from hhrec.engine import (
     RecurrenceSpec,
@@ -46,7 +48,7 @@ from hhrec.invariants import (
     periodic_coeffs,
     wronskian4_det,
 )
-from hhrec.laurent import variables
+from hhrec.laurent import LaurentPolynomial, variables
 from hhrec.matrix import det_cofactor, mat_mul
 from hhrec.verifier import SplitMix64, TrialConfig, random_rational, random_spec
 
@@ -261,8 +263,8 @@ def test_symbolic_k_cramer_equals_k(k):
         assert k_cramer(w, n) == (w.spec.K, w.spec.K)
 
 
-def test_symbolic_delta_is_k_invariant_at_k3():
-    k, lo, hi = 3, -8, 22
+def _assert_symbolic_delta_is_k_invariant(k):
+    lo, hi = -2 * k - 2, 6 * k + 4
     w = RecurrenceSpec.symbolic(k).window().extend(lo, hi)
     d = [delta(w, n) for n in range(lo, hi - 4 * k - 2 + 1)]
     assert all(d[i + k] == d[i] for i in range(len(d) - k))
@@ -271,17 +273,102 @@ def test_symbolic_delta_is_k_invariant_at_k3():
     assert [n for n in range(lo, hi - 6 * k - 3 + 1) if wronskian4_det(w, n)] == []
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_a_corrupted_copy_does_not_read_the_clean_windows_rows(k):
-    # the clean window caches its scaled rows first; the corrupted copy must
-    # build its own, and fail at exactly the blocks that read x_{2k+1}
-    clean = _family("rational", k).window().extend(-2 * k - 2, 12 * k + 3)
+def test_symbolic_delta_is_k_invariant_at_k3():
+    _assert_symbolic_delta_is_k_invariant(3)
+
+
+def test_symbolic_delta_is_k_invariant_at_k4():
+    _assert_symbolic_delta_is_k_invariant(4)
+
+
+# sha256 of ``_symbolic_sweep_text(k)``, taken while every symbolic block was
+# an elimination of its own (``matrix_det``), before the 4x4 was condensed
+SYMBOLIC_SWEEP_DIGESTS = {
+    1: "b699fbcaec22e500ba2d8afb15aedbebabcc8a9e0352f68def4e78f9f402c6e9",
+    2: "ac5eb73c311980ab5ffe30e778fb5b76c28d49e28f4751150debe8ffabaedcff",
+    3: "bd94a031ec726af70d75aef8fa26e5a1cfc0f93f3a4b1e095103b8374224f13f",
+}
+
+
+def _symbolic_sweep_text(k):
+    """The canonical text of every 4x4, delta, Cramer and abg value over [-2k-2, 6k+4]."""
+    lo, hi = -2 * k - 2, 6 * k + 4
+    w = RecurrenceSpec.symbolic(k).window().extend(lo, hi)
+    lines = [f"w4 {n} {wronskian4_det(w, n)}" for n in range(lo, hi - 6 * k - 2)]
+    lines += [f"delta {n} {delta(w, n)}" for n in range(lo, hi - 4 * k - 1)]
+    lines += ["k_cramer {} {} {}".format(n, *k_cramer(w, n)) for n in range(lo, hi - 6 * k - 1)]
+    lines += ["abg {} {} {} {}".format(n, *abg_coeffs(w, n)) for n in range(lo, hi - 4 * k - 2)]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("k", sorted(SYMBOLIC_SWEEP_DIGESTS))
+def test_symbolic_sweep_text_pinned(k):
+    digest = hashlib.sha256(_symbolic_sweep_text(k).encode()).hexdigest()
+    assert digest == SYMBOLIC_SWEEP_DIGESTS[k]
+
+
+def _random_laurent(rng, nvars):
+    """One to three terms, exponents in [-1, 2] ([0, 2] for the parameter),
+    coefficients in [-3, 3]."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 3)):
+            c = rng.randint(-3, 3)
+            if c:
+                exp = [rng.randint(-1, 2) for _ in range(nvars - 1)] + [rng.randint(0, 2)]
+                terms[tuple(exp)] = c
+    return LaurentPolynomial(nvars, terms)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_condensed_w4_matches_cofactor_on_a_raw_symbolic_window(k, monkeypatch):
+    # random Laurent entries are no solution, so every 4x4 is nonzero and its
+    # value, sign included, must be the cofactor oracle's.  One block's
+    # central 2x2 (rows n+1, n+2, shifts 1, 2) has its second row r times
+    # its first, and only that block takes the elimination of the whole 4x4
+    rng = SplitMix64(7100 + k)
+    lo, hi = -3, 6 * k + 6
+    values = [_random_laurent(rng, 2 * k + 2) for _ in range(lo, hi + 1)]
+    flat, r = 1, _random_laurent(rng, 2 * k + 2)  # the block whose centre is 0
+    for m in (flat + 1 + 2 * k, flat + 1 + 4 * k):
+        values[m + 1 - lo] = values[m - lo] * r
+    w = raw_window(RecurrenceSpec.symbolic(k), lo, values)
+    eliminated = []
+
+    def recording_det(rows):
+        eliminated.append(len(rows))
+        return det_cofactor(rows)
+
+    monkeypatch.setattr(invariants, "matrix_det", recording_det)
+    for n in range(lo, hi - 6 * k - 3 + 1):
+        before = eliminated.count(4)
+        want = det_cofactor(_wronskian_block(w, n, range(4), range(4)))
+        assert wronskian4_det(w, n) == want != 0
+        assert eliminated.count(4) - before == (n == flat)
+
+
+@pytest.mark.parametrize("k, symbolic", [(1, False), (2, False), (3, False), (1, True), (2, True)],
+                         ids=["1", "2", "3", "symbolic-1", "symbolic-2"])
+def test_a_corrupted_copy_does_not_read_the_clean_windows_rows(k, symbolic):
+    # the clean window caches its scaled rows, or its symbolic determinants,
+    # first; the corrupted copy must build its own, and fail at exactly the
+    # blocks that read x_{2k+1}.  Both windows reach past those blocks; the
+    # symbolic one on the left, inside the symbolic cap
+    if symbolic:
+        clean = RecurrenceSpec.symbolic(k).window().extend(-4 * k - 4, 6 * k + 4)
+    else:
+        clean = _family("rational", k).window().extend(-2 * k - 2, 12 * k + 3)
     sweep = range(clean.lo, clean.hi - 6 * k - 3 + 1)
     assert all(wronskian4_det(clean, n) == 0 for n in sweep)
     bad = clean.with_value(2 * k + 1, clean[2 * k + 1] + 1)
     hit = {n for n in sweep if any(n + i + 2 * k * j == 2 * k + 1
                                    for i in range(4) for j in range(4))}
-    assert hit and {n for n in sweep if wronskian4_det(bad, n)} == hit
+    assert hit and hit < set(sweep)
+    assert {n for n in sweep if wronskian4_det(bad, n)} == hit
+    if symbolic:
+        for n in hit:
+            want = det_cofactor(_wronskian_block(bad, n, range(4), range(4)))
+            assert wronskian4_det(bad, n) == want
     assert all(wronskian4_det(clean, n) == 0 for n in sweep)
 
 
