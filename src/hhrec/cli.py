@@ -48,10 +48,10 @@ EXIT_DEGENERATE = 3
 EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE, as a shell reports `yes | head`
 
 # closed-form --eval refuses |m| * (bits(p) + bits(q)) past this, t = p/q and
-# m = n // 2k: about the bit size of the integers the Lucas doubling builds.
+# m = n // 2k: about the bit size of the integers the Lucas chain builds.
 # At the bound, k = 1 with the seed 1, 2, 3 (t = 29/6) to n = 8388608 takes
-# about 1.9 s with 49 MiB peak memory, and the seed 2^61 - 1, 1, 1 to
-# n = 360801 1.8 s with 60 MiB (Python 3.11.7, 2-core Intel Xeon VM)
+# about 1.0 s with 51 MiB peak memory, and the seed 2^61 - 1, 1, 1 to
+# n = 360801 1.2 s with 58 MiB (Python 3.11.7, 2-core Intel Xeon VM)
 EVAL_BIT_BUDGET = 2 ** 25
 
 # gen refuses a window [lo, hi] whose sum of |n // 2k| * (bits(p) + bits(q))

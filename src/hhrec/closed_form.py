@@ -10,17 +10,21 @@ U_1 = 2t, U_{-1} = 0.  The 2k coefficient triples come from a fixed 3x3
 matrix applied to (x_{2k+j}, x_j, x_{-2k+j}) with prefactor 1/(2t(1-t)),
 which is finite iff t is outside {0, 1} (i.e. K outside {1, 3}).
 
-T_m and U_m come from Lucas-sequence fast doubling in O(log |m|) steps of
-three big products each (Joye and Quisquater, Electron. Lett. 32, 1996), for
-positive and negative m alike, over the integers: with 2t = a/b in lowest
-terms, u_n = b^(n-1) U_n(2t, 1) is an integer, and U_m = U_{m+1}(2t, 1).  No
-case split is needed between |t| <= 1 (bounded, oscillatory-type solutions)
-and |t| > 1 (hyperbolic growth): the integers are exact in both regimes.
+T_m and U_m come from one Lucas chain over the integers, for positive and
+negative m alike (Joye and Quisquater, Electron. Lett. 32, 1996): with
+2t = a/b in lowest terms, u_j = b^(j-1) U_j(2t, 1) and v_j = b^j V_j(2t, 1)
+are integers, U_m = U_{m+1}(2t, 1) and 2 T_m = V_m(2t, 1).  The chain carries
+(u_j, v_j, b^j) in O(log |m|) doublings of two big products each, and
+b^|m| comes out of it.  No case split is needed between |t| <= 1 (bounded,
+oscillatory-type solutions) and |t| > 1 (hyperbolic growth): the integers
+are exact in both regimes.
 
-``chebyshev_tu`` runs the doubling over ``int`` and returns Fractions.
+``chebyshev_tu`` runs the chain to |m| over ``int`` and returns Fractions.
 Every value of the closed form is one scaled evaluation (``_scaled_value``):
 x_n is one integer over 2 L b^|m|, L the lcm of the triple's denominators,
-from integers that ``ClosedFormCoeffs.scaled`` builds once per triple.
+from integers that ``ClosedFormCoeffs.scaled`` builds once per triple.  It
+runs the chain to |m| >> 1 and folds the last doubling into the value, one
+big product at the top level.
 ``eval_closed_form`` runs it over ``int`` and returns a Fraction.
 ``printable_value``, which ``closed-form --eval`` prints, runs it over
 Decimal integers, as ``engine.export_window`` runs its relation, reduces
@@ -32,7 +36,6 @@ odd modulus (``engine._guard_residues``).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -40,50 +43,40 @@ from functools import cached_property
 
 from .engine import _EXACT, SequenceWindow, _check_agreement, _guard_residues, _reducer
 from .errors import DegenerateTError
-from .matrix import mat_mul
 from .rational import format_rational
 
 
-def _lucas(a, b, n: int) -> tuple:
-    """(u_n, u_{n+1}) for n >= 0, u_j = b^(j-1) U_j(a/b, 1), in the integers a
-    and b are (ints, or Decimals in ``_EXACT``): u_0 = 0, u_1 = 1 and
-    u_{j+1} = a u_j - b^2 u_{j-1}.
+def _lucas_chain(a, b, h: int) -> tuple:
+    """(u_h, v_h, b^h) for h >= 0, u_j = b^(j-1) U_j(a/b, 1) and v_j = b^j V_j(a/b, 1),
+    in the integers a and b > 0 are (ints, or Decimals in ``_EXACT``): u_0 = 0,
+    v_0 = 2, and both follow w_{j+1} = a w_j - b^2 w_{j-1}.
 
-    Per bit of n from the top, the pair doubles to (u_{2n}, u_{2n+1}) =
-    (u_n (2 u_{n+1} - a u_n), u_{n+1}^2 - b^2 u_n^2), and a set bit steps it
-    once.
+    Per bit of h from the top, the triple doubles to u_2j = u_j v_j and
+    v_2j = v_j^2 - 2 b^2j, two big products and the smaller b^2j = (b^j)^2
+    (1 when b = 1), and a set bit steps it once: u_{j+1} = (a u_j + v_j)/2 and
+    v_{j+1} = ((a^2 - 4b^2) u_j + a v_j)/2.  No step divides by a^2 - 4b^2,
+    which is 0 at t = -1.
     """
-    b2 = b * b
-    u, v = 0, 1
-    for bit in bin(n)[2:]:
-        u, v = u * (2 * v - a * u), v * v - b2 * (u * u)
+    d, zero = a * a - 4 * b * b, 0 * b  # zero has b's type, and no sign as b > 0
+    u, v, p = zero, zero + 2, zero + 1
+    for bit in bin(h)[2:]:
+        p *= p
+        u, v = u * v, v * v - 2 * p
         if bit == "1":
-            u, v = v, a * v - b2 * u
-    return u, v
-
-
-def _chebyshev_scaled(a, b, m: int) -> tuple:
-    """(2 b^|m| T_m(t), b^|m| U_m(t)) for 2t = a/b in lowest terms, any integer m.
-
-    Both come from x = b^|m| U_m and y = b^(|m|-1) U_{m-1}, as T_m = U_m - t U_{m-1}.
-    With U_m = U_{m+1}(2t, 1), m >= 0 has (y, x) = (u_m, u_{m+1}); m = -e < 0 has
-    U_m = -U_{e-1}(2t, 1) and U_{m-1} = -U_e(2t, 1), from (u_{e-1}, u_e).
-    """
-    if m >= 0:
-        y, x = _lucas(a, b, m)
-    else:
-        x, y = _lucas(a, b, -m - 1)
-        x, y = -b * b * x, -y
-    return 2 * x - a * y, x
+            u, v, p = (a * u + v) // 2, (d * u + a * v) // 2, p * b
+    return u, v, p
 
 
 def chebyshev_tu(t: Fraction, m: int) -> tuple[Fraction, Fraction]:
-    """(T_m(t), U_m(t)) for any integer m, negative included."""
+    """(T_m(t), U_m(t)) for any integer m, negative included.
+
+    With 2t = a/b and e = |m|: 2 b^e T_m = v_e, and 2 b^e U_m is a u_e + v_e
+    for m >= 0 (U_m = U_{m+1}(2t, 1)) and v_e - a u_e for m < 0 (U_m = -U_{e-1}(2t, 1)).
+    """
     t2 = 2 * Fraction(t)
     a, b = t2.numerator, t2.denominator
-    tm, um = _chebyshev_scaled(a, b, m)
-    scale = b ** abs(m)
-    return Fraction(tm, 2 * scale), Fraction(um, scale)
+    u, v, scale = _lucas_chain(a, b, abs(m))
+    return Fraction(v, 2 * scale), Fraction(v + a * u if m >= 0 else v - a * u, 2 * scale)
 
 
 @dataclass(frozen=True)
@@ -161,16 +154,26 @@ def _scaled_value(c: ClosedFormCoeffs, n: int, num=int) -> tuple:
     or Decimal in ``_EXACT``.  Here 2t = a/b and the triple of j times L
     are read from ``c.scaled``, and 2L is an int.
 
-    y = 2 q b^|m| + r (2 b^|m| T_m) + 2 s (b^|m| U_m) for the triple times L.
+    y = 2 q b^|m| + (r + s) v_|m| +- s a u_|m|, + for m >= 0 and - for m < 0
+    (``chebyshev_tu``).  The chain runs to h = |m| >> 1 only: the last doubling
+    and, for odd |m|, the last step fold into 2y = v_h (alpha u_h + gamma v_h)
+    + delta b^2h with small integers alpha, gamma and delta, one big product.
     """
     period = 2 * c.k
     j, m = n % period, n // period
     a, b, rows = c.scaled
-    two_l, *triple = rows[j]
-    a, b, q, r, s = map(num, (a, b, *triple))
-    tm, um = _chebyshev_scaled(a, b, m)
-    scale = b ** abs(m)
-    return 2 * q * scale + r * tm + 2 * s * um, two_l, scale
+    two_l, q, r, s = rows[j]
+    h, odd = divmod(abs(m), 2)
+    rs, sa = r + s, s * a if m >= 0 else -s * a
+    if odd:  # u_2h+1 = (a u_2h + v_2h)/2, v_2h+1 = ((a^2 - 4b^2) u_2h + a v_2h)/2
+        alpha, gamma = rs * (a * a - 4 * b * b) + sa * a, rs * a + sa
+    else:
+        alpha, gamma = 2 * sa, 2 * rs
+    delta = 4 * q * b ** odd - 2 * gamma
+    u, v, p = _lucas_chain(num(a), num(b), h)
+    p *= p
+    y = (v * (num(alpha) * u + num(gamma) * v) + num(delta) * p) // 2
+    return y, two_l, p * b if odd else p
 
 
 def _minus_window(c: ClosedFormCoeffs, w: SequenceWindow, n: int) -> tuple[int, int]:
@@ -204,19 +207,23 @@ def _residue(w: SequenceWindow, n: int) -> tuple[int, int]:
     """(p, x_n mod p) by the linear relation, run from the window's x_{j-2k},
     x_j and x_{j+2k}, j = n mod 2k, in O(log |m|) steps, p from ``_guard_residues``.
 
-    On the class of j, z_i = x_{j+2ki} has z_{i+3} = K (z_{i+2} - z_{i+1}) + z_i:
-    the companion matrix C maps (z_i, z_{i+1}, z_{i+2}) to (z_{i+1}, z_{i+2},
-    z_{i+3}), and z_m is the first entry of C^(m+1) (z_{-1}, z_0, z_1).
+    On the class of j, z_i = x_{j+2ki} has z_{i+3} = K (z_{i+2} - z_{i+1}) + z_i,
+    whose characteristic polynomial is f = y^3 - K y^2 + K y - 1.  With
+    y^e = c_0 + c_1 y + c_2 y^2 modulo f and p, z_{i+e} = c_0 z_i + c_1 z_{i+1}
+    + c_2 z_{i+2}, so z_m comes from y^(m+1) and (z_{-1}, z_0, z_1); for e < 0,
+    y^-1 = y^2 - K y + K.  Per bit of |e| from the top, c squares, with
+    y^3 = K y^2 - K y + 1 and y^4 = (K^2 - K) y^2 + (1 - K^2) y + K, and a set
+    bit multiplies it by y or y^-1.
     """
     period = 2 * w.spec.k
     j, e = n % period, n // period + 1
     p, (K, *z) = _guard_residues((w.spec.K, w[j - period], w[j], w[j + period]))
-    base = [[0, 1, 0], [0, 0, 1], [1, -K, K]] if e >= 0 else [[K, -K, 1], [1, 0, 0], [0, 1, 0]]
-    e = abs(e)
-    while e:
-        if e & 1:
-            z = [sum(map(operator.mul, row, z)) % p for row in base]
-        e >>= 1
-        if e:
-            base = [[v % p for v in row] for row in mat_mul(base, base)]
-    return p, z[0]
+    k1, k2 = (1 - K * K) % p, (K * K - K) % p
+    c0, c1, c2 = 1, 0, 0
+    for bit in bin(abs(e))[2:]:
+        e3, e4 = 2 * c1 * c2, c2 * c2
+        c0, c1, c2 = ((c0 * c0 + e3 + K * e4) % p, (2 * c0 * c1 - K * e3 + k1 * e4) % p,
+                      (2 * c0 * c2 + c1 * c1 + K * e3 + k2 * e4) % p)
+        if bit == "1":
+            c0, c1, c2 = (c2, c0 - K * c2, c1 + K * c2) if e > 0 else (c1 + K * c0, c2 - K * c0, c0)
+    return p, (c0 * z[0] + c1 * z[1] + c2 * z[2]) % p

@@ -35,10 +35,9 @@ divisions, applied once to its four corner 3x3 minors (``_condensed_w4``),
 with ``matrix_det`` of the block where the central 2x2 minor vanishes.
 ``mat_mul`` is the matrix product of the monodromy route, whose companion
 matrices it multiplies over the integers (``scale_row`` of each step's
-coefficients), and of the closed form's residue guard, modulo a prime.  The
-numeric Wronskians take no elimination: each is one sum over integer rows
-and their 2x2 minors (``invariants.WronskianTable``, ``scale_row`` of each
-row).
+coefficients).  The numeric Wronskians take no elimination: each is one
+sum over integer rows and their 2x2 minors (``invariants.WronskianTable``,
+``scale_row`` of each row).
 """
 
 from __future__ import annotations

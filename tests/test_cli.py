@@ -18,6 +18,7 @@ from hhrec.cli import main
 from hhrec.errors import ResidueMismatchError
 from hhrec.rational import format_rational
 from hhrec.verifier import NUMERIC_CHECKS, SYMBOLIC_CHECKS
+from test_closed_form import chebyshev_by_matrix_power, seed_coeffs
 
 
 @pytest.fixture
@@ -545,12 +546,14 @@ def test_closed_form_eval_within_the_size_budget(run):
     assert code == 0 and json.loads(out)["n"] == 100000
 
 
-# (k, a, init) of unit, integer and rational seeds: closed-form --eval prints
-# the Fraction route's value for every n in [-200, 200]
+# (k, a, init) of unit, integer and rational seeds and of t = -1 (K = -1,
+# where a^2 - 4b^2 = 0 for 2t = a/b): closed-form --eval prints the iterated
+# window's value for every n in [-200, 200]
 EVAL_GRID = {
     "k1-unit": (1, "1", "1,1,1"),
     "k1-integer": (1, "2", "2,3,5"),
     "k1-rational": (1, "3/2", "1/2,2/3,-3/4"),
+    "k1-t-minus-one": (1, "1", "-4,-4,3"),
     "k2-unit": (2, "1", "1,1,1,1,1"),
     "k2-integer": (2, "-3", "1,2,3,4,5"),
     "k2-rational": (2, "-5/6", "1/2,-4/3,5,2/7,3"),
@@ -570,15 +573,13 @@ EVAL_CASES = {
 }
 
 
-def _eval_text(k, a, init, n):
-    """The line json.dumps gives for eval_closed_form's value, with the
-    int-to-str digit limit lifted for this comparison alone."""
-    spec = engine.RecurrenceSpec.numeric(k, Fraction(a), [Fraction(v) for v in init.split(",")])
-    c = cf.extract_coeffs(spec.window().extend(-2 * k, 4 * k - 1), spec.K)
+def _eval_text(n, value):
+    """The line json.dumps gives for x_n = value, with the int-to-str digit
+    limit lifted for this comparison alone."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps({"n": n, "value": format_rational(cf.eval_closed_form(c, n))}) + "\n"
+        return json.dumps({"n": n, "value": format_rational(value)}) + "\n"
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -586,16 +587,24 @@ def _eval_text(k, a, init, n):
 @pytest.mark.parametrize("case", EVAL_GRID)
 def test_closed_form_eval_prints_the_fraction_value(run, case):
     k, a, init = EVAL_GRID[case]
+    spec, _ = seed_coeffs(k, a, init)
+    if case == "k1-t-minus-one":
+        assert spec.K == -1
+    w = spec.window().extend(-200, 200)
     for n in range(-200, 201):
-        code, out, err = run("closed-form", "--k", str(k), f"--a={a}", "--init", init, "--eval", str(n))
-        assert (code, out, err) == (0, _eval_text(k, a, init, n), ""), n
+        code, out, err = run("closed-form", "--k", str(k), f"--a={a}", f"--init={init}", "--eval", str(n))
+        assert (code, out, err) == (0, _eval_text(n, w[n]), ""), n
 
 
 @pytest.mark.parametrize("case", EVAL_CASES)
 def test_closed_form_eval_single_requests_print_the_fraction_value(run, case):
+    """Each value against q + r T_m + s U_m, T and U from the matrix power."""
     k, a, init, n = EVAL_CASES[case]
+    _, c = seed_coeffs(k, a, init)
+    j, m = n % (2 * k), n // (2 * k)
+    T, U = chebyshev_by_matrix_power(c.t, m)
     code, out, err = run("closed-form", "--k", str(k), f"--a={a}", "--init", init, "--eval", str(n))
-    assert (code, out, err) == (0, _eval_text(k, a, init, n), "")
+    assert (code, out, err) == (0, _eval_text(n, c.q[j] + c.r[j] * T + c.s[j] * U), "")
     if case == "zero":  # never 0/s or -0
         assert out == '{"n": -5, "value": "0"}\n'
 

@@ -1,13 +1,17 @@
+import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from hhrec.closed_form import (
+    _residue,
+    _scaled_value,
     chebyshev_tu,
     eval_closed_form,
     extract_coeffs,
 )
-from hhrec.engine import RecurrenceSpec
+from hhrec.engine import _EXACT, GUARD_PRIME, RecurrenceSpec, _guard_residues
 from hhrec.errors import DegenerateTError
 from hhrec.invariants import k_formula
 from hhrec.matrix import mat_mul
@@ -107,6 +111,87 @@ def test_chebyshev_doubling_matches_the_matrix_power(t):
 def test_chebyshev_power_matches_three_term_recurrence(t):
     for m in [*range(-12, 13), 1023, 1024, 1025, -1023, -1024, -1025, 4999, 5000, -5001]:
         assert chebyshev_tu(t, m) == chebyshev_by_recurrence(t, m), m
+
+
+def seed_coeffs(k, a, init):
+    """The spec of (k, a, init), init a comma-separated seed, and its closed-form coefficients."""
+    spec = RecurrenceSpec.numeric(k, Fraction(a), [Fraction(v) for v in init.split(",")])
+    return spec, extract_coeffs(spec.window().extend(-2 * k, 4 * k - 1), spec.K)
+
+
+# (k, a, init): 2t = a/b with b = 1 and b > 1, |t| < 1 on both sides of 0,
+# t = -1 (K = -1, where a^2 - 4b^2 = 0), the guard prime in the seed, and k = 2
+SCALED_SEEDS = {
+    "b-one": (1, "1", "1,1,1"),                   # t = 13/2
+    "b-three": (1, "1", "1,2,3"),                 # t = 29/6
+    "t-inside": (1, "1", "-3,3,-2"),              # t = 8/9
+    "t-inside-negative": (1, "1", "-2,-3,-2"),    # t = -3/8
+    "t-minus-one": (1, "1", "-4,-4,3"),
+    "guard-prime": (1, "1", f"{GUARD_PRIME},1,1"),
+    "k2": (2, "-5/6", "1/2,-4/3,5,2/7,3"),
+}
+
+
+@pytest.mark.parametrize("case", SCALED_SEEDS)
+def test_scaled_value_matches_the_slow_route(case):
+    """``_scaled_value`` against q + r T + s U, T and U from the matrix power,
+    for every j and m in [-300, 300] and +-5000, over int and over Decimal.
+
+    y / (2 L b^|m|) is compared with no gcd, over the denominator 2 b^|m|
+    that T and U divide.  Decimal-int base conversion is quadratic, so the
+    Decimal route's y and b^|m| are compared with the int route's modulo
+    the Mersenne prime 2^521 - 1.
+    """
+    k, a, init = SCALED_SEEDS[case]
+    spec, c = seed_coeffs(k, a, init)
+    if case == "t-minus-one":
+        assert spec.K == -1
+    b, mersenne = c.scaled[1], (1 << 521) - 1
+    for m in [*range(-300, 301), 5000, -5000]:
+        T, U = chebyshev_by_matrix_power(c.t, m)
+        for j in range(2 * k):
+            n = 2 * k * m + j
+            y, two_l, scale = _scaled_value(c, n)
+            two_scale = 2 * scale
+            assert scale == b ** abs(m) and two_scale % T.denominator == two_scale % U.denominator == 0
+            triple = [two_l * v for v in (c.q[j], c.r[j], c.s[j])]
+            assert all(v.denominator == 1 for v in triple), n
+            q, r, s = (v.numerator for v in triple)
+            assert 2 * y == (q * two_scale + r * T.numerator * (two_scale // T.denominator)
+                             + s * U.numerator * (two_scale // U.denominator)), n
+            with localcontext(_EXACT):
+                yd, two_ld, scaled = _scaled_value(c, n, Decimal)
+                residues = [int(v % Decimal(mersenne)) % mersenne for v in (yd, scaled)]
+            assert type(yd) is type(scaled) is Decimal and two_ld == two_l, n
+            assert residues == [y % mersenne, scale % mersenne], n
+
+
+def residue_by_matrix_power(w, n):
+    """Reference route for ``_residue``: (p, x_n mod p) from the companion
+    matrix C of z_{i+3} = K (z_{i+2} - z_{i+1}) + z_i on the class of j,
+    z_i = x_{j+2ki}: z_m is the first entry of C^(m+1) (z_{-1}, z_0, z_1),
+    with C^-1 for m + 1 < 0, by repeated squaring modulo p."""
+    period = 2 * w.spec.k
+    j, e = n % period, n // period + 1
+    p, (K, *z) = _guard_residues((w.spec.K, w[j - period], w[j], w[j + period]))
+    base = [[0, 1, 0], [0, 0, 1], [1, -K, K]] if e >= 0 else [[K, -K, 1], [1, 0, 0], [0, 1, 0]]
+    e = abs(e)
+    while e:
+        if e & 1:
+            z = [sum(map(operator.mul, row, z)) % p for row in base]
+        e >>= 1
+        if e:
+            base = [[v % p for v in row] for row in mat_mul(base, base)]
+    return p, z[0]
+
+
+@pytest.mark.parametrize("k,a,init", [(1, "1", "1,2,3"), (1, "1", f"{GUARD_PRIME},1,1"),
+                                      (1, "1", "-4,-4,3"), (2, "-5/6", "1/2,-4/3,5,2/7,3")])
+def test_residue_matches_the_matrix_power(k, a, init):
+    spec, _ = seed_coeffs(k, a, init)
+    w = spec.window().extend(-2 * k, 4 * k - 1)
+    for n in [*range(-200, 201), 10 ** 4, -10 ** 4]:
+        assert _residue(w, n) == residue_by_matrix_power(w, n), n
 
 
 def test_extraction_golden_triple():
