@@ -43,6 +43,7 @@ from functools import cached_property
 
 from .engine import _EXACT, SequenceWindow, _check_agreement, _guard_residues, _reducer
 from .errors import DegenerateTError
+from .matrix import scale_row
 from .rational import format_rational
 
 
@@ -120,20 +121,26 @@ def extract_coeffs(w: SequenceWindow, K: Fraction) -> ClosedFormCoeffs:
     """Coefficient triples from the window values at j, j +- 2k.
 
     Requires the window to cover [-2k, 4k-1] and t = (K-1)/2 outside {0, 1}
-    (the extraction matrix carries the prefactor 1/(2t(1-t))).
+    (the extraction matrix carries the prefactor 1/(2t(1-t))).  With t = P/Q
+    the prefactor cancels: for (x_{2k+j}, x_j, x_{j-2k}) = (A, B, C) / L
+    (``scale_row``), each entry is one Fraction of integers,
+
+        q_j = (Q (A + C) - 2P B) / (2 (Q - P) L),
+        r_j = Q (2P B - Q A + (Q - 2P) C) / (2P (Q - P) L),
+        s_j = Q (A - C) / (2P L).
     """
     k = w.spec.k
     K = Fraction(K)
     t = (K - 1) / 2
     if t in (0, 1):
         raise DegenerateTError(f"t = {t} makes the extraction matrix singular (K = {K})")
-    pref = 1 / (2 * t * (1 - t))
+    P, Q = t.numerator, t.denominator
     qs, rs, ss = [], [], []
     for j in range(2 * k):
-        hi_v, mid_v, lo_v = w[2 * k + j], w[j], w[-2 * k + j]
-        qs.append(pref * (t * hi_v - 2 * t * t * mid_v + t * lo_v))
-        rs.append(pref * (-hi_v + 2 * t * mid_v + (1 - 2 * t) * lo_v))
-        ss.append(pref * ((1 - t) * hi_v + (t - 1) * lo_v))
+        L, (A, B, C) = scale_row((w[2 * k + j], w[j], w[-2 * k + j]))
+        qs.append(Fraction(Q * (A + C) - 2 * P * B, 2 * (Q - P) * L))
+        rs.append(Fraction(Q * (2 * P * B - Q * A + (Q - 2 * P) * C), 2 * P * (Q - P) * L))
+        ss.append(Fraction(Q * (A - C), 2 * P * L))
     return ClosedFormCoeffs(k, K, t, tuple(qs), tuple(rs), tuple(ss))
 
 

@@ -47,8 +47,10 @@ window; a *raw* window wraps arbitrary values without the solution invariant
 and exists for fault injection and identities that hold for any sequence.
 A window caches the integers of its numeric Wronskian determinants (rows
 scaled once by the lcm of their denominators, and the 2x2 minors of
-consecutive rows), or its symbolic Wronskian determinants themselves
-(``invariants.WronskianTable``); a copy starts with none.
+consecutive rows), built one block of rows at a time where a read misses,
+so a single read costs at most one block, or its symbolic Wronskian
+determinants themselves (``invariants.WronskianTable``); a copy starts with
+none.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -177,10 +179,11 @@ class SequenceWindow:
     lo: int
     values: tuple
     raw: bool = False
+    # lo + len(values) - 1, set once: ``__getitem__`` reads it on every call
+    hi: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
+    def __post_init__(self):
+        object.__setattr__(self, "hi", self.lo + len(self.values) - 1)
 
     def __getitem__(self, n: int):
         if not self.lo <= n <= self.hi:
@@ -247,8 +250,8 @@ class SequenceWindow:
     @cached_property
     def wronskian_table(self):
         """The integer rows and pair minors of this window's numeric Wronskian
-        determinants, or its symbolic ones (``invariants.WronskianTable``),
-        filled lazily; a copy starts with none."""
+        determinants, filled a block of rows at a time as reads miss, or its
+        symbolic ones (``invariants.WronskianTable``); a copy starts with none."""
         from .invariants import WronskianTable  # deferred, as in RecurrenceSpec.K
         return WronskianTable(self)
 

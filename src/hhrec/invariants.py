@@ -25,6 +25,7 @@ holds for arbitrary (non-solution) sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -127,26 +128,38 @@ def k_ratio_route(w: SequenceWindow):
 # minors, divided once by the product of the rows' scales: the 4x4 is the
 # Laplace sum of the complementary minors of the row pairs (n, n+1) and
 # (n+2, n+3); a 3x3 block is two consecutive rows and one lone row, expanded
-# along the lone row against the pair's minors.  A sweep of overlapping
-# blocks builds each row and pair once.
+# along the lone row against the pair's minors.  A read that misses fills
+# one block of BLOCK rows and their pairs in one pass over slices of the
+# window's values, so a sweep of overlapping blocks builds each row and pair
+# about once, and a single read costs at most one block.
 # A symbolic window keeps each determinant in the table: a 3x3 block is
 # ``matrix_det`` over the Laurent ring, and the 4x4 is one Desnanot-Jacobi
 # step over four deltas (``_condensed_w4``).  So a 4x4 sweep on a fresh
 # window pays for the deltas it reads, and the delta, Cramer and abg routes
 # read them for free afterwards.
 
+# the rows a numeric table builds per miss: enough to spread a fill's fixed
+# cost, few enough that one read on a long window stays cheap
+BLOCK = 32
+
+
 class WronskianTable:
     """The determinants of one window's Wronskian blocks, or the integers a
     numeric one is a sum over (``_wronskian_det``), each built once; the
-    window holds it (``SequenceWindow.wronskian_table``).
+    window holds it (``SequenceWindow.wronskian_table``), and ``symbolic``
+    says which of the two it keeps.
 
-    Numeric windows: row m is ``scale_row`` of (x_m, x_{m+2k}, x_{m+4k},
-    x_{m+6k}); pair m holds the six 2x2 minors of rows m and m+1 over the
-    column pairs of ``MINOR_COLUMNS``.  Where the window ends before
-    x_{m+6k}, row m keeps only its first three entries, and so does the
-    minor tuple of each pair with such a row: a read of an entry the window
-    lacks raises IndexError.  A Decimal, ``_Quotient`` or Laurent value
-    raises TypeError (``scale_row``).
+    Numeric windows: ``rows[m]`` is ``scale_row`` of (x_m, x_{m+2k},
+    x_{m+4k}, x_{m+6k}); ``pairs[m]`` holds the product of the scales of
+    rows m and m+1 and their six 2x2 minors over the column pairs of
+    ``MINOR_COLUMNS``.  A read that misses (``row``, ``pair``) fills one
+    block (``_fill``): rows m .. m+BLOCK-1 and the pairs among them, clipped
+    to the window and stopped before the first row with an entry that is not
+    a Fraction or int, so an entry outside the rows a read needs never
+    raises.  Where the window ends before x_{m+6k}, row m keeps only its
+    first three entries, and so does the minor tuple of each pair with such
+    a row: a read of an entry the window lacks raises IndexError.  A read of
+    a row with a Decimal, ``_Quotient`` or Laurent value raises TypeError.
 
     Symbolic windows: ``det`` holds each block's determinant by (n,
     offsets, shifts).
@@ -156,27 +169,63 @@ class WronskianTable:
 
     def __init__(self, w: SequenceWindow):
         self._w, self._step = w, 2 * w.spec.k
-        self._rows: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self._pairs: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self.symbolic = w.spec.symbolic_mode
+        self.rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self.pairs: dict[int, tuple[int, tuple[int, ...]]] = {}
         self._dets: dict[tuple, LaurentPolynomial] = {}
 
     def row(self, m: int) -> tuple[int, tuple[int, ...]]:
         """(s_m, the row's integers): its scale and the row times it."""
-        row = self._rows.get(m)
+        row = self.rows.get(m)
         if row is None:
-            w, step = self._w, self._step
-            width = 4 if m + 3 * step <= w.hi else 3
-            row = self._rows[m] = scale_row([w[m + step * j] for j in range(width)])
+            self._fill(m)
+            row = self.rows[m]
         return row
 
     def pair(self, m: int) -> tuple[int, tuple[int, ...]]:
         """(s_m s_{m+1}, the minors of rows m and m+1 over ``MINOR_COLUMNS``)."""
-        pair = self._pairs.get(m)
+        pair = self.pairs.get(m)
         if pair is None:
-            (s, a), (t, b) = self.row(m), self.row(m + 1)
-            columns = self.MINOR_COLUMNS if len(a) == len(b) == 4 else self.MINOR_COLUMNS[:3]
-            pair = self._pairs[m] = (s * t, tuple(a[i] * b[j] - a[j] * b[i] for i, j in columns))
+            self._fill(m)
+            if m not in self.pairs:  # the block ended at row m
+                self._fill(m + 1)  # raises: row m + 1 is outside the window or not rational
+            pair = self.pairs[m]
         return pair
+
+    def _fill(self, m: int) -> None:
+        """Build rows m .. m+BLOCK-1 and the pairs among them in one pass,
+        clipped to the rows whose first three entries the window holds and
+        stopped before the first row with an entry that is not a Fraction or
+        int; IndexError or TypeError if row m itself is not built."""
+        w, step = self._w, self._step
+        w[m], w[m + 2 * step]  # IndexError outside the window
+        count = min(BLOCK, w.hi - 2 * step + 1 - m)
+        values = w.values[m - w.lo:m - w.lo + count + 3 * step]
+        # stop before the lowest row that reads an entry that is no Fraction or int
+        count = min([count, *(i - step * min(3, i // step) for i, v in enumerate(values)
+                              if not isinstance(v, (Fraction, int)))])
+        if not count:
+            scale_row(values[:3 * step + 1:step])  # raises TypeError on an entry of row m
+        values = values[:count + 3 * step]
+        nums, dens = [v.numerator for v in values], [v.denominator for v in values]
+        built = []
+        for width in (4, 3):  # rows whose x_{m+6k} the window lacks keep three entries
+            cut = [slice(j * step + len(built), j * step + count) for j in range(width)]
+            for row, row_dens in zip(zip(*(nums[c] for c in cut)), zip(*(dens[c] for c in cut))):
+                s = math.lcm(*row_dens)
+                # as ``scale_row``: a product by s // d = 1 would copy a big numerator
+                built.append((s, row if s == 1 else tuple(
+                    v if d == s else v * (s // d) for v, d in zip(row, row_dens))))
+        self.rows.update(zip(range(m, m + count), built))
+        pairs = self.pairs
+        for i, ((s, a), (t, b)) in enumerate(zip(built, built[1:]), m):
+            if len(b) == 4:
+                a0, a1, a2, a3 = a
+                b0, b1, b2, b3 = b
+                pairs[i] = s * t, (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1,
+                                   a0 * b3 - a3 * b0, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+            else:
+                pairs[i] = s * t, tuple(a[c] * b[d] - a[d] * b[c] for c, d in self.MINOR_COLUMNS[:3])
 
     def det(self, n: int, offsets: tuple[int, ...], shifts: tuple[int, ...]) -> LaurentPolynomial:
         """The symbolic block's determinant: ``_condensed_w4`` for the 4x4,
@@ -207,17 +256,19 @@ def _wronskian_det(w: SequenceWindow, n: int, offsets: tuple[int, ...],
     """det of ``_wronskian_block(w, n, offsets, shifts)``: the 4x4 block, or a
     3x3 one with offsets and shifts among those of ``_LONE_AND_PAIR`` and
     ``_COFACTORS``.  A symbolic window reads it from its table (``det``), a
-    numeric one sums the table's integers."""
+    numeric one sums the integers of the table's maps, filled on a miss."""
     table = w.wronskian_table
-    if w.spec.symbolic_mode:
+    if table.symbolic:
         return table.det(n, offsets, shifts)
+    rows, pairs = table.rows, table.pairs
     if len(offsets) == 4:
-        (s, p), (t, q) = table.pair(n), table.pair(n + 2)
+        (s, p), (t, q) = pairs.get(n) or table.pair(n), pairs.get(n + 2) or table.pair(n + 2)
         # minors over columns 01, 02, 12, 03, 13, 23 against their complements
         return Fraction(p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
                         + p[3] * q[2] - p[4] * q[1] + p[5] * q[0], s * t)
     lone, first = _LONE_AND_PAIR[offsets]
-    (s, a), (t, p) = table.row(n + lone), table.pair(n + first)
+    s, a = rows.get(n + lone) or table.row(n + lone)
+    t, p = pairs.get(n + first) or table.pair(n + first)
     (c0, c1, c2), (i0, i1, i2) = shifts, _COFACTORS[shifts]
     # the lone row is first or last of three, so its cofactor signs are +, -, +
     return Fraction(a[c0] * p[i0] - a[c1] * p[i1] + a[c2] * p[i2], s * t)

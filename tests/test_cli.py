@@ -18,7 +18,7 @@ from hhrec.cli import main
 from hhrec.errors import ResidueMismatchError
 from hhrec.rational import format_rational
 from hhrec.verifier import NUMERIC_CHECKS, SYMBOLIC_CHECKS
-from test_closed_form import chebyshev_by_matrix_power, seed_coeffs
+from test_closed_form import EVAL_GRID, chebyshev_by_matrix_power, seed_coeffs
 
 
 @pytest.fixture
@@ -545,22 +545,6 @@ def test_closed_form_eval_within_the_size_budget(run):
     code, out, _ = run("closed-form", "--k", "1", "--init", "1,2,3", "--eval", "100000")
     assert code == 0 and json.loads(out)["n"] == 100000
 
-
-# (k, a, init) of unit, integer and rational seeds and of t = -1 (K = -1,
-# where a^2 - 4b^2 = 0 for 2t = a/b): closed-form --eval prints the iterated
-# window's value for every n in [-200, 200]
-EVAL_GRID = {
-    "k1-unit": (1, "1", "1,1,1"),
-    "k1-integer": (1, "2", "2,3,5"),
-    "k1-rational": (1, "3/2", "1/2,2/3,-3/4"),
-    "k1-t-minus-one": (1, "1", "-4,-4,3"),
-    "k2-unit": (2, "1", "1,1,1,1,1"),
-    "k2-integer": (2, "-3", "1,2,3,4,5"),
-    "k2-rational": (2, "-5/6", "1/2,-4/3,5,2/7,3"),
-    "k3-unit": (3, "1", "1,1,1,1,1,1,1"),
-    "k3-integer": (3, "1", "2,-1,3,1,4,1,5"),
-    "k3-rational": (3, "3/2", "1/2,-4/3,5,2/7,3,-5/6,2"),
-}
 
 # (k, a, init, n): single requests past the grid; the guard prime divides a
 # denominator of the "guard-prime-fallback" seed, so its check takes another modulus

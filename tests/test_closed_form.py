@@ -15,7 +15,7 @@ from hhrec.engine import _EXACT, GUARD_PRIME, RecurrenceSpec, _guard_residues
 from hhrec.errors import DegenerateTError
 from hhrec.invariants import k_formula
 from hhrec.matrix import mat_mul
-from hhrec.verifier import SplitMix64, random_rational
+from hhrec.verifier import SplitMix64, TrialConfig, random_rational, random_spec
 
 
 def ones_window(k, lo, hi):
@@ -111,6 +111,57 @@ def test_chebyshev_doubling_matches_the_matrix_power(t):
 def test_chebyshev_power_matches_three_term_recurrence(t):
     for m in [*range(-12, 13), 1023, 1024, 1025, -1023, -1024, -1025, 4999, 5000, -5001]:
         assert chebyshev_tu(t, m) == chebyshev_by_recurrence(t, m), m
+
+
+# (k, a, init) of unit, integer and rational seeds and of t = -1 (K = -1,
+# where a^2 - 4b^2 = 0 for 2t = a/b): closed-form --eval prints the iterated
+# window's value for every n in [-200, 200] (``tests/test_cli.py``)
+EVAL_GRID = {
+    "k1-unit": (1, "1", "1,1,1"),
+    "k1-integer": (1, "2", "2,3,5"),
+    "k1-rational": (1, "3/2", "1/2,2/3,-3/4"),
+    "k1-t-minus-one": (1, "1", "-4,-4,3"),
+    "k2-unit": (2, "1", "1,1,1,1,1"),
+    "k2-integer": (2, "-3", "1,2,3,4,5"),
+    "k2-rational": (2, "-5/6", "1/2,-4/3,5,2/7,3"),
+    "k3-unit": (3, "1", "1,1,1,1,1,1,1"),
+    "k3-integer": (3, "1", "2,-1,3,1,4,1,5"),
+    "k3-rational": (3, "3/2", "1/2,-4/3,5,2/7,3,-5/6,2"),
+}
+
+
+def extract_coeffs_by_prefactor(w, K):
+    """Reference route for ``extract_coeffs``: the extraction matrix over
+    Fractions, times its prefactor 1/(2t(1-t))."""
+    k = w.spec.k
+    t = (Fraction(K) - 1) / 2
+    pref = 1 / (2 * t * (1 - t))
+    qs, rs, ss = [], [], []
+    for j in range(2 * k):
+        hi_v, mid_v, lo_v = w[2 * k + j], w[j], w[-2 * k + j]
+        qs.append(pref * (t * hi_v - 2 * t * t * mid_v + t * lo_v))
+        rs.append(pref * (-hi_v + 2 * t * mid_v + (1 - 2 * t) * lo_v))
+        ss.append(pref * ((1 - t) * hi_v + (t - 1) * lo_v))
+    return tuple(qs), tuple(rs), tuple(ss)
+
+
+# the grid's seeds and the numeric campaign's first draws at seed 41
+EXTRACT_SPECS = {
+    **{case: RecurrenceSpec.numeric(k, Fraction(a), [Fraction(v) for v in init.split(",")])
+       for case, (k, a, init) in EVAL_GRID.items()},
+    **{f"campaign-k{k}-{trial}": random_spec(TrialConfig(k=k, seed=41), trial)
+       for k in (1, 2, 3) for trial in range(8)},
+}
+
+
+@pytest.mark.parametrize("case", EXTRACT_SPECS)
+def test_extract_coeffs_matches_the_prefactor_route(case):
+    spec = EXTRACT_SPECS[case]
+    k = spec.k
+    w = spec.window().extend(-2 * k, 4 * k - 1)
+    c = extract_coeffs(w, spec.K)
+    assert (c.q, c.r, c.s) == extract_coeffs_by_prefactor(w, spec.K)
+    assert all(type(v) is Fraction for v in (*c.q, *c.r, *c.s))
 
 
 def seed_coeffs(k, a, init):

@@ -49,7 +49,7 @@ from hhrec.invariants import (
     wronskian4_det,
 )
 from hhrec.laurent import LaurentPolynomial, variables
-from hhrec.matrix import det_cofactor, mat_mul
+from hhrec.matrix import det_cofactor, mat_mul, scale_row
 from hhrec.verifier import SplitMix64, TrialConfig, random_rational, random_spec
 
 
@@ -193,6 +193,12 @@ def _family(kind, k):
     return RecurrenceSpec.numeric(k, {"unit": 1, "integer": 2, "rational": Fraction(3, 2)}[kind], init)
 
 
+# the 4x4 and every 3x3 block the numeric route sums: (offsets, shifts)
+_NUMERIC_BLOCKS = [((0, 1, 2, 3), (0, 1, 2, 3)),
+                   *((offsets, shifts) for offsets in ((0, 1, 2), (0, 2, 3), (0, 1, 3))
+                     for shifts in ((0, 1, 2), (0, 1, 3), (0, 2, 3)))]
+
+
 @pytest.mark.parametrize("kind, k, lo, hi", [
     *((kind, k, -2 * k - 2, 12 * k + 3) for kind in ("unit", "integer", "rational")
       for k in (1, 2, 3)),
@@ -231,13 +237,120 @@ def test_every_numeric_block_matches_cofactor_on_a_raw_window(k):
     rng = SplitMix64(7000 + k)
     lo, hi = -5, 6 * k + 8
     w = raw_window(ones(k), lo, [random_rational(rng, 9, 9) for _ in range(lo, hi + 1)])
-    blocks = [((0, 1, 2, 3), (0, 1, 2, 3)),
-              *((offsets, shifts) for offsets in ((0, 1, 2), (0, 2, 3), (0, 1, 3))
-                for shifts in ((0, 1, 2), (0, 1, 3), (0, 2, 3)))]
-    for offsets, shifts in blocks:
+    for offsets, shifts in _NUMERIC_BLOCKS:
         for n in range(lo, hi - offsets[-1] - 2 * k * shifts[-1] + 1):
             want = det_cofactor(_wronskian_block(w, n, offsets, shifts))
             assert _wronskian_det(w, n, offsets, shifts) == want != 0
+
+
+# -- the numeric table's block fill ------------------------------------------------------
+
+def _raw_rows(k, rows, seed):
+    """A raw window of random rationals with ``rows`` Wronskian rows: x_{m+4k}
+    is in it for m in [lo, lo + rows - 1], and the top 2k rows lack x_{m+6k}."""
+    rng = SplitMix64(seed)
+    return raw_window(ones(k), -3, [random_rational(rng, 9, 9) for _ in range(rows + 4 * k)])
+
+
+_FILL_ROWS = pytest.mark.parametrize(
+    "rows", [invariants.BLOCK // 2, invariants.BLOCK, 3 * invariants.BLOCK + 5],
+    ids=["below-one-block", "one-block", "several-blocks"])
+
+
+@_FILL_ROWS
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_fill_builds_scale_row_rows_and_their_minors(k, rows):
+    w = _raw_rows(k, rows, 7200 + 10 * k + rows)
+    step = 2 * k
+    for offsets, shifts in _NUMERIC_BLOCKS:
+        for n in range(w.lo, w.hi - offsets[-1] - step * shifts[-1] + 1):
+            _wronskian_det(w, n, offsets, shifts)
+    table = w.wronskian_table
+    assert sorted(table.rows) == list(range(w.lo, w.lo + rows))
+    assert sorted(table.pairs) == list(range(w.lo, w.lo + rows - 1))
+
+    def row(m):
+        return scale_row([w[j] for j in range(m, min(m + 3 * step, w.hi) + 1, step)])
+
+    for m in table.rows:
+        assert table.rows[m] == row(m), m
+    for m in table.pairs:
+        (s, a), (t, b) = row(m), row(m + 1)
+        minors = tuple(a[i] * b[j] - a[j] * b[i]
+                       for i, j in invariants.WronskianTable.MINOR_COLUMNS if j < len(b))
+        assert table.pairs[m] == (s * t, minors), m
+
+
+@_FILL_ROWS
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_block_fill_reads_at_both_ends_and_refuses_one_index_short(k, rows):
+    # each read on a fresh window, so that it is the one that fills
+    w = _raw_rows(k, rows, 7300 + 10 * k + rows)
+    for offsets, shifts in _NUMERIC_BLOCKS:
+        last = w.hi - offsets[-1] - 2 * k * shifts[-1]
+        for n in (w.lo, (w.lo + last) // 2, last):
+            want = det_cofactor(_wronskian_block(w, n, offsets, shifts))
+            assert _wronskian_det(raw_window(w.spec, w.lo, w.values), n, offsets, shifts) == want != 0
+        for lo, values, n in ((w.lo + 1, w.values[1:], w.lo), (w.lo, w.values[:-1], last)):
+            with pytest.raises(IndexError):
+                _wronskian_det(raw_window(w.spec, lo, values), n, offsets, shifts)
+
+
+@pytest.mark.parametrize("read", [
+    lambda w: delta(w, 0),
+    lambda w: wronskian4_det(w, w.hi - 9),
+    lambda w: k_cramer(w, 1000),
+    lambda w: abg_coeffs(w, 1000),
+], ids=["delta", "wronskian4_det", "k_cramer", "abg_coeffs"])
+def test_one_read_fills_at_most_one_block(read):
+    # filling the whole window instead would build 2,996 rows for this read
+    w = ones_window(1, -1000, 1999)
+    read(w)
+    assert 0 < len(w.wronskian_table.rows) <= invariants.BLOCK
+    assert len(w.wronskian_table.pairs) <= invariants.BLOCK
+
+
+@pytest.mark.parametrize("bad", [Decimal(7), variables(3)[0]], ids=["decimal", "laurent"])
+@pytest.mark.parametrize("at", [10, 40, 100])
+def test_an_entry_outside_the_rows_a_read_needs_never_raises(bad, at):
+    # k = 1: row m is (x_m, x_{m+2}, x_{m+4}, x_{m+6}), the 4x4 at n reads rows
+    # n .. n+3 and delta_n rows n .. n+2, and the first block a read fills
+    # reaches x_37; x_at breaks the rows from at - 6 on
+    clean = ones_window(1, 0, 100)
+    w = SequenceWindow(clean.spec, 0, clean.values[:at] + (bad,) + clean.values[at + 1:], raw=True)
+    assert [wronskian4_det(w, n) for n in range(at - 9)] == [0] * (at - 9)
+    assert delta(w, at - 9) == delta(clean, at - 9)
+    for read, n in ((wronskian4_det, at - 9), (delta, at - 8)):
+        with pytest.raises(TypeError, match="is not a Fraction or int"):
+            read(w, n)
+
+
+# sha256 of the repr of each numeric sweep, taken while the table built each
+# row and pair by a call of its own: unit-seed windows of the campaign's
+# Wronskian ops, and one rational k = 3 window
+NUMERIC_SWEEPS = {
+    "k1-unit": (1, 1, "1,1,1", -75, 225,
+                "a22e81cfadc037ff374bdd719e1096c28b64e47ca0814bd5d547b4e1711bb8ca",
+                "8c4cd6680b8de4deb75962259d27829cec046eb1c1be42b2b0da24bf225da39e"),
+    "k2-unit": (2, 1, "1,1,1,1,1", -100, 300,
+                "9d55ab0a8b7775ce72df7f46e619373445cc1f893614db715c07db9d5ab338f6",
+                "6880b0ae0c94ef4a6d6dc1e7e71784fde673a9bfc32a0b101ed3c8e372e15a52"),
+    "k3-rational": (3, Fraction(3, 2), "1/2,-4/3,5,2/7,3,-5/6,2", -40, 120,
+                    "5181e6908cf06a4c7829d95eb84627d50d7befb3f01d0d55fd32a5af13eb436e",
+                    "a443c023c909d707bb7ccf9ad7766d1574a543bce8ac35e91efb872a4daf0447"),
+}
+
+
+@pytest.mark.parametrize("case", NUMERIC_SWEEPS)
+def test_numeric_sweeps_pinned(case):
+    k, a, init, lo, hi, w4_digest, delta_digest = NUMERIC_SWEEPS[case]
+    spec = RecurrenceSpec.numeric(k, a, [Fraction(v) for v in init.split(",")])
+    w = spec.window().extend(lo, hi)
+    w4 = repr([wronskian4_det(w, n) for n in range(lo, hi - 6 * k - 2)])
+    w = spec.window().extend(lo, hi)  # the delta sweep fills a table of its own
+    deltas = repr([delta(w, n) for n in range(lo, hi - 4 * k - 1)])
+    assert hashlib.sha256(w4.encode()).hexdigest() == w4_digest
+    assert hashlib.sha256(deltas.encode()).hexdigest() == delta_digest
 
 
 @pytest.mark.parametrize("k, lo, hi, w4_at, delta_at", [
