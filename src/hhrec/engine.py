@@ -48,7 +48,8 @@ and exists for fault injection and identities that hold for any sequence.
 A window caches the integers of its numeric Wronskian determinants (rows
 scaled once by the lcm of their denominators, and the 2x2 minors of
 consecutive rows), built one block of rows at a time where a read misses,
-so a single read costs at most one block, or its symbolic Wronskian
+so a single read costs at most one block, and the periodic coefficients of
+its 3-term relation, built from them once, or its symbolic Wronskian
 determinants themselves (``invariants.WronskianTable``); a copy starts with
 none.
 """
@@ -250,8 +251,9 @@ class SequenceWindow:
     @cached_property
     def wronskian_table(self):
         """The integer rows and pair minors of this window's numeric Wronskian
-        determinants, filled a block of rows at a time as reads miss, or its
-        symbolic ones (``invariants.WronskianTable``); a copy starts with none."""
+        determinants, filled a block of rows at a time as reads miss, and its
+        periodic coefficients, or its symbolic determinants
+        (``invariants.WronskianTable``); a copy starts with none."""
         from .invariants import WronskianTable  # deferred, as in RecurrenceSpec.K
         return WronskianTable(self)
 
@@ -271,13 +273,24 @@ def _step(block: Sequence, a, pivot: int, target: int):
     reversed (x_{n+2k+1}, ..., x_{n+1}) for a backward step to x_n.
     ``pivot`` and ``target`` are the indices of the divisor and of the new
     value, named in the errors.
+
+    Where ``a`` and the five values the step reads are Fractions, the new
+    value is one Fraction of cross-multiplied numerators and denominators,
+    so it takes one gcd, not one per operation; any other scalars (Laurent
+    polynomials) take the ring formula with the ring's exact ``/``.
     """
     k = len(block) // 2
-    if not block[0]:
+    x0, x1, xk, xk1, x2k = block[0], block[1], block[k], block[k + 1], block[2 * k]
+    if not x0:
         raise ZeroPivotError(pivot)
-    num = block[2 * k] * block[1] + a * (block[k] + block[k + 1])
+    if type(a) is type(x0) is type(x1) is type(xk) is type(xk1) is type(x2k) is Fraction:
+        # x_{2k} x_1 = p / q and a (x_k + x_{k+1}) = s / t
+        p, q = x2k.numerator * x1.numerator, x2k.denominator * x1.denominator
+        s = a.numerator * (xk.numerator * xk1.denominator + xk1.numerator * xk.denominator)
+        t = a.denominator * xk.denominator * xk1.denominator
+        return Fraction((p * t + s * q) * x0.denominator, q * t * x0.numerator)
     try:
-        return num / block[0]
+        return (x2k * x1 + a * (xk + xk1)) / x0
     except NotExactError as exc:
         raise LaurentViolationError(target) from exc
 

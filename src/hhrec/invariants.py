@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .engine import RecurrenceSpec, SequenceWindow, phi, raw_window, xi_residual
@@ -39,7 +40,7 @@ from .errors import (
     ZeroPivotError,
 )
 from .laurent import LaurentPolynomial, RationalFunction
-from .matrix import mat_mul, matrix_det, scale_row, solve_exact
+from .matrix import mat_mul, matrix_det, scale_row
 from .rational import format_rational, promote
 
 
@@ -125,13 +126,16 @@ def k_ratio_route(w: SequenceWindow):
 # Every Wronskian determinant below is one of x_{n + offsets[i] + 2k shifts[j]},
 # and the window's ``WronskianTable`` builds what each one reads once.
 # A numeric window takes one integer sum over the table's rows and pair
-# minors, divided once by the product of the rows' scales: the 4x4 is the
+# minors over the product of the rows' scales (``_wronskian_parts``), and a
+# numeric check compares such pairs by cross-multiplication: the 4x4 is the
 # Laplace sum of the complementary minors of the row pairs (n, n+1) and
 # (n+2, n+3); a 3x3 block is two consecutive rows and one lone row, expanded
 # along the lone row against the pair's minors.  A read that misses fills
 # one block of BLOCK rows and their pairs in one pass over slices of the
 # window's values, so a sweep of overlapping blocks builds each row and pair
-# about once, and a single read costs at most one block.
+# about once, and a single read costs at most one block.  The Cramer and abg
+# ratios over delta_n are one integer pair each (``_over_delta``), and the
+# table builds the periodic coefficients from them once.
 # A symbolic window keeps each determinant in the table: a 3x3 block is
 # ``matrix_det`` over the Laurent ring, and the 4x4 is one Desnanot-Jacobi
 # step over four deltas (``_condensed_w4``).  So a 4x4 sweep on a fresh
@@ -145,9 +149,10 @@ BLOCK = 32
 
 class WronskianTable:
     """The determinants of one window's Wronskian blocks, or the integers a
-    numeric one is a sum over (``_wronskian_det``), each built once; the
+    numeric one is a sum over (``_wronskian_parts``), each built once; the
     window holds it (``SequenceWindow.wronskian_table``), and ``symbolic``
-    says which of the two it keeps.
+    says which of the two it keeps.  A numeric table also holds the
+    window's periodic coefficients (``periodic``), built on the first read.
 
     Numeric windows: ``rows[m]`` is ``scale_row`` of (x_m, x_{m+2k},
     x_{m+4k}, x_{m+6k}); ``pairs[m]`` holds the product of the scales of
@@ -227,6 +232,15 @@ class WronskianTable:
             else:
                 pairs[i] = s * t, tuple(a[c] * b[d] - a[d] * b[c] for c, d in self.MINOR_COLUMNS[:3])
 
+    @cached_property
+    def periodic(self) -> "PeriodicCoeffs":
+        """A numeric window's ``periodic_coeffs``, built once: alpha_n, beta_n
+        and gamma_n for n in [0, 2k), each one Fraction of ``_abg_parts``."""
+        k = self._step // 2
+        trips = [_abg_parts(self, n) for n in range(2 * k)]
+        return PeriodicCoeffs(k, tuple(Fraction(*t[0]) for t in trips[:k]),
+                              *(tuple(Fraction(*t[i]) for t in trips) for i in (1, 2)))
+
     def det(self, n: int, offsets: tuple[int, ...], shifts: tuple[int, ...]) -> LaurentPolynomial:
         """The symbolic block's determinant: ``_condensed_w4`` for the 4x4,
         ``matrix_det`` for a 3x3 block."""
@@ -240,8 +254,11 @@ class WronskianTable:
 
 # offsets -> (lone row, first row of the pair), both relative to n
 _LONE_AND_PAIR = {(0, 1, 2): (0, 1), (0, 2, 3): (0, 2), (0, 1, 3): (3, 0)}
-# shifts (c0, c1, c2) -> the positions in ``MINOR_COLUMNS`` of (c1, c2), (c0, c2), (c0, c1)
-_COFACTORS = {(0, 1, 2): (2, 1, 0), (0, 1, 3): (4, 3, 0), (0, 2, 3): (5, 3, 1)}
+# the columns (c0, c1, c2) of a 3x3 block, a Wronskian block's shifts or the
+# columns of ``inhom_coeffs``, -> the positions in ``MINOR_COLUMNS`` of (c1, c2),
+# (c0, c2), (c0, c1)
+_COFACTORS = {(0, 1, 2): (2, 1, 0), (0, 1, 3): (4, 3, 0), (0, 2, 3): (5, 3, 1),
+              (1, 2, 3): (5, 4, 2)}
 
 
 def _wronskian_block(w: SequenceWindow, n: int, offsets: Sequence[int],
@@ -256,22 +273,39 @@ def _wronskian_det(w: SequenceWindow, n: int, offsets: tuple[int, ...],
     """det of ``_wronskian_block(w, n, offsets, shifts)``: the 4x4 block, or a
     3x3 one with offsets and shifts among those of ``_LONE_AND_PAIR`` and
     ``_COFACTORS``.  A symbolic window reads it from its table (``det``), a
-    numeric one sums the integers of the table's maps, filled on a miss."""
+    numeric one builds its one Fraction from ``_wronskian_parts``."""
     table = w.wronskian_table
     if table.symbolic:
         return table.det(n, offsets, shifts)
+    return Fraction(*_wronskian_parts(table, n, offsets, shifts))
+
+
+def _wronskian_parts(table: WronskianTable, n: int, offsets: tuple[int, ...],
+                     shifts: tuple[int, ...]) -> tuple[int, int]:
+    """(sum, scale > 0) of a numeric window's Wronskian determinant, sum/scale,
+    from the integers of its table's maps, filled on a miss, with no gcd."""
     rows, pairs = table.rows, table.pairs
     if len(offsets) == 4:
         (s, p), (t, q) = pairs.get(n) or table.pair(n), pairs.get(n + 2) or table.pair(n + 2)
         # minors over columns 01, 02, 12, 03, 13, 23 against their complements
-        return Fraction(p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
-                        + p[3] * q[2] - p[4] * q[1] + p[5] * q[0], s * t)
+        return (p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
+                + p[3] * q[2] - p[4] * q[1] + p[5] * q[0], s * t)
     lone, first = _LONE_AND_PAIR[offsets]
     s, a = rows.get(n + lone) or table.row(n + lone)
     t, p = pairs.get(n + first) or table.pair(n + first)
     (c0, c1, c2), (i0, i1, i2) = shifts, _COFACTORS[shifts]
     # the lone row is first or last of three, so its cofactor signs are +, -, +
-    return Fraction(a[c0] * p[i0] - a[c1] * p[i1] + a[c2] * p[i2], s * t)
+    return a[c0] * p[i0] - a[c1] * p[i1] + a[c2] * p[i2], s * t
+
+
+def _over_delta(n: int, delta_n: tuple[int, int], dets) -> list[tuple[int, int]]:
+    """(numerator, denominator) of each determinant of ``dets`` over delta_n,
+    all given as ``_wronskian_parts`` pairs: a/s over d/t is (a t, s d).
+    SingularDeltaError(n) where delta_n = 0."""
+    d, t = delta_n
+    if not d:
+        raise SingularDeltaError(n)
+    return [(a * t, s * d) for a, s in dets]
 
 
 def _condensed_w4(w: SequenceWindow, n: int) -> LaurentPolynomial:
@@ -297,14 +331,23 @@ def wronskian3(w: SequenceWindow, n: int) -> list[list]:
     return _wronskian_block(w, n, (0, 1, 2), (0, 1, 2))
 
 
+# delta and the 4x4 take ``_wronskian_det``'s two routes themselves: a read
+# pays no call more than the parts and its one Fraction
+
 def delta(w: SequenceWindow, n: int):
     """det of the 3x3 discrete Wronskian; a k-invariant on solutions."""
-    return _wronskian_det(w, n, (0, 1, 2), (0, 1, 2))
+    table = w.wronskian_table
+    if table.symbolic:
+        return table.det(n, (0, 1, 2), (0, 1, 2))
+    return Fraction(*_wronskian_parts(table, n, (0, 1, 2), (0, 1, 2)))
 
 
 def wronskian4_det(w: SequenceWindow, n: int):
     """det of the 4x4 discrete Wronskian; exactly 0 on solution windows."""
-    return _wronskian_det(w, n, (0, 1, 2, 3), (0, 1, 2, 3))
+    table = w.wronskian_table
+    if table.symbolic:
+        return table.det(n, (0, 1, 2, 3), (0, 1, 2, 3))
+    return Fraction(*_wronskian_parts(table, n, (0, 1, 2, 3), (0, 1, 2, 3)))
 
 
 # -- Cramer route ----------------------------------------------------------------
@@ -314,17 +357,32 @@ def k_cramer(w: SequenceWindow, n: int = 0):
 
     K1 replaces the third Wronskian column by the 6k-shifted one, K2 the
     second; both are independent of n and swap into each other under the
-    reversal symmetry.
+    reversal symmetry.  A numeric window builds each as one Fraction of
+    ``_cramer_parts``.
     """
-    d1 = _wronskian_det(w, n, (0, 1, 2), (0, 1, 3))
-    d2 = _wronskian_det(w, n, (0, 1, 2), (0, 2, 3))
-    d = delta(w, n)
+    table = w.wronskian_table
+    if not table.symbolic:
+        return tuple(Fraction(*q) for q in _cramer_parts(table, n))
+    d1 = table.det(n, (0, 1, 2), (0, 1, 3))
+    d2 = table.det(n, (0, 1, 2), (0, 2, 3))
+    d = table.det(n, (0, 1, 2), (0, 1, 2))
     if not d:
         raise SingularDeltaError(n)
     return d1 / d, d2 / d
 
 
+def _cramer_parts(table: WronskianTable, n: int) -> list[tuple[int, int]]:
+    """(numerator, denominator) of K1 and K2 of ``k_cramer`` on a numeric
+    window's table, with no gcd."""
+    dets = [_wronskian_parts(table, n, (0, 1, 2), shifts) for shifts in ((0, 1, 3), (0, 2, 3))]
+    return _over_delta(n, _wronskian_parts(table, n, (0, 1, 2), (0, 1, 2)), dets)
+
+
 # -- 3-term relation coefficients -------------------------------------------------
+
+# (shift of n, offsets) of the numerators of alpha_n, beta_n and gamma_n
+_ABG_BLOCKS = ((1, (0, 1, 2)), (0, (0, 2, 3)), (0, (0, 1, 3)))
+
 
 def abg_coeffs(w: SequenceWindow, n: int):
     """(alpha_n, beta_n, gamma_n) of x_{n+3} - gamma x_{n+2} + beta x_{n+1} - alpha x_n = 0.
@@ -333,16 +391,25 @@ def abg_coeffs(w: SequenceWindow, n: int):
     rational functions, not Laurent polynomials: on a symbolic window the
     four determinants are taken in the Laurent ring and lifted into
     RationalFunction scalars for the ratios.  The four blocks read the rows
-    of delta_n and delta_{n+1}.
+    of delta_n and delta_{n+1}.  A numeric window builds each coefficient as
+    one Fraction of ``_abg_parts``.
     """
-    dets = [_wronskian_det(w, n + s, offsets, (0, 1, 2))
-            for s, offsets in ((0, (0, 1, 2)), (1, (0, 1, 2)), (0, (0, 2, 3)), (0, (0, 1, 3)))]
-    if w.spec.symbolic_mode:
-        dets = [RationalFunction(v) for v in dets]
-    d, d_alpha, d_beta, d_gamma = dets
+    table = w.wronskian_table
+    if not table.symbolic:
+        return tuple(Fraction(*q) for q in _abg_parts(table, n))
+    d, d_alpha, d_beta, d_gamma = [RationalFunction(table.det(n + s, offsets, (0, 1, 2)))
+                                   for s, offsets in ((0, (0, 1, 2)), *_ABG_BLOCKS)]
     if not d:
         raise SingularDeltaError(n)
     return d_alpha / d, d_beta / d, d_gamma / d
+
+
+def _abg_parts(table: WronskianTable, n: int) -> list[tuple[int, int]]:
+    """(numerator, denominator) of alpha_n, beta_n and gamma_n of
+    ``abg_coeffs`` on a numeric window's table, with no gcd."""
+    delta_n = _wronskian_parts(table, n, (0, 1, 2), (0, 1, 2))
+    dets = [_wronskian_parts(table, n + s, offsets, (0, 1, 2)) for s, offsets in _ABG_BLOCKS]
+    return _over_delta(n, delta_n, dets)
 
 
 @dataclass(frozen=True)
@@ -366,17 +433,24 @@ class PeriodicCoeffs:
 
 def periodic_coeffs(w: SequenceWindow) -> PeriodicCoeffs:
     """One full period of the 3-term relation coefficients, from base index 0;
-    numeric windows only (over a symbolic window the monodromy products swell)."""
-    k = w.spec.k
+    numeric windows only (over a symbolic window the monodromy products
+    swell).  The window's table builds them once (``WronskianTable.periodic``)."""
     if w.spec.symbolic_mode:
         raise ValueError("periodic coefficients are computed in numeric mode only")
-    trips = [abg_coeffs(w, n) for n in range(0, 2 * k)]
-    return PeriodicCoeffs(
-        k,
-        tuple(trips[n][0] for n in range(k)),
-        tuple(t[1] for t in trips),
-        tuple(t[2] for t in trips),
-    )
+    return w.wronskian_table.periodic
+
+
+def _three_term_parts(w: SequenceWindow, n: int, scaled) -> tuple[int, int]:
+    """(numerator, denominator) of x_{n+3} - gamma_n x_{n+2} + beta_n x_{n+1}
+    - alpha_n x_n on a window of Fractions, with no gcd; ``scaled`` is
+    ``scale_row`` of (alpha_n, beta_n, gamma_n), (d, (A, B, G))."""
+    d, (A, B, G) = scaled
+    x0, x1, x2, x3 = w[n], w[n + 1], w[n + 2], w[n + 3]
+    q01, q23 = x0.denominator * x1.denominator, x2.denominator * x3.denominator
+    # (d x3 - G x2) q23 + (B x1 - A x0) q01, over d q01 q23
+    return ((d * x3.numerator * x2.denominator - G * x2.numerator * x3.denominator) * q01
+            + (B * x1.numerator * x0.denominator - A * x0.numerator * x1.denominator) * q23,
+            d * q01 * q23)
 
 
 # -- monodromy route ---------------------------------------------------------------
@@ -502,21 +576,31 @@ def inhom_coeffs(w: SequenceWindow, n: int, K) -> InhomCoeffs:
     """nu_n plus (epsilon_n, zeta_n, eta_n) of x_{m+2} + eta x_{m+1} + zeta x_m = epsilon.
 
     The three coefficients solve the 3x3 system over the columns m = n,
-    n+2k, n+4k of the one-bordered Wronskian; numeric windows only.
+    n+2k, n+4k of the one-bordered Wronskian; numeric windows only.  The
+    system's row m, epsilon - zeta x_m - eta x_{m+1} = x_{m+2}, is taken as
+    ``scale_row`` of (1, x_m, x_{m+1}, x_{m+2}), and Cramer's rule runs over
+    those integers: every determinant gains the same product of row scales,
+    which cancels in each ratio, and the signs of the two negated columns
+    are folded into the ratios.  The 3x3 determinants expand along the
+    first row against the 2x2 minors of the other two.
     """
     k = w.spec.k
     if w.spec.symbolic_mode:
         raise ValueError("inhomogeneous coefficients are computed in numeric mode only")
     nu = nu_invariant(w, n, K)
-    a_rows = [[Fraction(1), -w[m], -w[m + 1]] for m in (n, n + 2 * k, n + 4 * k)]
-    rhs = [w[m + 2] for m in (n, n + 2 * k, n + 4 * k)]
-    det = matrix_det(a_rows)
-    if det == 0:
+    (_, r), (_, u), (_, v) = (scale_row((1, w[m], w[m + 1], w[m + 2]))
+                              for m in (n, n + 2 * k, n + 4 * k))
+    minors = [u[c] * v[d] - u[d] * v[c] for c, d in WronskianTable.MINOR_COLUMNS]
+
+    def det(columns):  # of the integer rows over these three of the four columns
+        (c0, c1, c2), (i0, i1, i2) = columns, _COFACTORS[columns]
+        return r[c0] * minors[i0] - r[c1] * minors[i1] + r[c2] * minors[i2]
+
+    d = det((0, 1, 2))
+    if not d:
         raise SingularSystemError(f"order-2 relation solve is singular at n={n}")
-    sol = solve_exact(a_rows, rhs)
-    assert sol is not None
-    eps, zeta, eta = sol
-    return InhomCoeffs(nu, eps, zeta, eta)
+    return InhomCoeffs(nu, Fraction(det((1, 2, 3)), d), Fraction(det((0, 2, 3)), d),
+                       Fraction(-det((0, 1, 3)), d))
 
 
 # -- linear relation and the operator identity -------------------------------------

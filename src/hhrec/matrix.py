@@ -221,6 +221,8 @@ def solve_exact(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> 
 
     Plain Gauss-Jordan over Fraction with partial structure only -- the
     systems here are tiny.  Returns None when the system is inconsistent.
+    No production code calls it (``invariants.inhom_coeffs`` solves by
+    integer Cramer); tests take it as a reference route.
     """
     nrows = len(a_rows)
     if nrows == 0:

@@ -8,9 +8,20 @@ identity fails, the ``identity``, and the nonzero ``residual`` it left; a
 failure that leaves no residual (no recurrence found, a non-integer or
 non-Laurent iterate, a failed reversibility round trip) has no ``residual``
 key.  A numeric sweep tests each identity as one integer, the residual's
-numerator cross-multiplied over one denominator (``engine._xi_parts``,
-``invariants._relation_parts``, ``closed_form._minus_window``), or compares
-two values with ``!=``; it builds a residual only for the witness.
+numerator cross-multiplied over one denominator, or compares two values
+with ``!=``; it builds a residual only for the witness.  The integer tests
+(``_zero_sweep``, and ``_zero_tuple_sweep`` for a tuple residual) are:
+
+* xi_n (``engine._xi_parts``), the linear relation and nu
+  (``invariants._relation_parts``), the closed form
+  (``closed_form._minus_window``);
+* the 4x4 Wronskian (``invariants._wronskian_parts``) and the 3-term
+  relation (``invariants._three_term_parts``);
+* by ``_minus`` of two (numerator, denominator) pairs: delta[n+k] against
+  delta[n], the Cramer pair against K, the alpha, beta, gamma periodicity
+  and the alpha product.
+
+``detect`` divides its charpoly over the integers (``poly_divides``).
 
 Randomness comes from SplitMix64, a tiny, exactly specified 64-bit generator
 (Steele, Lea & Flood's mixer), so reports are portable across platforms and
@@ -214,18 +225,28 @@ def _integer_massey(ys: Sequence[int], max_order: int) -> list[int] | None:
 
 
 def poly_divides(d: Sequence[Fraction], p: Sequence[Fraction]) -> bool:
-    """Whether d divides p exactly (both descending, d nonzero)."""
-    r = [Fraction(v) for v in p]
-    d = [Fraction(v) for v in d]
-    while r and r[0] == 0:
+    """Whether d divides p exactly (both descending, d with a nonzero lead).
+
+    Runs over the integers: each polynomial is taken as ``scale_row`` of its
+    coefficients, a unit multiple of it, and d is divided by its content.
+    A primitive d divides an integer p over the rationals only with an
+    integer quotient (Gauss's lemma), so the long division stops, with
+    False, at the first leading coefficient its lead does not divide.
+    """
+    _, d = scale_row(d)
+    _, r = scale_row(p)
+    content = math.gcd(*d)
+    d, r = [c // content for c in d], list(r)
+    while r and not r[0]:
         r.pop(0)
     while len(r) >= len(d):
-        f = r[0] / d[0]
-        for i in range(len(d)):
+        f, rest = divmod(r[0], d[0])
+        if rest:
+            return False
+        for i in range(1, len(d)):
             r[i] -= f * d[i]
-        assert r[0] == 0
         r.pop(0)
-        while r and r[0] == 0:
+        while r and not r[0]:
             r.pop(0)
     return not r
 
@@ -317,6 +338,25 @@ def _zero_sweep(ns: Iterable[int], parts: Callable, what: str) -> CheckResult:
     return CheckResult(True)
 
 
+def _minus(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(numerator, denominator) of x - y, both given as (numerator,
+    denominator) pairs, cross-multiplied with no gcd: 0 exactly when x = y."""
+    (a, s), (b, t) = x, y
+    return a * t - b * s, s * t
+
+
+def _zero_tuple_sweep(ns: Iterable[int], parts: Callable, what: str) -> CheckResult:
+    """``_zero_sweep`` for a tuple residual: parts(n) is a tuple of
+    (numerator, denominator) pairs, and the sweep passes iff every numerator
+    is 0 at every n; else it witnesses the first n where one is not, with
+    the tuple of residuals."""
+    for n in ns:
+        pairs = parts(n)
+        if any(num for num, _ in pairs):
+            return CheckResult(False, _wit(n, what, tuple(Fraction(*q) for q in pairs)))
+    return CheckResult(True)
+
+
 def _equal_sweep(triples: Iterable[tuple], what: str) -> CheckResult:
     """Pass iff left == right for every (n, left, right); else witness the
     first n where not, with the residual left - right."""
@@ -382,8 +422,11 @@ def _check_k_ratio(ctx: TrialContext) -> CheckResult:
 
 
 def _check_k_cramer(ctx: TrialContext) -> CheckResult:
-    w, K = ctx.default_window(), ctx.spec.K
-    return _sweep((0, 1), lambda n: tuple(v - K for v in inv.k_cramer(w, n)), "Cramer pair == K")
+    table, K = ctx.default_window().wronskian_table, ctx.spec.K
+    K_parts = K.numerator, K.denominator
+    return _zero_tuple_sweep((0, 1), lambda n: tuple(_minus(q, K_parts)
+                                                     for q in inv._cramer_parts(table, n)),
+                             "Cramer pair == K")
 
 
 def _check_k_monodromy(ctx: TrialContext) -> CheckResult:
@@ -394,36 +437,42 @@ def _check_k_monodromy(ctx: TrialContext) -> CheckResult:
 
 def _check_delta_invariance(ctx: TrialContext) -> CheckResult:
     k, w = ctx.k, ctx.default_window()
-    deltas = [inv.delta(w, n) for n in range(w.lo, w.hi - 4 * k - 2 + 1)]  # each once
-    return _sweep(range(w.lo, w.hi - 5 * k - 2 + 1),
-                  lambda n: deltas[n + k - w.lo] - deltas[n - w.lo], "delta[n+k] == delta[n]")
+    table = w.wronskian_table
+    deltas = [inv._wronskian_parts(table, n, (0, 1, 2), (0, 1, 2))  # each once
+              for n in range(w.lo, w.hi - 4 * k - 2 + 1)]
+    return _zero_sweep(range(w.lo, w.hi - 5 * k - 2 + 1),
+                       lambda n: _minus(deltas[n + k - w.lo], deltas[n - w.lo]),
+                       "delta[n+k] == delta[n]")
 
 
 def _check_wronskian4(ctx: TrialContext) -> CheckResult:
     w = ctx.default_window()
-    return _sweep(range(w.lo, w.hi - 6 * ctx.k - 3 + 1),
-                  lambda n: inv.wronskian4_det(w, n), "det of 4x4 Wronskian = 0")
+    table = w.wronskian_table
+    return _zero_sweep(range(w.lo, w.hi - 6 * ctx.k - 3 + 1),
+                       lambda n: inv._wronskian_parts(table, n, (0, 1, 2, 3), (0, 1, 2, 3)),
+                       "det of 4x4 Wronskian = 0")
 
 
 def _check_abg_relation(ctx: TrialContext) -> CheckResult:
     k = ctx.k
     w = ctx.default_window()
-    pc = inv.periodic_coeffs(w)
+    table, pc = w.wronskian_table, inv.periodic_coeffs(w)
+    scaled = [scale_row((pc.alpha_at(n), pc.beta_at(n), pc.gamma_at(n))) for n in range(2 * k)]
 
     def periodicity(n):  # alpha has period k, beta and gamma period 2k
-        alpha = inv.abg_coeffs(w, n + k)[0] - pc.alpha_at(n + k)
-        _, beta, gamma = inv.abg_coeffs(w, n + 2 * k)
-        return alpha, beta - pc.beta_at(n), gamma - pc.gamma_at(n)
+        alpha = inv._abg_parts(table, n + k)[0]
+        _, beta, gamma = inv._abg_parts(table, n + 2 * k)
+        return tuple(_minus(q, (c.numerator, c.denominator)) for q, c in
+                     zip((alpha, beta, gamma), (pc.alpha_at(n + k), pc.beta_at(n), pc.gamma_at(n))))
 
-    return (_sweep(range(0, 6 * k),
-                   lambda n: (w[n + 3] - pc.gamma_at(n) * w[n + 2]
-                              + pc.beta_at(n) * w[n + 1] - pc.alpha_at(n) * w[n]),
-                   "3-term relation")
-            and _sweep(range(0, 2 * k), periodicity, "alpha, beta, gamma periodicity")
+    alphas = [pc.alpha_at(j) for j in range(1, k + 1)]
+    product = math.prod(c.numerator for c in alphas), math.prod(c.denominator for c in alphas)
+    return (_zero_sweep(range(0, 6 * k), lambda n: inv._three_term_parts(w, n, scaled[n % (2 * k)]),
+                        "3-term relation")
+            and _zero_tuple_sweep(range(0, 2 * k), periodicity, "alpha, beta, gamma periodicity")
             # abg_coeffs(w, j)[0] == pc.alpha_at(j) for j = 1..k: pc holds it for j < k,
             # and the periodicity sweep proved it at j = k
-            and _sweep((0,), lambda n: math.prod(pc.alpha_at(j) for j in range(1, k + 1)) - 1,
-                       "product of alpha_1..alpha_k == 1"))
+            and _zero_sweep((0,), lambda n: _minus(product, (1, 1)), "product of alpha_1..alpha_k == 1"))
 
 
 def _check_explicit_iterates(ctx: TrialContext) -> CheckResult:

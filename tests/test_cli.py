@@ -481,6 +481,66 @@ def test_verify_report_bytes_pinned(run, tmp_path, k, trials, seed):
     assert hashlib.sha256(stripped).hexdigest() == REPORT_DIGESTS[k, trials, seed]
 
 
+# SHA-256 of `verify --checks T --inject-fault T --json` with every "elapsed"
+# field cut out, for the Wronskian-family and inhom controls, taken while these
+# checks compared Fractions: their witnesses must keep every byte
+FAULT_REPORT_DIGESTS = {
+    (1, "delta_invariance"): "4f096b36e36ae911ceb8e8c95229ce4eca785614d6605cacb7705eb2075a6293",
+    (1, "wronskian4"): "306e70138508a05ebd473c7aafed80d161b47aad6a2dd850f01a85f574320a63",
+    (1, "k_cramer"): "7622694e5b888945b30170763543418ad79748b9229f0c20c1b3828260269116",
+    (1, "k_monodromy"): "a10d9e9ccd8a045d227ce5a3cccf061b37242c01b12ca20093842f25bab43d0f",
+    (1, "abg_relation"): "650fff89ed554c5044b200eb4becdf214ee2aef09b6a7156215928e3d0a5c96a",
+    (1, "inhom"): "42a144bbd54a3224e2107b2d4703d2361d92e4e23dc81ac220cf9c7620cecc65",
+    (2, "delta_invariance"): "2fd6c19b4706dd2f372c2f5e900facdbb63ce2902306cbd9fd0124fbe10209a1",
+    (2, "wronskian4"): "58a34c29cd925a59a20910a593a55d79febf314523b366090b5bc00afb2e712c",
+    (2, "k_cramer"): "d9fa2bfe255097a783ec7c4a61c45c75ec4360b3e8a415a937562667ec11de13",
+    (2, "k_monodromy"): "23220db90f3448907b7308ca3f1d817d4a92fbcc106359cb6bf7e38e6af146d4",
+    (2, "abg_relation"): "f01d6bec38d7e30a403779f48b5b574ad8ab76a0239a393ca24b9af038259b56",
+    (2, "inhom"): "f6e7f215afd4a9a049fbfbce6a2737b4d8ea77ddfffbc1bf91c09076a96cba67",
+    (3, "delta_invariance"): "9d2faf0094075af41544974f0d7e7f47b54635e0fde5896ce9757d5618d0ba92",
+    (3, "wronskian4"): "64a392dad4d9467228c495256017bcdf2209a87f5d89c1a0815b96327e8ae651",
+    (3, "k_cramer"): "0d5465ec630a34115f9d8e7f70673478a1090daf126c0cc660cc5972cb062612",
+    (3, "k_monodromy"): "a03fd1ab3c45a15c04c30eb7f5c4a5d0d43602a35a498c54b0e273542c724788",
+    (3, "abg_relation"): "3c999855b856531f276582bb9e7f42fa6f07d6eac5c97ca6a68525b16f1cc885",
+    (3, "inhom"): "159446beebb1b5ea75d546164d2ad7de0566a3111f5a34504cf6f17914a2554a",
+}
+
+
+@pytest.mark.parametrize("k,target", FAULT_REPORT_DIGESTS)
+def test_fault_report_bytes_pinned(run, tmp_path, k, target):
+    path = tmp_path / "report.json"
+    code, _, _ = run("verify", "--k", str(k), "--trials", "3", "--seed", "7",
+                     "--checks", target, "--inject-fault", target, "--json", str(path))
+    data = path.read_bytes()
+    stripped = re.sub(rb',\n *"elapsed": [^\n]*', b"", data)
+    assert code == 1 and json.loads(data)["summary"]["fail"] == 3
+    assert hashlib.sha256(stripped).hexdigest() == FAULT_REPORT_DIGESTS[k, target]
+
+
+# SHA-256 of `invariant --all-routes` stdout on each EVAL_GRID seed, taken while
+# the Cramer and monodromy routes divided Fraction determinants
+ALL_ROUTES_DIGESTS = {
+    "k1-unit": "55a8e611e2c92336cafe83d812b06ca74ccae5bb3e3733af00ddd550b394e5f2",
+    "k1-integer": "cf543e08588ca059ad06231d65fede5522f00dd0d4310858174c3b1dd8c05c0d",
+    "k1-rational": "503768dc23b45d668452a5fb9f7ae1e95e3b2a7fd86e978e50208110cc6f2cc6",
+    "k1-t-minus-one": "0016b1535cea52abf33bc80bde9b877de0599bff4a34d6d44352875676305c4a",
+    "k2-unit": "8b96d333e07120155b672067d6546252700020365b640e950beeb3ff709c3493",
+    "k2-integer": "26c42bdd2e3157e20214b7d2f50482f638eac610a61b15385754574f780c098a",
+    "k2-rational": "c6612c79bf1b841ed68cb01cc53bb0538a8f6642b9883c21906453c6253a80dc",
+    "k3-unit": "40b1bbcd0277817b1c7e36e53aadc90b5f6b27a75c4d428f8ac6842e1dd001a2",
+    "k3-integer": "262a2dd1aa9db4c8429f02b54d71bace94d3084637ae10287842e29a6d657d29",
+    "k3-rational": "3ee0e1433f2f485ff1be1d5ca2063832e256556f404bce056e712d17b8a4569e",
+}
+
+
+@pytest.mark.parametrize("case", EVAL_GRID)
+def test_all_routes_bytes_pinned(run, case):
+    k, a, init = EVAL_GRID[case]
+    code, out, err = run("invariant", "--k", str(k), f"--a={a}", f"--init={init}", "--all-routes")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_ROUTES_DIGESTS[case]
+
+
 def test_verify_json_report_to_a_pipe(run, tmp_path):
     fifo = tmp_path / "report"
     os.mkfifo(fifo)

@@ -978,3 +978,67 @@ def test_decimal_route_leaves_the_callers_context_alone():
         assert ctx.prec == 5
     assert all(type(v) is Decimal for v in w.values)
     assert tuple(map(Fraction, w.values)) == ones(2).window().extend(-40, 40).values
+
+
+# -- the numeric step against the ring formula -------------------------------------
+
+def _ring_step(block, a, pivot, target):
+    """The slow route for ``engine._step``: the ring formula it keeps for
+    Laurent values, here in Fraction arithmetic, one gcd per operation."""
+    k = len(block) // 2
+    if not block[0]:
+        raise ZeroPivotError(pivot)
+    return (block[2 * k] * block[1] + a * (block[k] + block[k + 1])) / block[0]
+
+
+def _step_entry(rng, kind):
+    """A nonzero Fraction of the given kind, drawn from ``rng``."""
+    sign = 1 - 2 * rng.randint(0, 1)
+    if kind == "integer":
+        return Fraction(sign * rng.randint(1, 99))
+    if kind == "huge":
+        return Fraction(sign * rng.randint(1, 1 << 400), rng.randint(1, 1 << 300))
+    return random_rational(rng, 9, 9)  # small, of either sign
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_step_matches_the_ring_formula_on_fractions(k):
+    rng = SplitMix64(7500 + k)
+    kinds = ("integer", "huge", "small")
+    for trial in range(300):
+        # every entry of its own kind, and a zero now and then where no division reads it
+        block = [_step_entry(rng, kinds[rng.randint(0, 2)]) for _ in range(2 * k + 1)]
+        if trial % 5 == 0:
+            block[rng.randint(1, 2 * k)] = Fraction(0)
+        a = _step_entry(rng, kinds[trial % 3])
+        got = engine._step(tuple(block), a, 0, 2 * k + 1)
+        want = _ring_step(tuple(block), a, 0, 2 * k + 1)
+        assert type(got) is Fraction and got == want
+    with pytest.raises(ZeroPivotError, match=r"^zero iterate x_-4 used as a divisor$"):
+        engine._step((Fraction(0),) + (Fraction(1),) * (2 * k), Fraction(1), -4, 2 * k - 3)
+
+
+@pytest.mark.parametrize("k, entries", [(1, (-1, 0, 1, 2)), (2, (-1, 1, 2))])
+def test_step_raises_at_the_ring_formulas_index(k, entries, monkeypatch):
+    """phi, phi_inverse and spec.block stop at the same zero divisor, or
+    build the same values, with the numeric step and with the ring formula,
+    over small integer seeds: zero seed values at k = 1, and at k = 2 zero
+    iterates that 286 of the 1,458 orbits reach."""
+    def outcomes():
+        out = []
+        for init in itertools.product(entries, repeat=2 * k + 1):
+            for a in (-2, -1, 1):
+                spec = RecurrenceSpec.numeric(k, a, init)
+                for route in (lambda: _phi_orbit(spec, 6 * k, False), lambda: _phi_orbit(spec, 6 * k, True),
+                              lambda: RecurrenceSpec.numeric(k, a, init).block.values):
+                    try:
+                        out.append(route())
+                    except ZeroPivotError as exc:
+                        out.append(("raised", exc.n, str(exc)))
+        return out
+
+    fast = outcomes()
+    monkeypatch.setattr(engine, "_step", _ring_step)
+    assert fast == outcomes()
+    raised = sum(isinstance(o, tuple) and o[0] == "raised" for o in fast)
+    assert 0 < raised < len(fast)

@@ -26,6 +26,7 @@ from hhrec.errors import (
     ZeroPivotError,
 )
 from hhrec.invariants import (
+    InhomCoeffs,
     PeriodicCoeffs,
     _wronskian_block,
     _wronskian_det,
@@ -49,7 +50,7 @@ from hhrec.invariants import (
     wronskian4_det,
 )
 from hhrec.laurent import LaurentPolynomial, variables
-from hhrec.matrix import det_cofactor, mat_mul, scale_row
+from hhrec.matrix import det_cofactor, mat_mul, matrix_det, scale_row, solve_exact
 from hhrec.verifier import SplitMix64, TrialConfig, random_rational, random_spec
 
 
@@ -196,7 +197,7 @@ def _family(kind, k):
 # the 4x4 and every 3x3 block the numeric route sums: (offsets, shifts)
 _NUMERIC_BLOCKS = [((0, 1, 2, 3), (0, 1, 2, 3)),
                    *((offsets, shifts) for offsets in ((0, 1, 2), (0, 2, 3), (0, 1, 3))
-                     for shifts in ((0, 1, 2), (0, 1, 3), (0, 2, 3)))]
+                     for shifts in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))]
 
 
 @pytest.mark.parametrize("kind, k, lo, hi", [
@@ -711,6 +712,50 @@ def test_inhom_coeffs_2k_invariant():
     c0, c4 = inhom_coeffs(w, 0, K), inhom_coeffs(w, 4, K)
     assert (c0.epsilon, c0.zeta, c0.eta) == (c4.epsilon, c4.zeta, c4.eta)
     assert c0.nu == c4.nu
+
+
+def _inhom_by_solve(w, n, K):
+    """The slow route for ``inhom_coeffs``: the bordered system over
+    Fractions, ``matrix_det`` for its singularity test and Gauss-Jordan
+    ``solve_exact`` for the solution."""
+    k = w.spec.k
+    nu = nu_invariant(w, n, K)
+    a_rows = [[Fraction(1), -w[m], -w[m + 1]] for m in (n, n + 2 * k, n + 4 * k)]
+    if matrix_det(a_rows) == 0:
+        raise SingularSystemError(f"order-2 relation solve is singular at n={n}")
+    return InhomCoeffs(nu, *solve_exact(a_rows, [w[m + 2] for m in (n, n + 2 * k, n + 4 * k)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_inhom_coeffs_match_the_fraction_solve(k):
+    """Integer Cramer against the Fraction solve at every n of random raw
+    rational windows, one of them made singular at a chosen n (its rows for
+    m = n and m = n + 4k equal), and of a campaign's solution window."""
+    rng = SplitMix64(7600 + k)
+
+    def outcome(route, w, n, K):
+        try:
+            coeffs = route(w, n, K)
+        except SingularSystemError as exc:
+            return str(exc)
+        assert all(type(v) is Fraction for v in vars(coeffs).values())
+        return coeffs
+
+    windows = []
+    for trial in range(4):
+        values = [random_rational(rng, 9, 9) for _ in range(6 * k + 8)]
+        if trial == 3:  # singular at n = 2: x_{2+4k}, x_{3+4k} = x_2, x_3
+            values[5 + 4 * k:7 + 4 * k] = values[5:7]
+        windows.append(raw_window(ones(k), -3, values))
+    windows.append(random_spec(TrialConfig(k=k, seed=41), 0).window().extend(-2 * k - 2, 12 * k + 3))
+    singular = []
+    for w in windows:
+        K = random_rational(rng, 9, 9)
+        ns = range(w.lo, w.hi - 4 * k - 2 + 1)
+        fast = [outcome(inhom_coeffs, w, n, K) for n in ns]
+        assert fast == [outcome(_inhom_by_solve, w, n, K) for n in ns]
+        singular.append([n for n, o in zip(ns, fast) if isinstance(o, str)])
+    assert singular == [[], [], [], [2], []]
 
 
 # -- the linear relation and the four-route agreement -----------------------------------

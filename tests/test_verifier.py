@@ -14,7 +14,8 @@ import hhrec.invariants as invariants
 import hhrec.verifier as verifier
 from hhrec.engine import RecurrenceSpec, SequenceWindow, export_window
 from hhrec.errors import HHRecError, InsufficientDataError, LaurentViolationError, ZeroPivotError
-from hhrec.matrix import scale_row, solve_exact
+from hhrec.invariants import _wronskian_block
+from hhrec.matrix import det_cofactor, scale_row, solve_exact
 from hhrec.rational import parse_rational
 from hhrec.verifier import (
     NUMERIC_CHECKS,
@@ -370,6 +371,50 @@ def test_poly_divides():
     assert poly_divides([1, -1], [1, 0, -1])            # S-1 | S^2-1
     assert not poly_divides([1, -2], [1, 0, -1])
     assert poly_divides([1, 0, -14, 0, 14, 0, -1], target_characteristic_poly(1, Fraction(14)))
+
+
+def _fraction_divides(d, p):
+    """The slow route for ``poly_divides``: long division over Fractions."""
+    r, d = [Fraction(v) for v in p], [Fraction(v) for v in d]
+    while r and r[0] == 0:
+        r.pop(0)
+    while len(r) >= len(d):
+        f = r[0] / d[0]
+        r = [v - f * c for v, c in zip(r, d)] + r[len(d):]
+        r.pop(0)
+        while r and r[0] == 0:
+            r.pop(0)
+    return not r
+
+
+def test_poly_divides_matches_fraction_long_division():
+    """Random rational divisors with a content (a common factor of their
+    integer form) against products with them, perturbed or not, and every
+    detected charpoly of a campaign against its target."""
+    rng = SplitMix64(7700)
+    outcomes = []
+    for trial in range(400):
+        content = Fraction(rng.randint(1, 12), rng.randint(1, 5))
+        d = [content * random_rational(rng, 9, 9) for _ in range(rng.randint(1, 5))]
+        q = [random_rational(rng, 9, 9) if rng.randint(0, 3) else Fraction(0)
+             for _ in range(rng.randint(1, 6))]
+        p = [sum((d[i] * q[j - i] for i in range(len(d)) if 0 <= j - i < len(q)), Fraction(0))
+             for j in range(len(d) + len(q) - 1)]
+        if trial % 2:
+            p[rng.randint(0, len(p) - 1)] += random_rational(rng, 3, 3)
+        if trial % 7 == 0:
+            p = [Fraction(0)] * rng.randint(1, 3) + p  # leading zeros
+        outcomes.append(poly_divides(d, p))
+        assert outcomes[-1] == _fraction_divides(d, p), (d, p)
+    assert 0 < sum(outcomes) < len(outcomes)
+    for k in (1, 2, 3):
+        for trial in range(4):
+            spec = random_spec(TrialConfig(k=k, seed=41), trial)
+            w = spec.window().extend(0, 14 * k)
+            found = detect_linear_recurrence([w[n] for n in range(14 * k + 1)], 6 * k)
+            target = target_characteristic_poly(k, spec.K)
+            assert poly_divides(found, target) is _fraction_divides(found, target) is True
+            assert poly_divides(found, target[1:]) == _fraction_divides(found, target[1:])
 
 
 # -- campaigns ------------------------------------------------------------------------
@@ -792,3 +837,67 @@ def test_campaign_k4_index_arithmetic():
                                         "explicit_iterates", "inhom", "wronskian4"}))
     rep = run_campaign(cfg)
     assert rep.counts["fail"] == 0 and rep.counts["pass"] == 6
+
+
+# -- cross-multiplied comparisons against Fraction ones --------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cross_multiplied_comparisons_match_fraction_ones(k):
+    """Each integer comparison of the Wronskian-family checks against the
+    Fraction comparison it replaced, over cofactor determinants, at every n
+    it is made, on clean default windows of campaign specs and on copies
+    with one value raised by one: at x_{2k+1}, where fault injection writes,
+    at x_{6k+3}, which only the periodicity reads reach, and near the top."""
+    delta_blocks, w4_blocks = ((0, 1, 2), (0, 1, 2)), ((0, 1, 2, 3), (0, 1, 2, 3))
+    seen = {}
+
+    def agree(what, fast, slow):
+        assert Fraction(*fast) == slow, what
+        seen.setdefault(what, set()).add(bool(fast[0]))
+
+    for trial in range(3):
+        cfg = TrialConfig(k=k, seed=41)
+        clean = TrialContext(cfg, random_spec(cfg, trial), trial).default_window()
+        raised = (clean.with_value(j, clean[j] + 1) for j in (2 * k + 1, 6 * k + 3, clean.hi - 2))
+        for w in (clean, *raised):
+            table, K = w.wronskian_table, w.spec.K
+
+            def cof(n, offsets, shifts):
+                return det_cofactor(_wronskian_block(w, n, offsets, shifts))
+
+            def abg(n):
+                d = cof(n, *delta_blocks)
+                return (cof(n + 1, *delta_blocks) / d, cof(n, (0, 2, 3), (0, 1, 2)) / d,
+                        cof(n, (0, 1, 3), (0, 1, 2)) / d)
+
+            deltas = {n: invariants._wronskian_parts(table, n, *delta_blocks)
+                      for n in range(w.lo, w.hi - 4 * k - 1)}
+            for n in range(w.lo, w.hi - 5 * k - 1):
+                agree("delta", verifier._minus(deltas[n + k], deltas[n]),
+                      cof(n + k, *delta_blocks) - cof(n, *delta_blocks))
+            for n in range(w.lo, w.hi - 6 * k - 2):
+                agree("w4", invariants._wronskian_parts(table, n, *w4_blocks), cof(n, *w4_blocks))
+            for n in (0, 1):
+                d = cof(n, *delta_blocks)
+                slow = (cof(n, (0, 1, 2), (0, 1, 3)) / d - K, cof(n, (0, 1, 2), (0, 2, 3)) / d - K)
+                for fast, want in zip(invariants._cramer_parts(table, n), slow):
+                    agree("cramer", verifier._minus(fast, (K.numerator, K.denominator)), want)
+            trips = [abg(n) for n in range(2 * k)]
+            pc = invariants.periodic_coeffs(w)
+            assert pc == invariants.PeriodicCoeffs(k, tuple(t[0] for t in trips[:k]),
+                                                   tuple(t[1] for t in trips), tuple(t[2] for t in trips))
+            for n in range(2 * k):
+                slow = (abg(n + k)[0] - pc.alpha_at(n + k), abg(n + 2 * k)[1] - pc.beta_at(n),
+                        abg(n + 2 * k)[2] - pc.gamma_at(n))
+                fast = (invariants._abg_parts(table, n + k)[0], *invariants._abg_parts(table, n + 2 * k)[1:])
+                for q, c, want in zip(fast, (pc.alpha_at(n + k), pc.beta_at(n), pc.gamma_at(n)), slow):
+                    agree("periodicity", verifier._minus(q, (c.numerator, c.denominator)), want)
+            for n in range(6 * k):
+                alpha, beta, gamma = pc.alpha_at(n), pc.beta_at(n), pc.gamma_at(n)
+                agree("3-term", invariants._three_term_parts(w, n, scale_row((alpha, beta, gamma))),
+                      w[n + 3] - gamma * w[n + 2] + beta * w[n + 1] - alpha * w[n])
+            alphas = [pc.alpha_at(j) for j in range(1, k + 1)]
+            product = math.prod(c.numerator for c in alphas), math.prod(c.denominator for c in alphas)
+            agree("alpha product", verifier._minus(product, (1, 1)), math.prod(alphas) - 1)
+    assert seen == dict.fromkeys(("delta", "w4", "cramer", "periodicity", "3-term", "alpha product"),
+                                 {False, True})
