@@ -33,12 +33,17 @@ negative).  The leading-term reduction refuses any quotient term outside that
 box, so every remainder term stays inside the numerator's box, and the loop
 either ends with zero remainder or proves that no quotient exists.
 
-Sums of products whose result is mostly cancelled, such as the xi residuals
-of a symbolic window, go through ``dot``.  It re-keys every operand once as a
-small mixed-radix offset inside the union of the products' exponent boxes,
+Sums of products whose result is mostly cancelled go through ``dot``.  It
+decodes every operand once, for its exponent box and its re-keying as a small
+mixed-radix offset inside the union of the products' exponent boxes,
 accumulates every term pair into one dict over those keys, and decodes only
 the nonzero sums back to packed keys; no product is built as a polynomial.
-Every product whose result is kept goes through ``*``.
+It has two callers: the xi residuals of a symbolic window, and the last stage
+of a Bareiss elimination of size 3 or more (``matrix._eliminate``), whose one
+entry is the determinant times the previous pivot.  Every other product whose
+result is kept goes through ``*``: the earlier Bareiss stages' entries are
+multiplied again, and there ``dot`` lost to ``*`` (compact keys pay only when
+little is kept).
 """
 
 from __future__ import annotations
@@ -445,8 +450,9 @@ def dot(xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial]) -> Lau
     Inside U, the union of the product boxes, the mixed-radix offset
     sum_j (e_j - min_j U) * stride_j is linear and injective, and small: below
     2^27 on the xi sweeps of k <= 3, where a packed key has 144 bits.  Every
-    operand is re-keyed once, every product accumulates into one dict over
-    these keys, and only the nonzero sums are decoded back to packed keys.
+    operand is decoded once, for its box and its offsets, every product
+    accumulates into one dict over these offsets, and only the nonzero sums
+    are decoded back to packed keys.
     A sum that cancels, such as a passing xi residual, decodes nothing.
     """
     pairs = list(zip(xs, ys, strict=True))
@@ -455,16 +461,18 @@ def dot(xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial]) -> Lau
         if p.nvars != nv:
             raise ValueError(f"variable-count mismatch: {nv} vs {p.nvars}")
     pairs = [(x, y) for x, y in pairs if x and y]
-    boxes = []
+    boxes, decoded = [], []
     for x, y in pairs:
-        (xlo, xhi), (ylo, yhi) = _exponent_box(x), _exponent_box(y)
-        lo = list(map(operator.add, xlo, ylo))
-        hi = list(map(operator.add, xhi, yhi))
+        ex, ey = _unpack_all(x._terms, nv), _unpack_all(y._terms, nv)
+        xcols, ycols = list(zip(*ex)), list(zip(*ey))
+        lo = [min(c) + min(d) for c, d in zip(xcols, ycols)]
+        hi = [max(c) + max(d) for c, d in zip(xcols, ycols)]
         ends = _unpack_all([min(x._terms) + min(y._terms), max(x._terms) + max(y._terms)], nv)
         err = _range_error(lo, nv, [sum(e) for e in ends]) or _range_error(hi, nv, ())
         if err:
             raise err
         boxes.append((lo, hi))
+        decoded.append(((ex, x._terms.values()), (ey, y._terms.values())))
     if not boxes:
         return _raw(nv, {})
     ulo = [min(c) for c in zip(*(lo for lo, _ in boxes))]
@@ -473,14 +481,14 @@ def dot(xs: Sequence[LaurentPolynomial], ys: Sequence[LaurentPolynomial]) -> Lau
     for j in range(nv - 1, 0, -1):
         strides[j - 1] = strides[j] * radices[j]
 
-    def rekeyed(p: LaurentPolynomial, offset: int) -> list[tuple[int, int]]:
-        keys = [sum(map(operator.mul, e, strides)) - offset for e in _unpack_all(p._terms, nv)]
-        return list(zip(keys, p._terms.values()))
+    def rekeyed(operand, offset: int) -> list[tuple[int, int]]:
+        exps, coeffs = operand  # the exponent vectors decoded for the boxes
+        return list(zip([sum(map(operator.mul, e, strides)) - offset for e in exps], coeffs))
 
     out: dict[int, int] = {}
     get = out.get
     offset = sum(map(operator.mul, ulo, strides))  # taken off the left operands' keys
-    for x, y in pairs:
+    for x, y in decoded:
         a, b = rekeyed(x, offset), rekeyed(y, 0)
         if len(a) > len(b):
             a, b = b, a

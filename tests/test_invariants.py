@@ -368,6 +368,14 @@ def test_symbolic_wronskian_blocks_match_cofactor(k, lo, hi, w4_at, delta_at):
         assert wronskian4_det(w, n) == det_cofactor(_wronskian_block(w, n, range(4), range(4))) == 0
     for n in delta_at:
         assert delta(w, n) == det_cofactor(_wronskian_block(w, n, range(3), range(3)))
+    # the Cramer numerators of K and the abg numerators, at one mid-window n
+    # per residue class mod k, among the n whose blocks the window holds
+    mid = (lo + hi - 6 * k - 2) // 2
+    for n in range(mid, mid + k):
+        for offsets, shifts in [((0, 1, 2), (0, 1, 3)), ((0, 1, 2), (0, 2, 3)),
+                                ((0, 2, 3), (0, 1, 2)), ((0, 1, 3), (0, 1, 2))]:
+            want = det_cofactor(_wronskian_block(w, n, offsets, shifts))
+            assert _wronskian_det(w, n, offsets, shifts) == want != 0
 
 
 @pytest.mark.parametrize("k", [1, 2])

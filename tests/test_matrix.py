@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhrec import matrix
 from hhrec.laurent import LaurentPolynomial, RationalFunction, variables
 from hhrec.matrix import (
     ZeroMinorError,
@@ -17,6 +19,7 @@ from hhrec.matrix import (
     scale_row,
     solve_exact,
 )
+from test_laurent import dot_polys
 
 
 def rationals():
@@ -195,6 +198,125 @@ def test_a_rational_function_counts_the_terms_of_both_parts():
     r = RationalFunction(x0 + x1 + 1, x0 - a)
     assert len(r) == 5 and len(RationalFunction(LaurentPolynomial(3))) == 1
     m = [[r, x1], [RationalFunction(x0, x1 + a), x0 * x1 * a]]
+    assert det_bareiss(m) == det_cofactor(m)
+
+
+# -- the last stage of a Laurent matrix of size 3 or more: one laurent.dot ---------
+
+def products_only_det(rows):
+    """Bareiss with ``*`` at every stage and the production pivots, so it
+    forms the products the last stage's ``dot`` skips; the slow route."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, None
+    for k in range(n - 1):
+        flip = _fewest_terms(a, k)
+        if not flip:
+            return a[k][k]
+        sign *= flip
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = elt if prev is None else elt / prev
+        prev = a[k][k]
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
+
+
+@contextmanager
+def last_stage_values():
+    """The value of every last-stage ``dot`` run inside, in order: the
+    determinant times the previous pivot, before the division."""
+    seen, dot_cross = [], matrix._dot_cross
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_dot_cross", lambda *ops: seen.append(dot_cross(*ops)) or seen[-1])
+        yield seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 4]), st.data())
+def test_last_stage_cancels_to_zero_on_singular_matrices(n, data):
+    # row i is c row_u + d row_v, so the last stage's det * prev is exactly 0
+    m = data.draw(square(n, laurents))
+    i, u, v = data.draw(st.permutations(range(n)))[:3]
+    c, d = data.draw(laurents()), data.draw(laurents())
+    m[i] = [c * x + d * y for x, y in zip(m[u], m[v])]
+    with last_stage_values() as seen:
+        det = det_bareiss(m)
+    assert det == det_cofactor(m) == LaurentPolynomial(3)
+    assert len(seen) <= 1 and not any(seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=4).flatmap(
+    lambda nv: st.sampled_from([3, 4]).flatmap(lambda n: square(n, lambda: dot_polys(nv)))))
+def test_last_stage_near_the_exponent_bound(m):
+    # exponents near +-16384: some stage's products leave the range, and the
+    # last stage's dot raises ValueError exactly when its two products would
+    try:
+        want = products_only_det(m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            det_bareiss(m)
+        return
+    det = det_bareiss(m)
+    assert (det.nvars, det._terms) == (want.nvars, want._terms)
+    try:
+        cofactor = det_cofactor(m)
+    except ValueError:  # the cofactor route forms other products, which may leave the range
+        return
+    assert det == cofactor
+
+
+@pytest.mark.parametrize("e", [8191, 8192, -8192, -8193])
+def test_last_stage_dot_raises_where_its_products_leave_the_range(e):
+    # the pivot 1 leaves the first stage's entries as they are; the last
+    # stage pivots on x1 and multiplies (x0^e + x1)^2, in range for
+    # -8192 <= e <= 8191
+    x0, x1, _ = variables(3)
+    zero, one, big = LaurentPolynomial(3), LaurentPolynomial.constant(3, 1), x0 ** e + x1
+    m = [[one, zero, zero], [zero, big, x1], [zero, x1, big]]
+    fits = -8192 <= e <= 8191
+    with last_stage_values() as seen:
+        if fits:
+            assert det_bareiss(m) == products_only_det(m) == det_cofactor(m) == big * big - x1 * x1
+        else:
+            for det in (det_bareiss, products_only_det, det_cofactor):
+                with pytest.raises(ValueError):
+                    det(m)
+    assert len(seen) == fits
+
+
+def test_last_stage_route_is_chosen_per_matrix():
+    x0, x1, a = variables(3)
+    big = x0 + x1 + a + 1
+    m3 = [[big + i + 3 * j + x0 ** i * x1 ** j for j in range(3)] for i in range(3)]
+    with last_stage_values() as seen:
+        det = det_bareiss(m3)
+    assert det == det_cofactor(m3) != 0
+    assert len(seen) == 1 and seen[0] != det  # the division by prev follows the dot
+    two = [[big, x0 * x1], [x1 - a, big * big]]
+    rational = [[RationalFunction(v, x0 + 2) for v in row] for row in m3]
+    mixed = [[RationalFunction(v) if i == j else v for j, v in enumerate(row)]
+             for i, row in enumerate(m3)]
+    with last_stage_values() as seen:
+        for m in (two, rational, mixed):
+            assert det_bareiss(m) == det_cofactor(m)
+    assert seen == []  # a 2x2 or any non-Laurent entry keeps the two products
+
+
+def small_rational_functions():
+    """Quotients of up to two terms over one or two: a RationalFunction is
+    never reduced, so its Bareiss stages grow fast."""
+    def terms(lo, hi):
+        exponent = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(0, 1))
+        return st.dictionaries(exponent, st.integers(-3, 3).filter(bool), min_size=lo,
+                               max_size=hi).map(lambda t: LaurentPolynomial(3, t))
+    return st.builds(RationalFunction, terms(0, 2), terms(1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda n: square(n, small_rational_functions)))
+def test_rational_function_matrices_match_cofactor(m):
+    # Laurent 2x2s are among test_ring_route_agrees_with_cofactor's inputs
     assert det_bareiss(m) == det_cofactor(m)
 
 
